@@ -165,6 +165,15 @@ def regime_classify(eigs, N, k, j=None):
     return counts
 
 
+def _outside_bump(x):
+    """How many weight arguments lie past the far end x = 2 of the bump.
+
+    Beyond it the weight polynomial climbs again like x^(4n), so each such
+    eigenvalue carries a spurious weight that can swamp the moments.
+    """
+    return int(np.count_nonzero(x > 2.0))
+
+
 def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
     """Weighted empirical measure of the blip regime of a GOE/checkerboard pair.
 
@@ -177,17 +186,24 @@ def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
     tend to theory_blip_moment_goe_checker(m, k).  The approach is slow:
     every location carries an O(N^(-1/2)) bias, and at order n = 2 bulk
     eigenvalues leak through the weight.
+
+    counts holds the regime counts of regime_classify plus outside_bump, the
+    number of eigenvalues with k^2 lambda^2 / N^3 > 2.  Their weights are
+    not localising, so the moments mean nothing unless it is 0 (at N = 10,
+    k = 5 it is about half the spectrum).
     """
     eigs = np.asarray(eigs, dtype=float)
     if n is None:
         n = default_blip_order(N)
     f = weight_f(n)
-    weights = f(k**2 * eigs**2 / N**3)
+    x = k**2 * eigs**2 / N**3
+    weights = f(x)
     locations = (eigs**2 - N**3 / k**2) / N**2.5
     moments = [
         (m, float(np.sum(weights * locations**m)) / (2 * k)) for m in orders
     ]
     counts = regime_classify(eigs, N, k)
+    counts["outside_bump"] = _outside_bump(x)
     return BlipReport(
         "goe-checker-blip", N, k, None, n, locations, weights, moments, counts
     )
@@ -197,17 +213,21 @@ def blip_measure_largest(eigs, N, k, j, n=None, orders=(0, 1, 2)):
     """Weighted empirical measure of the largest blip of a two-checkerboard pair.
 
     Weight f^(2n)(j k lambda / (2 N^2)) at location (lambda - 2N^2/(jk)) / N,
-    with no prefactor (the regime holds a single eigenvalue).
+    with no prefactor (the regime holds a single eigenvalue).  counts adds
+    outside_bump, the number of eigenvalues with j k lambda / (2 N^2) > 2,
+    to the regime counts.
     """
     eigs = np.asarray(eigs, dtype=float)
     band_scales(k, j)
     if n is None:
         n = default_blip_order(N)
     f = weight_f(n)
-    weights = f(j * k * eigs / (2.0 * N**2))
+    x = j * k * eigs / (2.0 * N**2)
+    weights = f(x)
     locations = (eigs - 2.0 * N**2 / (j * k)) / N
     moments = [(m, float(np.sum(weights * locations**m))) for m in orders]
     counts = regime_classify(eigs, N, k, j)
+    counts["outside_bump"] = _outside_bump(x)
     return BlipReport("largest-blip", N, k, j, n, locations, weights, moments, counts)
 
 

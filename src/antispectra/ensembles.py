@@ -54,13 +54,28 @@ def _check_dims(N, k=None):
             raise ValueError(f"invalid dimension: k={k} must divide N={N}")
 
 
+def _strict_upper(N):
+    """Boolean mask of the positions i < j.
+
+    Assigning through it fills the draws in row-major order, the order of
+    np.triu_indices(N, 1), without building two index arrays.
+    """
+    i = np.arange(N)
+    return i[:, None] < i[None, :]
+
+
+def _same_residue(N, k):
+    """Boolean mask of the positions with i = j (mod k)."""
+    r = np.arange(N) % k
+    return r[:, None] == r[None, :]
+
+
 def sample_goe(N, seed=None):
     """N x N GOE draw: off-diagonal N(0,1) mirrored, diagonal N(0,2)."""
     _check_dims(N)
     rng = _as_generator(seed)
     a = np.zeros((N, N))
-    iu = np.triu_indices(N, 1)
-    a[iu] = rng.standard_normal(iu[0].size)
+    a[_strict_upper(N)] = rng.standard_normal(N * (N - 1) // 2)
     a += a.T
     a[np.diag_indices(N)] = rng.standard_normal(N) * np.sqrt(2.0)
     return a
@@ -118,12 +133,10 @@ def sample_checkerboard(N, k, w=1.0, seed=None, dist="standard-normal"):
     _check_dims(N, k)
     rng = _as_generator(seed)
     a = np.zeros((N, N))
-    iu = np.triu_indices(N, 1)
-    a[iu] = _draw(rng, dist, iu[0].size)
+    a[_strict_upper(N)] = _draw(rng, dist, N * (N - 1) // 2)
     a += a.T
     a[np.diag_indices(N)] = _draw(rng, dist, N)
-    i = np.arange(N)
-    a[(i[:, None] - i[None, :]) % k == 0] = w
+    a[_same_residue(N, k)] = w
     return a
 
 
@@ -132,8 +145,7 @@ def sample_hollow_goe(k, seed=None):
     _check_dims(k)
     rng = _as_generator(seed)
     a = np.zeros((k, k))
-    iu = np.triu_indices(k, 1)
-    a[iu] = rng.standard_normal(iu[0].size)
+    a[_strict_upper(k)] = rng.standard_normal(k * (k - 1) // 2)
     a += a.T
     return a
 
@@ -191,8 +203,7 @@ def mean_matrix(N, k):
     Rank k; its nonzero eigenvalues are k copies of N/k.
     """
     _check_dims(N, k)
-    i = np.arange(N)
-    return ((i[:, None] - i[None, :]) % k == 0).astype(float)
+    return _same_residue(N, k).astype(float)
 
 
 def perturbation_split(M, k):

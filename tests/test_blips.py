@@ -133,6 +133,19 @@ def test_largest_measure_matches_hand_computation():
     assert report.regime == "largest-blip"
 
 
+@pytest.mark.parametrize("x,outside", [
+    ([0.0, 0.5, 1.0, 1.999], 0),
+    ([0.1, 1.9, 2.001, 3.0, 40.0], 3),
+])
+def test_outside_bump_counts_arguments_past_two(x, outside):
+    N, k, j = 60, 3, 5
+    x = np.array(x)
+    checker = blips.blip_measure_goe_checker(np.sqrt(x * N**3) / k, N, k, n=2)
+    largest = blips.blip_measure_largest(x * 2 * N**2 / (j * k), N, k, j, n=2)
+    assert checker.counts["outside_bump"] == outside
+    assert largest.counts["outside_bump"] == outside
+
+
 def test_report_accessors():
     report = blips.blip_measure_goe_checker(np.zeros(10), 10, 5, orders=(0, 1))
     payload = report.as_dict()

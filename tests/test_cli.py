@@ -155,7 +155,17 @@ def test_blip_payload(capsys):
     assert payload["regime"] == "goe-checker-blip"
     assert payload["trials"] == 2
     assert {entry["m"] for entry in payload["moments"]} == {0, 1}
-    assert set(payload["counts"]) == {"bulk", "pos_blip", "neg_blip"}
+    assert set(payload["counts"]) == {"bulk", "pos_blip", "neg_blip", "outside_bump"}
+
+
+def test_blip_payload_counts_eigenvalues_outside_the_bump(capsys):
+    # At N = 10 eigenvalues sit past the weight's bump and their weights,
+    # growing like x^(4n), swamp the moments; by N = 1500 none is left there.
+    for n, trials, outside in (("10", "2", True), ("1500", "1", False)):
+        code, out, _ = run_cli(capsys, "blip", "--pair", "goe-checker:5", "--n", n,
+                               "--trials", trials, "--seed", "3")
+        assert code == 0
+        assert (json.loads(out)["counts"]["outside_bump"] > 0) is outside
 
 
 def test_regimes_payload(capsys):

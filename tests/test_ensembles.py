@@ -155,3 +155,53 @@ def test_dump_load_round_trip():
     assert text.splitlines()[0] == "# symmetric N=6 kind=goe"
     back = ensembles.load_matrix(io.StringIO(text))
     np.testing.assert_array_equal(back, M)
+
+
+def _reference_upper(rng_values, N):
+    """Symmetric matrix filled through np.triu_indices, the samplers' first layout."""
+    a = np.zeros((N, N))
+    iu = np.triu_indices(N, 1)
+    a[iu] = rng_values(iu[0].size)
+    return a + a.T
+
+
+def _reference_residue_mask(N, k):
+    i = np.arange(N)
+    return (i[:, None] - i[None, :]) % k == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2024])
+@pytest.mark.parametrize("N", [1, 2, 7, 60])
+def test_goe_matches_index_construction(seed, N):
+    rng = ensembles.rng_stream(seed)
+    expected = _reference_upper(rng.standard_normal, N)
+    expected[np.diag_indices(N)] = rng.standard_normal(N) * np.sqrt(2.0)
+    np.testing.assert_array_equal(ensembles.sample_goe(N, seed=seed), expected)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 99])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("dist", ensembles.DISTRIBUTIONS)
+def test_checkerboard_matches_index_construction(seed, k, dist):
+    N, w = 45, 2.5
+    rng = ensembles.rng_stream(seed)
+    expected = _reference_upper(lambda size: ensembles._draw(rng, dist, size), N)
+    expected[np.diag_indices(N)] = ensembles._draw(rng, dist, N)
+    expected[_reference_residue_mask(N, k)] = w
+    got = ensembles.sample_checkerboard(N, k, w, seed=seed, dist=dist)
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("N,k", [(1, 1), (6, 1), (6, 3), (45, 5), (60, 4)])
+def test_mean_matrix_matches_difference_construction(N, k):
+    expected = _reference_residue_mask(N, k).astype(float)
+    got = ensembles.mean_matrix(N, k)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_hollow_goe_matches_index_construction(seed):
+    rng = ensembles.rng_stream(seed)
+    expected = _reference_upper(rng.standard_normal, 9)
+    np.testing.assert_array_equal(ensembles.sample_hollow_goe(9, seed=seed), expected)

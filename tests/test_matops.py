@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from antispectra import matops
-from antispectra.ensembles import sample_goe, sample_pte
+from antispectra.ensembles import sample_checkerboard, sample_goe, sample_pte
 
 
 def test_anticommutator_matches_definition():
@@ -14,6 +14,25 @@ def test_anticommutator_matches_definition():
     B = sample_pte(40, seed=2)
     C = matops.anticommutator(A, B)
     np.testing.assert_allclose(C, A @ B + B @ A, atol=1e-10)
+    np.testing.assert_array_equal(C, C.T)
+
+
+def _second_factor(kind, N):
+    if kind == "pte":
+        # PTE needs even N; the leading block of a symmetric matrix is symmetric.
+        return sample_pte(N + N % 2, seed=N + 1)[:N, :N]
+    k = max(d for d in (1, 2, 5) if N % d == 0)
+    return sample_checkerboard(N, k, seed=N + 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 37, 200])
+@pytest.mark.parametrize("kind", ["pte", "checkerboard"])
+def test_anticommutator_is_both_products(N, kind):
+    A = sample_goe(N, seed=N)
+    B = _second_factor(kind, N)
+    C = matops.anticommutator(A, B)
+    both = A @ B + B @ A
+    assert np.max(np.abs(C - both)) <= 1e-12 * np.max(np.abs(both))
     np.testing.assert_array_equal(C, C.T)
 
 
@@ -41,6 +60,23 @@ def test_ell_three_sums_all_orderings():
     got = matops.ell_anticommutator(mats)
     np.testing.assert_allclose(got, (brute + brute.T) / 2, atol=1e-9)
     np.testing.assert_array_equal(got, got.T)
+
+
+def test_ell_four_sums_all_orderings():
+    mats = [sample_goe(9, seed=s) for s in (11, 12, 13, 14)]
+    brute = np.zeros((9, 9))
+    for order in itertools.permutations(range(4)):
+        brute += np.linalg.multi_dot([mats[idx] for idx in order])
+    got = matops.ell_anticommutator(mats)
+    np.testing.assert_allclose(got, brute, rtol=1e-12, atol=1e-12 * np.max(np.abs(brute)))
+    np.testing.assert_array_equal(got, got.T)
+
+
+def test_ell_one_returns_its_input():
+    A = sample_goe(8, seed=15)
+    got = matops.ell_anticommutator([A])
+    np.testing.assert_array_equal(got, A)
+    assert got is not A
 
 
 def test_ell_anticommutator_rejects_empty_and_mismatch():
