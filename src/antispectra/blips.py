@@ -166,12 +166,14 @@ def regime_classify(eigs, N, k, j=None):
 
 
 def _outside_bump(x):
-    """How many weight arguments lie past the far end x = 2 of the bump.
+    """How many weight arguments lie above 2 or below 1 - sqrt(2).
 
-    Beyond it the weight polynomial climbs again like x^(4n), so each such
-    eigenvalue carries a spurious weight that can swamp the moments.
+    The weight (x(2 - x))^(2n) peaks at 1 on x = 1.  Past the far end
+    x = 2 of the bump it climbs again like x^(4n), and below 1 - sqrt(2)
+    it already exceeds the peak, so each such eigenvalue carries a
+    spurious weight that can swamp the moments.
     """
-    return int(np.count_nonzero(x > 2.0))
+    return int(np.count_nonzero((x > 2.0) | (x < 1.0 - math.sqrt(2.0))))
 
 
 def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
@@ -188,9 +190,10 @@ def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
     eigenvalues leak through the weight.
 
     counts holds the regime counts of regime_classify plus outside_bump, the
-    number of eigenvalues with k^2 lambda^2 / N^3 > 2.  Their weights are
-    not localising, so the moments mean nothing unless it is 0 (at N = 10,
-    k = 5 it is about half the spectrum).
+    number of eigenvalues with k^2 lambda^2 / N^3 > 2 (the argument is
+    never negative, so the lower edge 1 - sqrt(2) is never crossed).  Their
+    weights are not localising, so the moments mean nothing unless it is 0
+    (at N = 10, k = 5 it is about half the spectrum).
     """
     eigs = np.asarray(eigs, dtype=float)
     if n is None:
@@ -214,8 +217,10 @@ def blip_measure_largest(eigs, N, k, j, n=None, orders=(0, 1, 2)):
 
     Weight f^(2n)(j k lambda / (2 N^2)) at location (lambda - 2N^2/(jk)) / N,
     with no prefactor (the regime holds a single eigenvalue).  counts adds
-    outside_bump, the number of eigenvalues with j k lambda / (2 N^2) > 2,
-    to the regime counts.
+    outside_bump, the number of eigenvalues whose argument
+    x = j k lambda / (2 N^2) lies above 2 or below 1 - sqrt(2) (where the
+    weight exceeds its peak 1), to the regime counts.  At small N the most
+    negative eigenvalues reach below the lower edge.
     """
     eigs = np.asarray(eigs, dtype=float)
     band_scales(k, j)

@@ -90,18 +90,29 @@ def cycle_count(pairing, size=None):
     Equals n+1 exactly when the pairing of 2n points is non-crossing,
     and otherwise drops below n-1 in steps of two.
     """
-    table = as_partner_table(pairing, size)
+    return len(_cycles(_after_shift(as_partner_table(pairing, size))))
+
+
+def _after_shift(table):
+    """The permutation x -> table[x] + 1 (mod len(table)) as a list."""
     n2 = len(table)
-    seen = [False] * n2
-    cycles = 0
-    for start in range(n2):
+    return [(j + 1) % n2 for j in table]
+
+
+def _cycles(perm):
+    """The cycles of the permutation x -> perm[x], each a list in walk order."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
         if seen[start]:
             continue
-        cycles += 1
+        cycle = []
         x = start
         while not seen[x]:
             seen[x] = True
-            x = (table[x] + 1) % n2
+            cycle.append(x)
+            x = perm[x]
+        cycles.append(cycle)
     return cycles
 
 
@@ -141,31 +152,14 @@ def _nc_pairings(positions):
                 yield [(first, positions[t])] + left + right
 
 
-def layers(config, a_arcs):
+def _layer_groups(word, a_pairs):
     """Partition the b-positions into the faces cut out by the a-arcs.
 
     Two b-positions land in the same layer exactly when every a-arc has
     both or neither of them strictly inside, i.e. they see the same set
-    of covering arcs.  The a-arcs must be non-crossing; faces are not
-    defined otherwise and such input is rejected.
+    of covering arcs.  The a-arcs must be non-crossing; the input is not
+    validated, since this runs inside enumeration loops.
     """
-    arcs = [(min(p, q), max(p, q)) for p, q in a_arcs]
-    a_positions = sorted(i for arc in arcs for i in arc)
-    expected = [i for i, c in enumerate(config) if c == "a"]
-    if a_positions != expected:
-        raise ValueError("a_arcs must pair exactly the 'a' positions of config")
-    for (p1, q1), (p2, q2) in itertools.combinations(arcs, 2):
-        if p1 < p2 < q1 < q2 or p2 < p1 < q2 < q1:
-            raise ValueError("invalid input: a_arcs cross, layers are undefined")
-    groups = {}
-    for x in (i for i, c in enumerate(config) if c == "b"):
-        cover = frozenset(idx for idx, (p, q) in enumerate(arcs) if p < x < q)
-        groups.setdefault(cover, []).append(x)
-    return sorted(groups.values())
-
-
-def _layer_groups(word, a_pairs):
-    """layers() without validation, for use inside enumeration loops."""
     arcs = a_pairs
     groups = {}
     for x in (i for i, c in enumerate(word) if c == "b"):
@@ -417,23 +411,57 @@ class LaurentMoment:
         return " + ".join(parts)
 
 
-def _cycle_defect(table, top):
-    """How far the cycle count of x -> table[x] + 1 falls short of top."""
-    n2 = len(table)
-    seen = [False] * n2
-    cycles = 0
-    for start in range(n2):
-        if seen[start]:
-            continue
-        cycles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = (table[x] + 1) % n2
+def _genus(cycles, top):
+    """Half the amount by which a cycle count falls short of top."""
     defect = top - cycles
     if defect < 0 or defect % 2:
         raise ArithmeticError(f"cycle count {cycles} out of range for top {top}")
-    return defect
+    return defect // 2
+
+
+def _first_return_shape(rho, marked):
+    """Split the cycles of rho by how many marked points each one holds.
+
+    Returns (closed, shape): closed counts the cycles holding no marked
+    point, and shape is the sorted tuple of the nonzero counts, i.e. the
+    cycle type of the first-return map of rho on the marked points.
+    """
+    closed = 0
+    shape = []
+    for cycle in _cycles(rho):
+        hits = sum(marked[x] for x in cycle)
+        if hits:
+            shape.append(hits)
+        else:
+            closed += 1
+    return closed, tuple(sorted(shape))
+
+
+def _pairing_cycle_counts(rho):
+    """Tally the cycle counts of rho o tau over every pairing tau of rho's points.
+
+    Returns {cycles: number of pairings}.  Conjugating rho only permutes
+    the pairings, so the tally depends on rho's cycle type alone.
+    """
+    counts = {}
+    perm = list(rho)
+    for pairs in _pairings(range(len(rho))):
+        for i, j in pairs:
+            perm[i], perm[j] = rho[j], rho[i]
+        c = len(_cycles(perm))
+        counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+def _canonical_permutation(shape):
+    """A permutation with the given cycle type: each cycle runs over a block
+    of consecutive points, x -> x + 1 inside it."""
+    rho = []
+    for length in shape:
+        first = len(rho)
+        rho += range(first + 1, first + length)
+        rho.append(first)
+    return rho
 
 
 def _genus_weights(m, layer_confined):
@@ -443,6 +471,9 @@ def _genus_weights(m, layer_confined):
     the faces they cut out (b-arcs may cross each other there); without
     it both letters pair freely.  Returns counts[g] of pairings whose
     cycle count falls short of the maximum 2m+1 by exactly 2g.
+
+    The free branch counts b-pairings by class, as moment_bce_bce
+    explains, instead of walking every pairing.
     """
     if m > ENUMERATION_LIMITS["laurent"]:
         raise ValueError(f"budget exceeded: enumeration limited to m <= "
@@ -450,11 +481,10 @@ def _genus_weights(m, layer_confined):
     n2 = 4 * m
     top = 2 * m + 1
     counts = {}
-    table = [-1] * n2
-    for word in enumerate_configurations(2 * m):
-        a_pos = [i for i, c in enumerate(word) if c == "a"]
-        b_pos = [i for i, c in enumerate(word) if c == "b"]
-        if layer_confined:
+    if layer_confined:
+        table = [-1] * n2
+        for word in enumerate_configurations(2 * m):
+            a_pos = [i for i, c in enumerate(word) if c == "a"]
             for a_pairs in _nc_pairings(a_pos):
                 for i, j in a_pairs:
                     table[i], table[j] = j, i
@@ -463,18 +493,26 @@ def _genus_weights(m, layer_confined):
                     for part in combo:
                         for i, j in part:
                             table[i], table[j] = j, i
-                    g = _cycle_defect(table, top) // 2
+                    g = _genus(len(_cycles(_after_shift(table))), top)
                     counts[g] = counts.get(g, 0) + 1
-        else:
-            b_list = list(_pairings(b_pos))
+    else:
+        classes = {}  # (closed, shape) -> number of (word, a-pairing)
+        for word in enumerate_configurations(2 * m):
+            a_pos = [i for i, c in enumerate(word) if c == "a"]
+            is_b = [c == "b" for c in word]
+            table = list(range(n2))  # the a-pairing, fixing the b-positions
             for a_pairs in _pairings(a_pos):
                 for i, j in a_pairs:
                     table[i], table[j] = j, i
-                for pb in b_list:
-                    for i, j in pb:
-                        table[i], table[j] = j, i
-                    g = _cycle_defect(table, top) // 2
-                    counts[g] = counts.get(g, 0) + 1
+                key = _first_return_shape(_after_shift(table), is_b)
+                classes[key] = classes.get(key, 0) + 1
+        by_shape = {}
+        for (closed, shape), ways in classes.items():
+            if shape not in by_shape:
+                by_shape[shape] = _pairing_cycle_counts(_canonical_permutation(shape))
+            for c, n in by_shape[shape].items():
+                g = _genus(closed + c, top)
+                counts[g] = counts.get(g, 0) + ways * n
     g_max = max(counts)
     return LaurentMoment(tuple(counts.get(g, 0) for g in range(g_max + 1)))
 
@@ -495,6 +533,17 @@ def moment_bce_bce(m):
 
     Every type-respecting pairing contributes k to the power of its cycle
     defect; at k=1 this reduces to the palindromic Toeplitz closed form.
+
+    The pairings are counted by class, not one by one.  Write gamma for
+    x -> x + 1 (mod 4m), tau_a for the a-pairing (fixing the b-positions
+    B) and rho = gamma o tau_a.  For every b-pairing tau_b the permutation
+    x -> tau(x) + 1 is rho o tau_b; its cycles are the rho-cycles that
+    miss B, plus the cycles of rho_B o tau_b, where rho_B is the
+    first-return map of rho on B.  Relabelling B by any h turns rho_B
+    into h rho_B h^-1 and only permutes the pairings of B, so the tally
+    of cycles(rho_B o tau_b) over all tau_b depends on the cycle type of
+    rho_B alone.  It is computed once per type (18 types at m = 4) on a
+    canonical permutation and shifted by the number of closed cycles.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")

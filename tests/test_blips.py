@@ -146,6 +146,17 @@ def test_outside_bump_counts_arguments_past_two(x, outside):
     assert largest.counts["outside_bump"] == outside
 
 
+def test_outside_bump_counts_arguments_below_one_minus_sqrt_two():
+    # (x(2 - x))^(2n) exceeds its peak 1 once x < 1 - sqrt(2) = -0.4142;
+    # only the largest-blip argument j k lambda / (2 N^2) can be negative.
+    N, k, j = 60, 3, 5
+    x = np.array([-3.0, -0.42, -0.41, -0.1, 0.5, 2.5])
+    report = blips.blip_measure_largest(x * 2 * N**2 / (j * k), N, k, j, n=2)
+    assert report.counts["outside_bump"] == 3
+    below, above = blips.weight_f(2)(np.array([-0.42, -0.41]))
+    assert below > 1 > above
+
+
 def test_report_accessors():
     report = blips.blip_measure_goe_checker(np.zeros(10), 10, 5, orders=(0, 1))
     payload = report.as_dict()

@@ -159,11 +159,20 @@ def test_blip_payload(capsys):
 
 
 def test_blip_payload_counts_eigenvalues_outside_the_bump(capsys):
-    # At N = 10 eigenvalues sit past the weight's bump and their weights,
-    # growing like x^(4n), swamp the moments; by N = 1500 none is left there.
-    for n, trials, outside in (("10", "2", True), ("1500", "1", False)):
-        code, out, _ = run_cli(capsys, "blip", "--pair", "goe-checker:5", "--n", n,
-                               "--trials", trials, "--seed", "3")
+    cases = (
+        # At N = 10 eigenvalues sit past the weight's bump and their weights,
+        # growing like x^(4n), swamp the moments; by N = 1500 none is left there.
+        ("goe-checker:5", "10", "2", "3", True),
+        ("goe-checker:5", "1500", "1", "3", False),
+        # At N = 15 the most negative arguments reach below 1 - sqrt(2), where
+        # the weight exceeds its peak: this trial has weighted m=0 = 881 and
+        # none of its arguments above 2.  At N = 150 the minimum is -0.22.
+        ("checker-checker:3,5", "15", "1", "1", True),
+        ("checker-checker:3,5", "150", "5", "1", False),
+    )
+    for pair, n, trials, seed, outside in cases:
+        code, out, _ = run_cli(capsys, "blip", "--pair", pair, "--n", n,
+                               "--trials", trials, "--seed", seed)
         assert code == 0
         assert (json.loads(out)["counts"]["outside_bump"] > 0) is outside
 

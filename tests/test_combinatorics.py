@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,11 +154,65 @@ def test_bce_bce_fourth_moment_golden():
     assert comb.moment_bce_bce(4).coeffs == (498, 33236, 529634, 1759064, 499968)
 
 
+def _matchings(points):
+    """Every perfect matching of the points, as lists of pairs."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for t, partner in enumerate(rest):
+        for tail in _matchings(rest[:t] + rest[t + 1:]):
+            yield [(first, partner)] + tail
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bce_bce_agrees_with_pairing_by_pairing_tally(m):
+    # Brute force: walk x -> tau(x) + 1 for every type-respecting pairing.
+    size, top = 4 * m, 2 * m + 1
+    tally = {}
+    for pieces in itertools.product(("ab", "ba"), repeat=2 * m):
+        word = "".join(pieces)
+        a_pos = [i for i, c in enumerate(word) if c == "a"]
+        b_pos = [i for i, c in enumerate(word) if c == "b"]
+        for pa in _matchings(a_pos):
+            for pb in _matchings(b_pos):
+                defect = top - comb.cycle_count(pa + pb, size)
+                assert defect >= 0 and defect % 2 == 0
+                tally[defect // 2] = tally.get(defect // 2, 0) + 1
+    assert comb.moment_bce_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
+
+
+@given(n=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pairing_cycle_tally_depends_on_cycle_type_only(n, seed):
+    rng = random.Random(seed)
+    rho = list(range(n))
+    rng.shuffle(rho)
+    h = list(range(n))
+    rng.shuffle(h)
+    conjugate = [0] * n  # h rho h^-1
+    for x in range(n):
+        conjugate[h[x]] = h[rho[x]]
+    tally = comb._pairing_cycle_counts(rho)
+    assert comb._pairing_cycle_counts(conjugate) == tally
+    assert sum(tally.values()) == comb.double_factorial(n - 1)
+
+
+def test_pairing_cycle_tally_of_one_cycle_is_the_cycle_count_tally():
+    # For rho = x -> x + 1 (mod n), rho o tau is x -> tau(x) + 1.
+    for n in (2, 4, 6, 8):
+        tally = {}
+        for pairs in _matchings(list(range(n))):
+            c = comb.cycle_count(pairs, n)
+            tally[c] = tally.get(c, 0) + 1
+        assert comb._pairing_cycle_counts(list(range(1, n)) + [0]) == tally
+
+
 def test_laurent_reductions_and_evaluation():
     # one-dimensional blocks collapse each pair onto its Toeplitz analogue
     for m in range(1, 5):
         assert comb.moment_goe_bce(m).at(1) == comb.moment_goe_pte(m)
-    for m in range(1, 4):
+    for m in range(1, 5):
         assert comb.moment_bce_bce(m).at(1) == comb.moment_pte_pte(m)
     value = comb.moment_goe_bce(2).at(2)
     assert value == Fraction(21, 2)
@@ -170,6 +225,7 @@ def test_laurent_reductions_and_evaluation():
 def test_laurent_constant_term_is_goe_goe_limit():
     for m in range(1, 5):
         assert comb.moment_goe_bce(m).coeffs[0] == comb.moment_goe_goe(m)
+        assert comb.moment_bce_bce(m).coeffs[0] == comb.moment_goe_goe(m)
 
 
 def test_denormalize_moment():
