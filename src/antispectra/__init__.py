@@ -8,12 +8,12 @@ closed-form densities, and blip-scale corrections.
 Subpackages are plain modules; import what you need:
 
     ensembles       matrix samplers, seeding, disk round-trip
-    matops          anticommutators, eigenvalues, trace powers
+    matops          anticommutators and their eigenvalues
     spectra         histograms and normalized moment summaries
     combinatorics   exact limiting moments via several independent routes
     densities       closed-form limiting densities and generating functions
     blips           outlier-band measures, their exact limits, norm checks
-    stats           experiment plans, trial runners, convergence scans
+    stats           pair specs, experiment plans, trial runners, convergence scans
     cli             command-line front end (installed as ``antispectra``)
 """
 

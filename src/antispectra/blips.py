@@ -9,10 +9,10 @@ import numpy as np
 
 from .combinatorics import double_factorial
 from .densities import SUPPORT_GOE_GOE
-from .ensembles import _as_generator, mean_matrix, perturbation_split
+from .ensembles import perturbation_split
 from .matops import anticommutator, eigenvalues
 
-EXACT_HOLLOW_BUDGET = 10**7
+EXACT_TRACE_BUDGET = 10**7
 
 
 def default_blip_order(N):
@@ -62,33 +62,6 @@ def band_scales(k, j):
     w2 = math.sqrt(1.0 - 1.0 / k) / j
     w3 = 2.0 / (k * j)
     return w1, w2, w3
-
-
-def weight_g(n, s, k, j, N):
-    """Normalized weight for intermediary band s of the two-checkerboard pair.
-
-    Returns a callable of x = lambda / (w_s N^(3/2)).  The polynomial has
-    roots of order 2n at 0 and at the other band's rescaled position, a root
-    of order 10n at the largest blip's position, and value exactly 1 at x=1.
-    """
-    if s not in (1, 2):
-        raise ValueError(f"invalid band index: s={s} must be 1 or 2")
-    if n < 1:
-        raise ValueError(f"invalid order: n={n} must be >= 1")
-    w1, w2, w3 = band_scales(k, j)
-    ws = w1 if s == 1 else w2
-    wt = w2 if s == 1 else w1
-    ratio2 = (wt / ws) ** 2
-    top = w3 * math.sqrt(N) / ws
-    denom = (1.0 - ratio2) ** (2 * n) * (1.0 - top) ** (10 * n)
-
-    def g(x):
-        arr = np.asarray(x, dtype=float)
-        value = arr ** (2 * n) * (arr**2 - ratio2) ** (2 * n) * (arr - top) ** (10 * n)
-        value = value / denom
-        return float(value) if value.ndim == 0 else value
-
-    return g
 
 
 @dataclass
@@ -236,13 +209,12 @@ def blip_measure_largest(eigs, N, k, j, n=None, orders=(0, 1, 2)):
     return BlipReport("largest-blip", N, k, j, n, locations, weights, moments, counts)
 
 
-def _trace_exact(k, m, diagonal_variance=0):
-    """Exact E[Tr X^m] for a k x k symmetric Gaussian X, summed over index tuples.
+def _trace_exact(k, m):
+    """Exact E[Tr X^m] for a k x k GOE X, summed over index tuples.
 
-    Off-diagonal entries have variance 1 and diagonal entries variance
-    diagonal_variance, so an entry met 2p times contributes (2p-1)!! off
-    the diagonal and diagonal_variance^p (2p-1)!! on it.  Variance 0 is the
-    hollow GOE; variance 2 is the GOE that sample_goe draws.
+    Off-diagonal entries have variance 1 and diagonal entries variance 2,
+    the GOE that sample_goe draws, so an entry met 2p times contributes
+    (2p-1)!! off the diagonal and 2^p (2p-1)!! on it.
     """
     if m == 0:
         return k
@@ -260,57 +232,9 @@ def _trace_exact(k, m, diagonal_variance=0):
                 break
             term *= double_factorial(count - 1)
             if a == b:
-                term *= diagonal_variance ** (count // 2)
+                term *= 2 ** (count // 2)
         total += term
     return total
-
-
-def hollow_goe_moment_mc(k, m, trials, seed=None):
-    """Monte Carlo E[Tr C^m] for the hollow GOE; returns (mean, stderr)."""
-    if trials < 1:
-        raise ValueError(f"invalid trials: {trials} must be >= 1")
-    rng = _as_generator(seed)
-    batch = max(1, min(trials, 10**6 // max(1, k * k)))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        upper = np.triu(rng.standard_normal((b, k, k)), 1)
-        c = upper + upper.transpose(0, 2, 1)
-        if m == 0:
-            tr = np.full(b, float(k))
-        else:
-            power = c
-            for _ in range(m - 1):
-                power = power @ c
-            tr = np.einsum("bii->b", power)
-        total += float(np.sum(tr))
-        total_sq += float(np.sum(tr * tr))
-        done += b
-    mean = total / trials
-    if trials == 1:
-        return mean, 0.0
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    return mean, math.sqrt(var / trials)
-
-
-def hollow_goe_moment(k, m, method="exact", trials=1_000_000, seed=None):
-    """E[Tr C^m] over k x k hollow GOE matrices, exactly or by simulation."""
-    if k < 1:
-        raise ValueError(f"invalid dimension: k={k} must be >= 1")
-    if m < 0:
-        raise ValueError(f"invalid order: m={m} must be >= 0")
-    if method == "exact":
-        if k**m > EXACT_HOLLOW_BUDGET:
-            raise ValueError(
-                f"enumeration budget exceeded: k^m = {k**m} > {EXACT_HOLLOW_BUDGET}"
-            )
-        return float(_trace_exact(k, m))
-    if method == "monte_carlo":
-        mean, _ = hollow_goe_moment_mc(k, m, trials, seed)
-        return mean
-    raise ValueError(f"unknown method: {method!r}")
 
 
 def theory_blip_moment_goe_checker(m, k):
@@ -342,11 +266,11 @@ def theory_blip_moment_goe_checker(m, k):
     """
     if m < 0:
         raise ValueError(f"invalid order: m={m} must be >= 0")
-    if k**m > EXACT_HOLLOW_BUDGET:
+    if k**m > EXACT_TRACE_BUDGET:
         raise ValueError(f"enumeration budget exceeded: k^m = {k**m}")
     if m % 2:
         return 0.0
-    exact = Fraction(5 ** (m // 2) * _trace_exact(k, m, 2), k ** (2 * m + 1))
+    exact = Fraction(5 ** (m // 2) * _trace_exact(k, m), k ** (2 * m + 1))
     return float(exact)
 
 

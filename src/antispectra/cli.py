@@ -9,20 +9,9 @@ import tempfile
 
 import numpy as np
 
-from . import blips, combinatorics, densities, stats
+from . import blips, densities, stats
 from .ensembles import EnsembleSpec, dump_matrix, rng_stream, sample_ensemble
 from .spectra import empirical_histogram, empirical_moments
-
-MOMENT_METHODS = {
-    "goe-goe": ("recurrence", "enumeration", "explicit", "series"),
-    "pte-pte": ("closed_form", "enumeration"),
-    "goe-pte": ("recurrence", "enumeration"),
-    "goe-bce": ("genus",),
-    "bce-bce": ("genus",),
-    "goe-checker": ("bulk",),
-    "checker-checker": ("bulk",),
-    "anti-l": ("recurrence",),
-}
 
 
 def _atomic_write(path, text):
@@ -50,25 +39,17 @@ def _print_json(payload):
     print(json.dumps(payload, indent=2))
 
 
+def _emit_json(args, payload):
+    """Print a JSON payload, and write the same text to --out atomically."""
+    text = json.dumps(payload, indent=2) + "\n"
+    sys.stdout.write(text)
+    if args.out:
+        _atomic_write(args.out, text)
+
+
 def _check_trials(trials):
     if trials is not None and trials < 1:
         raise ValueError(f"invalid trials: {trials} must be >= 1")
-
-
-def _pair_params(pair):
-    """(name, parameter, second parameter) parsed from a pair string."""
-    name, _, arg = pair.partition(":")
-    try:
-        if name in ("goe-bce", "bce-bce", "goe-checker", "anti-l") and arg:
-            return name, int(arg), None
-        if name == "checker-checker":
-            k_text, j_text = arg.split(",")
-            return name, int(k_text), int(j_text)
-    except ValueError:
-        raise ValueError(f"invalid pair spec {pair!r}") from None
-    if name in ("goe-goe", "pte-pte", "goe-pte") and not arg:
-        return name, None, None
-    raise ValueError(f"unknown pair spec {pair!r}")
 
 
 def _parse_sizes(text):
@@ -116,9 +97,12 @@ def _cmd_sample(args):
     if kind in ("bce", "checkerboard"):
         if not parts:
             raise ValueError(f"ensemble {args.ensemble!r} needs a parameter k")
-        k = int(parts[0])
-        if len(parts) > 1:
-            w = float(parts[1])
+        try:
+            k = int(parts[0])
+            if len(parts) > 1:
+                w = float(parts[1])
+        except ValueError:
+            raise ValueError(f"invalid ensemble {args.ensemble!r}") from None
     elif parts:
         raise ValueError(f"ensemble {args.ensemble!r} takes no parameter")
     spec = EnsembleSpec(kind, args.n, k, w, args.dist)
@@ -151,50 +135,22 @@ def _cmd_spectrum(args):
 
 
 def _cmd_moments(args):
-    name, k, j = _pair_params(args.pair)
-    if name not in MOMENT_METHODS:
-        raise ValueError(f"unknown pair spec {args.pair!r}")
-    method = args.method or MOMENT_METHODS[name][0]
-    if method not in MOMENT_METHODS[name]:
-        raise ValueError(f"unknown method {method!r} for pair {args.pair!r}")
-    m = args.m
-    if name == "goe-goe":
-        value = float(combinatorics.moment_goe_goe(m, method))
-    elif name == "pte-pte":
-        value = float(combinatorics.moment_pte_pte(m, method))
-    elif name == "goe-pte":
-        value = float(combinatorics.moment_goe_pte(m, method))
-    elif name == "goe-bce":
-        value = float(combinatorics.moment_goe_bce(m).at(k))
-    elif name == "bce-bce":
-        value = float(combinatorics.moment_bce_bce(m).at(k))
-    elif name == "goe-checker":
-        value = float(combinatorics.bulk_moment_checker(m, k))
-    elif name == "checker-checker":
-        value = float(combinatorics.bulk_moment_checker(m, k, j))
-    else:
-        value = float(combinatorics.moment_ell_anticommutator(m, k))
-    payload = {"pair": args.pair, "m": m, "method": method, "value": value}
-    _print_json(payload)
-    if args.out:
-        _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    pair = stats.parse_pair(args.pair)
+    method = args.method or pair.methods[0]
+    value = float(pair.moment(args.m, method))
+    _emit_json(args, {"pair": args.pair, "m": args.m, "method": method, "value": value})
     return 0
 
 
 def _cmd_genus(args):
-    if args.pair == "goe-bce":
-        laurent = combinatorics.moment_goe_bce(args.m)
-    elif args.pair == "bce-bce":
-        laurent = combinatorics.moment_bce_bce(args.m)
-    else:
-        raise ValueError(f"genus applies to goe-bce or bce-bce, got {args.pair!r}")
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"invalid --k {args.k}: must be >= 1")
+    laurent = stats.genus_expansion(args.pair, args.m)
     payload = {"pair": args.pair, "m": args.m, "symbolic": str(laurent)}
     if args.k is not None:
         payload["k"] = args.k
         payload["value"] = float(laurent.at(args.k))
-    _print_json(payload)
-    if args.out:
-        _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit_json(args, payload)
     return 0
 
 
@@ -221,23 +177,20 @@ def _cmd_blip(args):
     report = stats.averaged_blip_measure(plan, threads=args.threads)
     payload = report.as_dict()
     payload["trials"] = plan.trials_for(args.n)
-    _print_json(payload)
-    if args.out:
-        _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit_json(args, payload)
     return 0
 
 
 def _cmd_regimes(args):
     _check_trials(args.trials)
-    name, k, j = _pair_params(args.pair)
-    if name not in ("goe-checker", "checker-checker"):
-        raise ValueError(f"regimes needs a checkerboard pair, got {args.pair!r}")
+    pair = stats.parse_pair(args.pair)
+    pair.blip_regime()  # a checkerboard pair, its k and j checked before sampling
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("spectra",), dist=args.dist,
     )
     spectra = stats.run_trials(plan, threads=args.threads).spectra[args.n]
-    counts = [blips.regime_classify(eigs, args.n, k, j) for eigs in spectra]
+    counts = [blips.regime_classify(eigs, args.n, *pair.params) for eigs in spectra]
     keys = list(counts[0])
     mean_counts = {key: float(np.mean([c[key] for c in counts])) for key in keys}
     tallies = {}
@@ -253,9 +206,7 @@ def _cmd_regimes(args):
         "modal_counts": dict(zip(keys, (int(v) for v in modal_signature))),
         "modal_fraction": modal_count / len(counts),
     }
-    _print_json(payload)
-    if args.out:
-        _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit_json(args, payload)
     return 0
 
 
@@ -266,10 +217,7 @@ def _cmd_convergence(args):
         args.pair, args.m, sizes, args.trials, seed=args.seed,
         dist=args.dist, threads=args.threads,
     )
-    payload = report.as_dict()
-    _print_json(payload)
-    if args.out:
-        _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    _emit_json(args, report.as_dict())
     return 0
 
 
@@ -342,11 +290,7 @@ def _build_parser():
     p.add_argument("--pair", required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", required=True, help="comma-separated sizes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dist", default="standard-normal")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--trials", type=int, default=200)
+    _add_common(p, trials=200, with_n=False)
     p.set_defaults(func=_cmd_convergence)
 
     return parser

@@ -550,12 +550,6 @@ def moment_bce_bce(m):
     return _genus_weights(m, layer_confined=False)
 
 
-def denormalize_moment(value, m, second_moment):
-    """Undo variance-1 rescaling of a 2m-th moment: multiply by the raw
-    second moment to the m-th power."""
-    return value * second_moment ** m
-
-
 # ---------------------------------------------------------------------------
 # higher-order anticommutators and checkerboard bulks
 

@@ -8,8 +8,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from .combinatorics import (SigmaTable, double_factorial, moment_pte_pte,
-                            schroeder_numbers, sigma_table)
+from .combinatorics import double_factorial, moment_pte_pte, sigma_table
 
 #: Edge of the support of the two-GOE limiting density.
 SUPPORT_GOE_GOE = math.sqrt((11 + 5 * math.sqrt(5)) / 2)
@@ -30,18 +29,6 @@ class DensityCurve:
         f.write("x,density\n")
         for xi, di in zip(self.x, self.density):
             f.write(f"{xi:.17g},{di:.17g}\n")
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series with exact integer coefficients."""
-
-    coefficients: tuple
-    order: int
-
-    def as_dict(self):
-        return {"order": self.order,
-                "coefficients": [str(c) for c in self.coefficients]}
 
 
 def density_goe_goe(x):
@@ -112,19 +99,6 @@ def mgf_pte_pte_series(z, terms=20):
     for m in range(1, terms + 1):
         total += moment_pte_pte(m) * z ** (2 * m) / math.factorial(2 * m)
     return total
-
-
-def schroeder_series(order):
-    """Series solution of F = 1 + z (F^2 + F^3) with F(0) = 1.
-
-    Coefficient m is the 2m-th limiting moment of the two-GOE
-    anticommutator; the first few are 1, 2, 10, 66, 498.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order > 30:
-        raise ValueError(f"order {order} beyond supported truncation 30")
-    return PowerSeries(coefficients=tuple(schroeder_numbers(order)), order=order)
 
 
 @dataclass(frozen=True)

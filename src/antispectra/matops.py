@@ -1,4 +1,4 @@
-"""Anticommutators, their higher-order cousins, and trace-power moments."""
+"""Anticommutators, their higher-order cousins, and their eigenvalues."""
 
 from itertools import permutations
 
@@ -63,26 +63,3 @@ def eigenvalues(M):
     if not np.all(np.isfinite(M)):
         raise ArithmeticError("matrix has non-finite entries")
     return np.linalg.eigvalsh(M)
-
-
-def trace_power_moment(M, m, method="auto"):
-    """Tr(M^m) / N^(m+1), the normalization under which moments converge.
-
-    method 'power' multiplies matrices directly (kept for m <= 12),
-    'eigen' sums eigenvalue powers, 'auto' picks power for small m.
-    """
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    N = M.shape[0]
-    if method == "auto":
-        method = "power" if m <= 12 else "eigen"
-    if method == "power":
-        P = M
-        for _ in range(m - 1):
-            P = P @ M
-        tr = np.trace(P)
-    elif method == "eigen":
-        tr = float(np.sum(eigenvalues(M) ** m))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return tr / N ** (m + 1)

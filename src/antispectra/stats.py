@@ -1,85 +1,154 @@
-"""Seeded experiment plans, deterministic trial running, and convergence scans."""
+"""Pair specs, seeded experiment plans, deterministic trial running, and convergence scans."""
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .blips import BlipReport, blip_measure_goe_checker, blip_measure_largest
+from . import combinatorics
+from .blips import (BlipReport, band_scales, blip_measure_goe_checker,
+                    blip_measure_largest)
 from .ensembles import EnsembleSpec, rng_stream, sample_ensemble
 from .matops import anticommutator, ell_anticommutator, eigenvalues
 from .spectra import empirical_moments
 
-PAIR_NAMES = (
-    "goe-goe",
-    "pte-pte",
-    "goe-pte",
-    "goe-bce",
-    "bce-bce",
-    "goe-checker",
-    "checker-checker",
-    "anti-l",
-)
+class _Family(NamedTuple):
+    params: tuple  # parameter names, in spec order
+    members: tuple  # (ensemble kind, index of its parameter or None) per matrix
+    methods: tuple  # exact-moment methods, the default first
+    moment: str  # the combinatorics function that computes the moment
+    regime: str = None  # the blip regime, for checkerboard pairs
 
 
-def ensemble_specs(pair, N, dist="standard-normal"):
-    """Parse a pair string like goe-checker:5 into concrete EnsembleSpecs.
+#: Every pair spec the package knows, by name.
+PAIRS = {
+    "goe-goe": _Family((), (("goe", None),) * 2,
+                       ("recurrence", "enumeration", "explicit", "series"),
+                       "moment_goe_goe"),
+    "pte-pte": _Family((), (("pte", None),) * 2, ("closed_form", "enumeration"),
+                       "moment_pte_pte"),
+    "goe-pte": _Family((), (("goe", None), ("pte", None)), ("recurrence", "enumeration"),
+                       "moment_goe_pte"),
+    "goe-bce": _Family(("k",), (("goe", None), ("bce", 0)), ("genus",), "moment_goe_bce"),
+    "bce-bce": _Family(("k",), (("bce", 0),) * 2, ("genus",), "moment_bce_bce"),
+    "goe-checker": _Family(("k",), (("goe", None), ("checkerboard", 0)), ("bulk",),
+                           "bulk_moment_checker", "blip"),
+    "checker-checker": _Family(("k", "j"), (("checkerboard", 0), ("checkerboard", 1)),
+                               ("bulk",), "bulk_moment_checker", "largest"),
+    # l GOE factors: the single member is repeated l times
+    "anti-l": _Family(("l",), (("goe", None),), ("recurrence",),
+                      "moment_ell_anticommutator"),
+}
 
-    Supported forms: goe-goe, pte-pte, goe-pte, goe-bce:k, bce-bce:k,
-    goe-checker:k, checker-checker:k,j, anti-l:ell.  The GOE members keep
-    Gaussian entries; dist applies to the structured members.
+
+@dataclass(frozen=True)
+class Pair:
+    """A parsed pair spec such as goe-checker:5; build it with parse_pair.
+
+    params holds the integer parameters (k, j or l) in spec order.  The
+    combinatorics functions are looked up on their module at call time.
     """
-    name, _, arg = pair.partition(":")
 
-    def integer(text, what):
+    name: str
+    params: tuple = ()
+
+    @property
+    def spec(self):
+        """The spec text, e.g. checker-checker:3,5."""
+        if not self.params:
+            return self.name
+        return f"{self.name}:{','.join(map(str, self.params))}"
+
+    @property
+    def methods(self):
+        """The exact-moment methods, the default first."""
+        return PAIRS[self.name].methods
+
+    def specs(self, N, dist="standard-normal"):
+        """Concrete EnsembleSpecs at size N.
+
+        The GOE members keep Gaussian entries; dist applies to the
+        structured members.
+        """
+        members = PAIRS[self.name].members
+        if self.name == "anti-l":
+            members = members * self.params[0]
+        return tuple(
+            EnsembleSpec(kind, N, None if p is None else self.params[p],
+                         dist="standard-normal" if kind == "goe" else dist)
+            for kind, p in members
+        )
+
+    def moment(self, m, method=None):
+        """Exact limiting 2m-th moment: an int, or a Fraction for genus and bulk."""
+        method = method or self.methods[0]
+        if method not in self.methods:
+            raise ValueError(f"unknown method {method!r} for pair {self.spec!r}")
+        if method == "genus":
+            return genus_expansion(self.name, m).at(self.params[0])
+        compute = getattr(combinatorics, PAIRS[self.name].moment)
+        return compute(m, *self.params) if self.params else compute(m, method)
+
+    def blip_regime(self, requested=None):
+        """The pair's blip regime, checked against a requested one.
+
+        For two checkerboards k and j must be at least 2 and coprime.
+        """
+        regime = PAIRS[self.name].regime
+        if regime is None:
+            raise ValueError(f"blip regimes need a checkerboard pair, got {self.spec!r}")
+        if requested not in (None, regime):
+            raise ValueError(f"regime {requested!r} undefined for pair {self.spec!r}")
+        if regime == "largest":
+            try:
+                band_scales(*self.params)
+            except ValueError as exc:
+                raise ValueError(f"pair {self.spec!r}: {exc}") from None
+        return regime
+
+    def blip_report(self, eigs, N, n=None, orders=(0, 1, 2)):
+        """The weighted blip measure of one spectrum in the pair's regime."""
+        if self.blip_regime() == "blip":
+            return blip_measure_goe_checker(eigs, N, *self.params, n=n, orders=orders)
+        return blip_measure_largest(eigs, N, *self.params, n=n, orders=orders)
+
+
+def parse_pair(text):
+    """Parse a pair spec: goe-goe, pte-pte, goe-pte, goe-bce:k, bce-bce:k,
+    goe-checker:k, checker-checker:k,j or anti-l:l.
+
+    Every parameter must be a positive integer, and l at least 2.
+    """
+    name, _, arg = text.partition(":")
+    family = PAIRS.get(name)
+    if family is None:
+        raise ValueError(f"unknown pair spec {text!r}")
+    parts = arg.split(",") if arg else []
+    if len(parts) != len(family.params):
+        if not family.params:
+            raise ValueError(f"invalid pair spec {text!r}: unexpected parameter")
+        raise ValueError(f"invalid pair spec {text!r}: need {','.join(family.params)}")
+    params = []
+    for what, part in zip(family.params, parts):
         try:
-            value = int(text)
+            value = int(part)
         except ValueError:
-            raise ValueError(f"invalid pair spec {pair!r}: bad {what}") from None
-        if value < 1:
-            raise ValueError(f"invalid pair spec {pair!r}: {what} must be positive")
-        return value
+            raise ValueError(f"invalid pair spec {text!r}: bad {what}") from None
+        least = 2 if what == "l" else 1
+        if value < least:
+            raise ValueError(f"invalid pair spec {text!r}: {what} must be >= {least}")
+        params.append(value)
+    return Pair(name, tuple(params))
 
-    if name in ("goe-goe", "pte-pte", "goe-pte"):
-        if arg:
-            raise ValueError(f"invalid pair spec {pair!r}: unexpected parameter")
-        first, second = name.split("-")
-        kinds = {"goe": "goe", "pte": "pte"}
-        return (
-            EnsembleSpec(kinds[first], N, dist=dist if first != "goe" else "standard-normal"),
-            EnsembleSpec(kinds[second], N, dist=dist if second != "goe" else "standard-normal"),
-        )
-    if name in ("goe-bce", "bce-bce", "goe-checker"):
-        if not arg:
-            raise ValueError(f"invalid pair spec {pair!r}: missing parameter k")
-        k = integer(arg, "k")
-        if name == "goe-bce":
-            return (EnsembleSpec("goe", N), EnsembleSpec("bce", N, k, dist=dist))
-        if name == "bce-bce":
-            return (
-                EnsembleSpec("bce", N, k, dist=dist),
-                EnsembleSpec("bce", N, k, dist=dist),
-            )
-        return (EnsembleSpec("goe", N), EnsembleSpec("checkerboard", N, k, dist=dist))
-    if name == "checker-checker":
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"invalid pair spec {pair!r}: need k,j")
-        k = integer(parts[0], "k")
-        j = integer(parts[1], "j")
-        return (
-            EnsembleSpec("checkerboard", N, k, dist=dist),
-            EnsembleSpec("checkerboard", N, j, dist=dist),
-        )
-    if name == "anti-l":
-        if not arg:
-            raise ValueError(f"invalid pair spec {pair!r}: missing parameter l")
-        ell = integer(arg, "l")
-        if ell < 2:
-            raise ValueError(f"invalid pair spec {pair!r}: l must be >= 2")
-        return tuple(EnsembleSpec("goe", N) for _ in range(ell))
-    raise ValueError(f"unknown pair spec {pair!r}")
+
+def genus_expansion(name, m):
+    """The 2m-th moment of goe-bce or bce-bce as a LaurentMoment in 1/k^2."""
+    family = PAIRS.get(name)
+    if family is None or family.methods != ("genus",):
+        raise ValueError(f"genus applies to goe-bce or bce-bce, got {name!r}")
+    return getattr(combinatorics, family.moment)(m)
 
 
 @dataclass(frozen=True)
@@ -133,40 +202,18 @@ class TrialAggregate:
     blips: dict
 
 
-def _blip_regime(plan):
-    name = plan.pair.partition(":")[0]
-    regime = plan.regime
-    if name == "goe-checker":
-        regime = regime or "blip"
-        if regime != "blip":
-            raise ValueError(f"regime {regime!r} undefined for pair {plan.pair!r}")
-    elif name == "checker-checker":
-        regime = regime or "largest"
-        if regime != "largest":
-            raise ValueError(f"regime {regime!r} undefined for pair {plan.pair!r}")
-    else:
-        raise ValueError(f"blip outputs need a checkerboard pair, got {plan.pair!r}")
-    return regime
-
-
-def _blip_report(plan, specs, N, eigs, orders):
-    regime = _blip_regime(plan)
-    if regime == "blip":
-        k = specs[1].k
-        return blip_measure_goe_checker(eigs, N, k, n=plan.weight_order, orders=orders)
-    k, j = specs[0].k, specs[1].k
-    return blip_measure_largest(eigs, N, k, j, n=plan.weight_order, orders=orders)
-
-
 def run_trials(plan, threads=1):
     """Sample every planned trial and aggregate the requested statistics.
 
     Per-trial work is independent; spectra come back in trial order, so the
     aggregate is identical for any worker count.
     """
+    pair = parse_pair(plan.pair)
+    if "blips" in plan.outputs:
+        pair.blip_regime(plan.regime)
     aggregate = TrialAggregate(plan, {}, {}, {})
     for ni, N in enumerate(plan.sizes):
-        specs = ensemble_specs(plan.pair, N, plan.dist)
+        specs = pair.specs(N, plan.dist)
 
         def sampled_anticommutator(t):
             mats = [
@@ -198,7 +245,8 @@ def run_trials(plan, threads=1):
         if "blips" in plan.outputs:
             orders = tuple(sorted(set((0,) + plan.orders)))
             aggregate.blips[N] = [
-                _blip_report(plan, specs, N, eigs, orders) for eigs in spectra
+                pair.blip_report(eigs, N, n=plan.weight_order, orders=orders)
+                for eigs in spectra
             ]
     return aggregate
 

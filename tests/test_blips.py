@@ -53,18 +53,6 @@ def test_band_scales_values_and_validation():
             blips.band_scales(*bad)
 
 
-def test_weight_g_normalization():
-    for s in (1, 2):
-        g = blips.weight_g(2, s, 3, 5, 1500)
-        assert g(1.0) == 1.0
-        assert g(0.0) == 0.0
-        w1, w2, w3 = blips.band_scales(3, 5)
-        ws = w1 if s == 1 else w2
-        wt = w2 if s == 1 else w1
-        np.testing.assert_allclose(g(wt / ws), 0.0, atol=1e-30)
-        np.testing.assert_allclose(g(w3 * math.sqrt(1500) / ws), 0.0, atol=1e-30)
-
-
 def test_regime_classify_single_parameter_counts():
     N, k = 1000, 5
     thr = math.sqrt(SUPPORT_GOE_GOE * math.sqrt(1 - 1 / k) * N * N**1.5 / k)
@@ -165,31 +153,6 @@ def test_report_accessors():
         report.moment(7)
 
 
-def test_hollow_exact_small_cases():
-    # k=2 has a single free entry a: C^m has trace 2 a^m for even m
-    for m, expected in ((2, 2), (4, 6), (6, 30)):
-        assert blips.hollow_goe_moment(2, m) == expected
-    for k, m in ((2, 3), (3, 3), (4, 5)):
-        assert blips.hollow_goe_moment(k, m) == 0.0
-    # second moment counts the off-diagonal entries: k(k-1)
-    for k in (2, 3, 4, 5):
-        assert blips.hollow_goe_moment(k, 2) == k * (k - 1)
-
-
-@pytest.mark.parametrize("k,m", [(3, 4), (3, 6), (4, 4), (4, 6)])
-def test_hollow_exact_agrees_with_monte_carlo(k, m):
-    exact = blips.hollow_goe_moment(k, m)
-    mean, stderr = blips.hollow_goe_moment_mc(k, m, trials=200_000, seed=99)
-    assert abs(mean - exact) < 3 * stderr + 1e-9
-
-
-def test_hollow_budget_and_method_validation():
-    with pytest.raises(ValueError, match="budget"):
-        blips.hollow_goe_moment(30, 6)
-    with pytest.raises(ValueError, match="method"):
-        blips.hollow_goe_moment(3, 2, method="guess")
-
-
 @pytest.mark.parametrize("k,m", [(2, 4), (3, 4), (3, 6), (4, 4)])
 def test_goe_trace_exact_agrees_with_monte_carlo(k, m):
     # GOE with diagonal variance 2, the normalisation of sample_goe
@@ -202,17 +165,17 @@ def test_goe_trace_exact_agrees_with_monte_carlo(k, m):
         traces.append(np.einsum("bii->b", np.linalg.matrix_power(x, m)))
     traces = np.concatenate(traces)
     stderr = traces.std(ddof=1) / math.sqrt(traces.size)
-    assert abs(traces.mean() - blips._trace_exact(k, m, 2)) < 3 * stderr
+    assert abs(traces.mean() - blips._trace_exact(k, m)) < 3 * stderr
 
 
 def test_goe_trace_exact_small_cases():
     # k=1 is one N(0, 2) entry: E[x^(2p)] = 2^p (2p-1)!!
     for m, expected in ((2, 2), (4, 12), (6, 120)):
-        assert blips._trace_exact(1, m, 2) == expected
+        assert blips._trace_exact(1, m) == expected
     for k in (2, 3, 4, 5):
-        assert blips._trace_exact(k, 2, 2) == k * (k + 1)
-        assert blips._trace_exact(k, 4, 2) == 2 * k**3 + 5 * k**2 + 5 * k
-        assert blips._trace_exact(k, 3, 2) == 0
+        assert blips._trace_exact(k, 2) == k * (k + 1)
+        assert blips._trace_exact(k, 4) == 2 * k**3 + 5 * k**2 + 5 * k
+        assert blips._trace_exact(k, 3) == 0
 
 
 def test_theory_blip_moment_values():

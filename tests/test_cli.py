@@ -1,6 +1,9 @@
 """Command-line interface: payloads, determinism, and exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +32,47 @@ def run_cli(capsys, *argv):
     ("density", "--which", "goe-goe", "--grid", "1:1:5"),
     ("density", "--which", "goe-goe", "--grid", "oops"),
     ("convergence", "--pair", "goe-goe", "--m", "2", "--n", "24,48", "--trials", "5"),
+    ("moments", "--pair", "goe-bce:-3", "--m", "2"),
+    ("moments", "--pair", "bce-bce:0", "--m", "2"),
+    ("genus", "--pair", "bce-bce", "--m", "2", "--k", "0"),
+    ("sample", "--ensemble", "checker:x", "--n", "3"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("moments", "--pair", "goe-bce:-3", "--m", "2"), "'goe-bce:-3'"),
+    (("moments", "--pair", "bce-bce:0", "--m", "2"), "'bce-bce:0'"),
+    (("genus", "--pair", "bce-bce", "--m", "2", "--k", "0"), "--k"),
+    (("sample", "--ensemble", "checker:x", "--n", "3"), "'checker:x'"),
+    (("sample", "--ensemble", "bce:3:y", "--n", "3"), "'bce:3:y'"),
+])
+def test_errors_name_the_bad_input(capsys, argv, named):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert named in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("blip", "--pair", "goe-goe"), "need a checkerboard pair"),
+    (("blip", "--pair", "goe-checker:5", "--regime", "largest"),
+     "regime 'largest' undefined for pair 'goe-checker:5'"),
+    (("blip", "--pair", "checker-checker:2,4"), "'checker-checker:2,4': invalid dimension"),
+    (("regimes", "--pair", "checker-checker:2,4"), "must be coprime"),
+    (("regimes", "--pair", "goe-bce:2"), "need a checkerboard pair"),
+    (("spectrum", "--pair", "goe-bce:-3"), "'goe-bce:-3'"),
+])
+def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
+    def no_sampling(spec, seed=None):
+        raise AssertionError("sampled a matrix before rejecting the pair")
+
+    monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
+    code, _, err = run_cli(capsys, *argv, "--n", "16", "--trials", "2")
+    assert code == 2
+    assert message in err
 
 
 def test_numerical_failures_exit_three(capsys, monkeypatch):
@@ -210,3 +249,37 @@ def test_json_out_matches_stdout(capsys, tmp_path):
                               "--out", str(out))
     assert code == 0
     assert json.loads(stdout) == json.loads(out.read_text())
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_commands_parse_and_name_registered_pairs():
+    quick_start = _readme().split("## Quick start")[1].split("\n## ")[0]
+    lines = [line for line in quick_start.splitlines() if line.startswith("antispectra ")]
+    assert len(lines) == 8
+    parser = cli._build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        if args.command == "genus":
+            stats.genus_expansion(args.pair, 1)
+        elif getattr(args, "pair", None) is not None:
+            stats.parse_pair(args.pair)
+
+
+def test_readme_pair_table_is_the_registry():
+    section = _readme().split("## Pair specs")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`"):
+            continue
+        name, _, params = cells[0].strip("`").partition(":")
+        methods = tuple(re.findall(r"`(\w+)`", cells[2]))
+        regime = cells[3].strip("`") if cells[3] != "none" else None
+        rows[name] = (tuple(params.split(",")) if params else (), methods, regime)
+    assert rows == {
+        name: (family.params, family.methods, family.regime)
+        for name, family in stats.PAIRS.items()
+    }

@@ -228,10 +228,6 @@ def test_laurent_constant_term_is_goe_goe_limit():
         assert comb.moment_bce_bce(m).coeffs[0] == comb.moment_goe_goe(m)
 
 
-def test_denormalize_moment():
-    assert comb.denormalize_moment(10, 2, 3.0) == 90.0
-
-
 ELL_THREE_EVEN_MOMENTS = [6, 96, 2088]
 
 

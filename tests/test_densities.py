@@ -119,16 +119,6 @@ def test_mgf_domain_validation():
             densities.mgf_pte_pte_series(z)
 
 
-def test_series_moments_are_the_moment_table():
-    series = densities.schroeder_series(5)
-    assert series.coefficients == (1, 2, 10, 66, 498, 4066)
-    payload = series.as_dict()
-    assert payload["order"] == 5
-    assert payload["coefficients"][2] == "10"
-    with pytest.raises(ValueError, match="truncation"):
-        densities.schroeder_series(31)
-
-
 def test_sigma_functional_equation_residual_is_zero():
     report = densities.check_sigma_pde(6, 3)
     assert report.ok

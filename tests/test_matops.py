@@ -100,22 +100,3 @@ def test_eigenvalues_rejects_nonfinite():
     M[1, 2] = M[2, 1] = np.nan
     with pytest.raises(ArithmeticError, match="non-finite"):
         matops.eigenvalues(M)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
-def test_trace_power_moment_routes_agree(m):
-    M = matops.anticommutator(sample_goe(30, seed=9), sample_goe(30, seed=10))
-    eigs = matops.eigenvalues(M)
-    oracle = float(np.sum(eigs**m)) / 30 ** (m + 1)
-    np.testing.assert_allclose(matops.trace_power_moment(M, m, "power"), oracle,
-                               rtol=1e-9)
-    np.testing.assert_allclose(matops.trace_power_moment(M, m, "eigen"), oracle,
-                               rtol=1e-9)
-    np.testing.assert_allclose(matops.trace_power_moment(M, m), oracle, rtol=1e-9)
-
-
-def test_trace_power_moment_validation():
-    with pytest.raises(ValueError, match="order"):
-        matops.trace_power_moment(np.eye(3), 0)
-    with pytest.raises(ValueError, match="method"):
-        matops.trace_power_moment(np.eye(3), 2, method="magic")

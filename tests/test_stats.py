@@ -1,9 +1,9 @@
-"""Experiment plans, trial runners, averaging, and convergence scans."""
+"""Pair specs, experiment plans, trial runners, averaging, and convergence scans."""
 
 import numpy as np
 import pytest
 
-from antispectra import stats
+from antispectra import combinatorics, stats
 from antispectra.ensembles import rng_stream, sample_goe
 from antispectra.matops import eigenvalues, ell_anticommutator
 
@@ -19,23 +19,35 @@ from antispectra.matops import eigenvalues, ell_anticommutator
     ("anti-l:3", ("goe", "goe", "goe"), (None, None, None)),
 ])
 def test_ensemble_specs_parsing(pair, kinds, params):
-    specs = stats.ensemble_specs(pair, 30)
+    specs = stats.parse_pair(pair).specs(30)
     assert tuple(s.kind for s in specs) == kinds
     assert tuple(s.k for s in specs) == params
 
 
 def test_ensemble_specs_distribution_rules():
-    specs = stats.ensemble_specs("goe-pte", 8, dist="rademacher")
+    specs = stats.parse_pair("goe-pte").specs(8, dist="rademacher")
     assert specs[0].dist == "standard-normal"  # GOE members stay Gaussian
     assert specs[1].dist == "rademacher"
 
 
 @pytest.mark.parametrize("pair", [
     "nope-nope", "goe-bce", "goe-checker:x", "anti-l:1", "checker-checker:4",
+    "goe-bce:-3", "bce-bce:0", "checker-checker:3,0", "goe-goe:2", "goe-bce:2,3",
 ])
 def test_ensemble_specs_rejects_bad_pairs(pair):
     with pytest.raises(ValueError, match="pair spec"):
-        stats.ensemble_specs(pair, 30)
+        stats.parse_pair(pair)
+
+
+def test_pair_moment_checks_method_and_calls_through_the_module(monkeypatch):
+    pair = stats.parse_pair("goe-goe")
+    assert pair.methods[0] == "recurrence"
+    with pytest.raises(ValueError, match="method 'genus'"):
+        pair.moment(2, "genus")
+    # The function is looked up on combinatorics at call time, so a
+    # replacement of the module attribute is seen.
+    monkeypatch.setattr(combinatorics, "moment_goe_goe", lambda m, method: (m, method))
+    assert pair.moment(3) == (3, "recurrence")
 
 
 def test_plan_trial_counts():
