@@ -97,6 +97,8 @@ def _cmd_sample(args):
     if kind in ("bce", "checkerboard"):
         if not parts:
             raise ValueError(f"ensemble {args.ensemble!r} needs a parameter k")
+        if len(parts) > (2 if kind == "checkerboard" else 1):
+            raise ValueError(f"ensemble {args.ensemble!r} takes too many parameters")
         try:
             k = int(parts[0])
             if len(parts) > 1:

@@ -16,7 +16,8 @@ ENUMERATION_LIMITS = {
     "goe-goe": 5,
     "pte-pte": 4,
     "goe-pte": 4,
-    "laurent": 4,
+    "goe-bce": 5,
+    "bce-bce": 4,
 }
 
 
@@ -66,22 +67,6 @@ def as_partner_table(pairing, size=None):
         if j < 0 or j >= len(table) or j == i or table[j] != i:
             raise ValueError("not a fixed-point-free involution")
     return table
-
-
-def is_noncrossing(pairing):
-    """True iff no two arcs (i,k),(j,l) interleave as i < j < k < l.
-
-    Left-to-right sweep: every closing position must close the most
-    recently opened arc, exactly like balanced parentheses.
-    """
-    table = as_partner_table(pairing)
-    stack = []
-    for i, j in enumerate(table):
-        if j > i:
-            stack.append(i)
-        elif stack.pop() != j:
-            return False
-    return True
 
 
 def cycle_count(pairing, size=None):
@@ -152,45 +137,72 @@ def _nc_pairings(positions):
                 yield [(first, positions[t])] + left + right
 
 
-def _layer_groups(word, a_pairs):
-    """Partition the b-positions into the faces cut out by the a-arcs.
+def _first_return_shape(rho, marked):
+    """Split the cycles of rho by how many marked points each one holds.
 
-    Two b-positions land in the same layer exactly when every a-arc has
-    both or neither of them strictly inside, i.e. they see the same set
-    of covering arcs.  The a-arcs must be non-crossing; the input is not
-    validated, since this runs inside enumeration loops.
+    Returns (closed, shape): closed counts the cycles holding no marked
+    point, and shape is the sorted tuple of the nonzero counts, i.e. the
+    cycle type of the first-return map of rho on the marked points.
     """
-    arcs = a_pairs
-    groups = {}
-    for x in (i for i, c in enumerate(word) if c == "b"):
-        cover = frozenset(idx for idx, (p, q) in enumerate(arcs)
-                          if min(p, q) < x < max(p, q))
-        groups.setdefault(cover, []).append(x)
-    return list(groups.values())
+    closed = 0
+    shape = []
+    for cycle in _cycles(rho):
+        hits = sum(map(marked.__getitem__, cycle))
+        if hits:
+            shape.append(hits)
+        else:
+            closed += 1
+    return closed, tuple(sorted(shape))
+
+
+def _face_classes(m, a_pairings):
+    """Tally _first_return_shape(rho, b-positions), rho = x -> tau_a(x) + 1,
+    over every word of 2m letter-pairs and every a-pairing that a_pairings
+    yields.  For non-crossing a-arcs the shape lists the b-counts of the
+    faces of the arc diagram (see moment_goe_bce)."""
+    n2 = 4 * m
+    by_rank = list(a_pairings(range(2 * m)))  # pairs of ranks among the a-positions
+    classes = {}
+    for word in enumerate_configurations(2 * m):
+        a_pos = [i for i, c in enumerate(word) if c == "a"]
+        is_b = [c == "b" for c in word]
+        table = list(range(n2))  # the a-pairing, fixing the b-positions
+        for a_pairs in by_rank:
+            for r, s in a_pairs:
+                i, j = a_pos[r], a_pos[s]
+                table[i], table[j] = j, i
+            key = _first_return_shape(_after_shift(table), is_b)
+            classes[key] = classes.get(key, 0) + 1
+    return classes
 
 
 # ---------------------------------------------------------------------------
 # {GOE, GOE}
 
 
-def _count_nc_typed(word, lo, hi):
-    """Count non-crossing matchings of word[lo:hi] pairing equal letters only."""
+def _count_nc_typed(word, lo, hi, memo):
+    """Count non-crossing matchings of word[lo:hi] pairing equal letters only.
+
+    memo maps (lo, hi) to its count and belongs to this one word.
+    """
     if lo >= hi:
         return 1
-    total = 0
-    for t in range(lo + 1, hi, 2):
-        if word[t] == word[lo]:
-            inner = _count_nc_typed(word, lo + 1, t)
-            if inner:
-                total += inner * _count_nc_typed(word, t + 1, hi)
-    return total
+    if (lo, hi) not in memo:
+        total = 0
+        for t in range(lo + 1, hi, 2):
+            if word[t] == word[lo]:
+                inner = _count_nc_typed(word, lo + 1, t, memo)
+                if inner:
+                    total += inner * _count_nc_typed(word, t + 1, hi, memo)
+        memo[lo, hi] = total
+    return memo[lo, hi]
 
 
 def _moment_goe_goe_enumeration(m):
     if m > ENUMERATION_LIMITS["goe-goe"]:
         raise ValueError(f"budget exceeded: enumeration limited to m <= "
                          f"{ENUMERATION_LIMITS['goe-goe']}, got {m}")
-    return sum(_count_nc_typed(word, 0, 4 * m)
+    return sum(_count_nc_typed(word, 0, 4 * m, {})
                for word in enumerate_configurations(2 * m))
 
 
@@ -289,13 +301,15 @@ def moment_pte_pte(m, method="closed_form"):
         if m > ENUMERATION_LIMITS["pte-pte"]:
             raise ValueError(f"budget exceeded: enumeration limited to m <= "
                              f"{ENUMERATION_LIMITS['pte-pte']}, got {m}")
+        walked = {}  # set size -> number of its pairings
         total = 0
         for word in enumerate_configurations(2 * m):
-            a_pos = [i for i, c in enumerate(word) if c == "a"]
-            b_pos = [i for i, c in enumerate(word) if c == "b"]
-            count_a = sum(1 for _ in _pairings(a_pos))
-            count_b = sum(1 for _ in _pairings(b_pos))
-            total += count_a * count_b
+            ways = 1
+            for size in (word.count("a"), word.count("b")):
+                if size not in walked:
+                    walked[size] = sum(1 for _ in _pairings(range(size)))
+                ways *= walked[size]
+            total += ways
         return total
     raise ValueError(f"unknown method {method!r}")
 
@@ -347,24 +361,19 @@ def _moment_goe_pte_enumeration(m):
         raise ValueError(f"budget exceeded: enumeration limited to m <= "
                          f"{ENUMERATION_LIMITS['goe-pte']}, got {m}")
     total = 0
-    for word in enumerate_configurations(2 * m):
-        a_pos = [i for i, c in enumerate(word) if c == "a"]
-        for a_pairs in _nc_pairings(a_pos):
-            ways = 1
-            for group in _layer_groups(word, a_pairs):
-                if len(group) % 2:
-                    ways = 0
-                    break
-                ways *= double_factorial(len(group) - 1)
-            total += ways
+    for (_, faces), ways in _face_classes(m, _nc_pairings).items():
+        for size in faces:
+            ways *= double_factorial(size - 1) if size % 2 == 0 else 0
+        total += ways
     return total
 
 
 def moment_goe_pte(m, method="recurrence"):
     """Limiting 2m-th moment for one GOE factor against one palindromic
     Toeplitz factor: the a-arcs must be non-crossing and every b-pair must
-    stay inside a single face of the a-arc diagram Usually computed as
-    sigma_{m,0}; enumeration recounts for m <= 4."""
+    stay inside a single face of the a-arc diagram.  Usually computed as
+    sigma_{m,0}; enumeration recounts for m <= 4, multiplying (L-1)!! over
+    the faces' b-counts L (_face_classes), 0 for an odd face."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if method == "recurrence":
@@ -419,24 +428,6 @@ def _genus(cycles, top):
     return defect // 2
 
 
-def _first_return_shape(rho, marked):
-    """Split the cycles of rho by how many marked points each one holds.
-
-    Returns (closed, shape): closed counts the cycles holding no marked
-    point, and shape is the sorted tuple of the nonzero counts, i.e. the
-    cycle type of the first-return map of rho on the marked points.
-    """
-    closed = 0
-    shape = []
-    for cycle in _cycles(rho):
-        hits = sum(marked[x] for x in cycle)
-        if hits:
-            shape.append(hits)
-        else:
-            closed += 1
-    return closed, tuple(sorted(shape))
-
-
 def _pairing_cycle_counts(rho):
     """Tally the cycle counts of rho o tau over every pairing tau of rho's points.
 
@@ -472,47 +463,39 @@ def _genus_weights(m, layer_confined):
     it both letters pair freely.  Returns counts[g] of pairings whose
     cycle count falls short of the maximum 2m+1 by exactly 2g.
 
-    The free branch counts b-pairings by class, as moment_bce_bce
-    explains, instead of walking every pairing.
+    Both branches count b-pairings by class, as moment_bce_bce and
+    moment_goe_bce explain, instead of walking every pairing.
     """
-    if m > ENUMERATION_LIMITS["laurent"]:
+    name = "goe-bce" if layer_confined else "bce-bce"
+    if m > ENUMERATION_LIMITS[name]:
         raise ValueError(f"budget exceeded: enumeration limited to m <= "
-                         f"{ENUMERATION_LIMITS['laurent']}, got {m}")
-    n2 = 4 * m
+                         f"{ENUMERATION_LIMITS[name]}, got {m}")
     top = 2 * m + 1
+    one_face = {}  # face size L -> tally over the pairings of an L-cycle
+
+    def tally(shape):
+        if not layer_confined:
+            return _pairing_cycle_counts(_canonical_permutation(shape))
+        out = {0: 1}
+        for length in shape:
+            if length not in one_face:
+                one_face[length] = _pairing_cycle_counts(_canonical_permutation((length,)))
+            step = {}
+            for c, n in out.items():
+                for d, k in one_face[length].items():
+                    step[c + d] = step.get(c + d, 0) + n * k
+            out = step
+        return out
+
+    classes = _face_classes(m, _nc_pairings if layer_confined else _pairings)
     counts = {}
-    if layer_confined:
-        table = [-1] * n2
-        for word in enumerate_configurations(2 * m):
-            a_pos = [i for i, c in enumerate(word) if c == "a"]
-            for a_pairs in _nc_pairings(a_pos):
-                for i, j in a_pairs:
-                    table[i], table[j] = j, i
-                pools = [list(_pairings(g)) for g in _layer_groups(word, a_pairs)]
-                for combo in itertools.product(*pools):
-                    for part in combo:
-                        for i, j in part:
-                            table[i], table[j] = j, i
-                    g = _genus(len(_cycles(_after_shift(table))), top)
-                    counts[g] = counts.get(g, 0) + 1
-    else:
-        classes = {}  # (closed, shape) -> number of (word, a-pairing)
-        for word in enumerate_configurations(2 * m):
-            a_pos = [i for i, c in enumerate(word) if c == "a"]
-            is_b = [c == "b" for c in word]
-            table = list(range(n2))  # the a-pairing, fixing the b-positions
-            for a_pairs in _pairings(a_pos):
-                for i, j in a_pairs:
-                    table[i], table[j] = j, i
-                key = _first_return_shape(_after_shift(table), is_b)
-                classes[key] = classes.get(key, 0) + 1
-        by_shape = {}
-        for (closed, shape), ways in classes.items():
-            if shape not in by_shape:
-                by_shape[shape] = _pairing_cycle_counts(_canonical_permutation(shape))
-            for c, n in by_shape[shape].items():
-                g = _genus(closed + c, top)
-                counts[g] = counts.get(g, 0) + ways * n
+    by_shape = {}
+    for (closed, shape), ways in classes.items():
+        if shape not in by_shape:
+            by_shape[shape] = tally(shape)
+        for c, n in by_shape[shape].items():
+            g = _genus(closed + c, top)
+            counts[g] = counts.get(g, 0) + ways * n
     g_max = max(counts)
     return LaurentMoment(tuple(counts.get(g, 0) for g in range(g_max + 1)))
 
@@ -522,6 +505,16 @@ def moment_goe_bce(m):
 
     The coefficient of k^-2g counts layer-confined pairings with cycle
     defect 2g; at k=1 the value collapses to the palindromic mixed case.
+
+    The pairings are counted by class, as in moment_bce_bce, with the
+    a-arcs non-crossing.  Then rho = gamma o tau_a steps along the b-points
+    of a face and, at the closing end of an a-arc, jumps past the arc's
+    inside, so the cycles of rho_B are exactly the faces of the arc
+    diagram, each in cyclic order.  A layer-confined tau_b pairs points
+    within a face, so rho_B o tau_b keeps every face and its cycle count
+    is the sum over faces of those of an L-cycle composed with a pairing
+    of its L points.  That one-face tally (the gluings of an L-gon by
+    genus) is computed once per L and convolved over the faces.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")

@@ -94,7 +94,7 @@ class Pair:
     def blip_regime(self, requested=None):
         """The pair's blip regime, checked against a requested one.
 
-        For two checkerboards k and j must be at least 2 and coprime.
+        k must be at least 2, and for two checkerboards j too, coprime to k.
         """
         regime = PAIRS[self.name].regime
         if regime is None:
@@ -106,6 +106,8 @@ class Pair:
                 band_scales(*self.params)
             except ValueError as exc:
                 raise ValueError(f"pair {self.spec!r}: {exc}") from None
+        elif self.params[0] < 2:
+            raise ValueError(f"pair {self.spec!r}: blips need k >= 2")
         return regime
 
     def blip_report(self, eigs, N, n=None, orders=(0, 1, 2)):
@@ -121,11 +123,11 @@ def parse_pair(text):
 
     Every parameter must be a positive integer, and l at least 2.
     """
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     family = PAIRS.get(name)
     if family is None:
         raise ValueError(f"unknown pair spec {text!r}")
-    parts = arg.split(",") if arg else []
+    parts = arg.split(",") if colon else []
     if len(parts) != len(family.params):
         if not family.params:
             raise ValueError(f"invalid pair spec {text!r}: unexpected parameter")

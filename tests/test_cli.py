@@ -36,6 +36,9 @@ def run_cli(capsys, *argv):
     ("moments", "--pair", "bce-bce:0", "--m", "2"),
     ("genus", "--pair", "bce-bce", "--m", "2", "--k", "0"),
     ("sample", "--ensemble", "checker:x", "--n", "3"),
+    ("moments", "--pair", "goe-goe:", "--m", "2"),
+    ("sample", "--ensemble", "checker:3:2.5:9", "--n", "9"),
+    ("regimes", "--pair", "goe-checker:1", "--n", "20"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -49,6 +52,9 @@ def test_usage_errors_exit_two(capsys, argv):
     (("genus", "--pair", "bce-bce", "--m", "2", "--k", "0"), "--k"),
     (("sample", "--ensemble", "checker:x", "--n", "3"), "'checker:x'"),
     (("sample", "--ensemble", "bce:3:y", "--n", "3"), "'bce:3:y'"),
+    (("moments", "--pair", "goe-goe:", "--m", "2"), "'goe-goe:'"),
+    (("moments", "--pair", "goe-bce:", "--m", "2"), "'goe-bce:'"),
+    (("sample", "--ensemble", "checker:3:2.5:9", "--n", "9"), "'checker:3:2.5:9'"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -64,6 +70,8 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("regimes", "--pair", "checker-checker:2,4"), "must be coprime"),
     (("regimes", "--pair", "goe-bce:2"), "need a checkerboard pair"),
     (("spectrum", "--pair", "goe-bce:-3"), "'goe-bce:-3'"),
+    (("regimes", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
+    (("blip", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):
@@ -124,6 +132,17 @@ def test_genus_payload(capsys):
                            "--k", "2")
     payload = json.loads(out)
     assert payload["value"] == 10.5
+
+
+def test_genus_enumeration_limits(capsys):
+    # goe-bce counts one class per face shape and reaches m = 5; bce-bce
+    # still walks every free a-pairing and stops at m = 4.
+    code, out, _ = run_cli(capsys, "genus", "--pair", "goe-bce", "--m", "5")
+    assert code == 0
+    assert json.loads(out)["symbolic"] == "4066 + 7000*k^-2 + 2086*k^-4"
+    code, _, err = run_cli(capsys, "genus", "--pair", "bce-bce", "--m", "5")
+    assert code == 2
+    assert "budget exceeded" in err
 
 
 def test_sample_writes_loadable_matrix(capsys, tmp_path):

@@ -49,10 +49,9 @@ def test_schroeder_numbers_table():
 @settings(max_examples=60, deadline=None)
 def test_noncrossing_iff_maximal_cycle_count(order, shuffle):
     pairing = _random_pairing(order, shuffle)
-    assert comb.is_noncrossing(pairing) == (_crossings(pairing) == 0)
     cycles = comb.cycle_count(pairing)
     assert cycles <= order + 1
-    assert (comb.is_noncrossing(pairing)) == (cycles == order + 1)
+    assert (_crossings(pairing) == 0) == (cycles == order + 1)
     assert (order + 1 - cycles) % 2 == 0
 
 
@@ -94,7 +93,7 @@ def test_pte_pte_moments_closed_form(m, expected):
     assert expected == 2 ** (2 * m) * comb.double_factorial(2 * m - 1) ** 2
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_pte_pte_enumeration_route_agrees(m):
     assert (comb.moment_pte_pte(m, "enumeration")
             == comb.moment_pte_pte(m, "closed_form"))
@@ -111,7 +110,7 @@ def test_goe_pte_moments_and_table():
     assert [table.value(0, s) for s in range(4)] == [1, 1, 3, 15]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_goe_pte_enumeration_route_agrees(m):
     assert (comb.moment_goe_pte(m, "enumeration")
             == comb.moment_goe_pte(m, "recurrence"))
@@ -132,7 +131,8 @@ def test_moment_method_validation():
         comb.moment_goe_goe(9, "enumeration")  # beyond the enumeration budget
 
 
-GOE_BCE_COEFFS = {1: (2,), 2: (10, 2), 3: (66, 38), 4: (498, 544, 54)}
+GOE_BCE_COEFFS = {1: (2,), 2: (10, 2), 3: (66, 38), 4: (498, 544, 54),
+                  5: (4066, 7000, 2086)}
 BCE_BCE_COEFFS = {
     1: (2, 2),
     2: (10, 86, 48),
@@ -182,6 +182,35 @@ def test_bce_bce_agrees_with_pairing_by_pairing_tally(m):
     assert comb.moment_bce_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
 
 
+def _faces(word, a_pairs):
+    """The b-positions grouped by the set of a-arcs strictly covering them."""
+    faces = {}
+    for x in (i for i, c in enumerate(word) if c == "b"):
+        cover = frozenset(arc for arc in a_pairs if min(arc) < x < max(arc))
+        faces.setdefault(cover, []).append(x)
+    return list(faces.values())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_goe_bce_agrees_with_pairing_by_pairing_tally(m):
+    # Brute force: non-crossing a-arcs, then every b-pairing that keeps each
+    # pair inside one face, each walked by cycle_count.
+    size, top = 4 * m, 2 * m + 1
+    tally = {}
+    for pieces in itertools.product(("ab", "ba"), repeat=2 * m):
+        word = "".join(pieces)
+        a_pos = [i for i, c in enumerate(word) if c == "a"]
+        for pa in _matchings(a_pos):
+            if _crossings(pa):
+                continue
+            for parts in itertools.product(*(list(_matchings(f)) for f in _faces(word, pa))):
+                pb = [pair for part in parts for pair in part]
+                defect = top - comb.cycle_count(pa + pb, size)
+                assert defect >= 0 and defect % 2 == 0
+                tally[defect // 2] = tally.get(defect // 2, 0) + 1
+    assert comb.moment_goe_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
+
+
 @given(n=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_pairing_cycle_tally_depends_on_cycle_type_only(n, seed):
@@ -210,7 +239,7 @@ def test_pairing_cycle_tally_of_one_cycle_is_the_cycle_count_tally():
 
 def test_laurent_reductions_and_evaluation():
     # one-dimensional blocks collapse each pair onto its Toeplitz analogue
-    for m in range(1, 5):
+    for m in range(1, 6):
         assert comb.moment_goe_bce(m).at(1) == comb.moment_goe_pte(m)
     for m in range(1, 5):
         assert comb.moment_bce_bce(m).at(1) == comb.moment_pte_pte(m)
@@ -223,8 +252,9 @@ def test_laurent_reductions_and_evaluation():
 
 
 def test_laurent_constant_term_is_goe_goe_limit():
-    for m in range(1, 5):
+    for m in range(1, 6):
         assert comb.moment_goe_bce(m).coeffs[0] == comb.moment_goe_goe(m)
+    for m in range(1, 5):
         assert comb.moment_bce_bce(m).coeffs[0] == comb.moment_goe_goe(m)
 
 
