@@ -53,9 +53,6 @@ def mean_part_check(k, j, N):
     exact = 2 * N**2 / (k * j)
     print(f"\nMean parts alone at N={N}: largest eigenvalue {top:.6f}, "
           f"exact 2N^2/(kj) = {exact:.6f}")
-    report = blips.weyl_decomposition_check(mean_matrix(N, k), mean_matrix(N, j),
-                                            N, k, j)
-    print(f"  interlacing checks all pass: {report.ok}")
 
 
 def main():

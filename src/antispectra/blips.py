@@ -9,8 +9,6 @@ import numpy as np
 
 from .combinatorics import double_factorial
 from .densities import SUPPORT_GOE_GOE
-from .ensembles import perturbation_split
-from .matops import anticommutator, eigenvalues
 
 EXACT_TRACE_BUDGET = 10**7
 
@@ -22,34 +20,21 @@ def default_blip_order(N):
     return max(2, math.ceil(math.log(math.log(N))))
 
 
-@dataclass(frozen=True)
-class WeightPolynomial:
-    """Localizing weight x^(2n) (2-x)^(2n) with its expanded integer coefficients.
-
-    coefficients maps the exponent alpha in [2n, 4n] to the integer
-    coefficient of x^alpha; the coefficients sum to 1 exactly.  Evaluation
-    uses the factored power form, which is better conditioned than the
-    expanded sum near the endpoints.
-    """
-
-    order: int
-    coefficients: dict
-
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        value = (arr * (2.0 - arr)) ** (2 * self.order)
-        return float(value) if value.ndim == 0 else value
-
-
 def weight_f(n):
-    """Weight polynomial of order n with one flat bump on (0, 2), peak value 1 at x=1."""
+    """The weight (x(2 - x))^(2n): one flat bump on (0, 2), peak value 1 at x=1.
+
+    Returns a function of a float or an array; the factored power form is
+    better conditioned near the endpoints than the expanded polynomial.
+    """
     if n < 1:
         raise ValueError(f"invalid order: n={n} must be >= 1")
-    coeffs = {}
-    for alpha in range(2 * n, 4 * n + 1):
-        i = alpha - 2 * n
-        coeffs[alpha] = math.comb(2 * n, i) * 2 ** (4 * n - alpha) * (-1) ** i
-    return WeightPolynomial(n, coeffs)
+
+    def f(x):
+        arr = np.asarray(x, dtype=float)
+        value = (arr * (2.0 - arr)) ** (2 * n)
+        return float(value) if value.ndim == 0 else value
+
+    return f
 
 
 def band_scales(k, j):
@@ -66,7 +51,10 @@ def band_scales(k, j):
 
 @dataclass
 class BlipReport:
-    """Weighted point masses and summary statistics for one blip regime."""
+    """Weighted point masses and summary statistics for one blip regime.
+
+    as_dict marks the moments valid only when counts["outside_bump"] is 0.
+    """
 
     regime: str
     N: int
@@ -92,6 +80,7 @@ class BlipReport:
             "j": self.j,
             "n": self.n,
             "moments": [{"m": m, "value": v} for m, v in self.moments],
+            "moments_valid": self.counts["outside_bump"] == 0,
             "counts": dict(self.counts),
         }
 
@@ -310,100 +299,3 @@ def theory_largest_blip_moment(m, k, j):
     if k < 2 or j < 2:
         raise ValueError(f"invalid dimension: k={k}, j={j} must be >= 2")
     return float(_theory_largest_exact(m, k, j))
-
-
-@dataclass
-class WeylReport:
-    """Component anticommutator norms and inequality checks for a split pair."""
-
-    N: int
-    k: int
-    j: int
-    norms: dict
-    checks: dict
-    mean_top: float
-    mean_rank: int
-
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
-    def as_dict(self):
-        return {
-            "N": self.N,
-            "k": self.k,
-            "j": self.j,
-            "norms": dict(self.norms),
-            "checks": dict(self.checks),
-            "mean_top": self.mean_top,
-            "mean_rank": self.mean_rank,
-        }
-
-
-def _require_unit_checkerboard(M, N, k, name):
-    idx = np.arange(N)
-    mask = (idx[:, None] - idx[None, :]) % k == 0
-    if not np.all(M[mask] == 1.0):
-        raise ValueError(
-            f"decomposition invalid: {name} is not a weight-1 checkerboard sample"
-        )
-
-
-def weyl_decomposition_check(A, B, N, k, j=None):
-    """Split the pair into mean and perturbation parts and test the norm bounds.
-
-    A must be a weight-1 k-checkerboard sample; B is GOE when j is None and a
-    weight-1 j-checkerboard sample otherwise.  Norm bounds use envelopes with
-    constant 4 on the orders of each component.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != (N, N) or B.shape != (N, N):
-        raise ValueError(f"invalid dimension: matrices must be {N} x {N}")
-    _require_unit_checkerboard(A, N, k, "A")
-    a_mean, a_pert = perturbation_split(A, k)
-    norms = {}
-    checks = {}
-    pert_a = float(np.max(np.abs(eigenvalues(a_pert))))
-    norms["A_perturbation"] = pert_a
-    checks["A_perturbation_sqrtN"] = pert_a <= 4.0 * math.sqrt(N)
-    if j is None:
-        mean_anti = anticommutator(a_mean, B)
-        mean_eigs = eigenvalues(mean_anti)
-        norm_mean = float(np.max(np.abs(mean_eigs)))
-        rank = int(np.count_nonzero(np.abs(mean_eigs) > 1e-8 * max(norm_mean, 1.0)))
-        norms["mean_A_with_B"] = norm_mean
-        checks["mean_norm_bound"] = norm_mean <= 4.0 * N**1.5 / k
-        checks["mean_rank_2k"] = rank <= 2 * k
-        pert_anti = anticommutator(a_pert, B)
-        norm_pert = float(np.max(np.abs(eigenvalues(pert_anti))))
-        norms["pert_A_with_B"] = norm_pert
-        checks["pert_norm_bulk"] = norm_pert <= 4.0 * N
-        return WeylReport(N, k, None, norms, checks, norm_mean, rank)
-    _require_unit_checkerboard(B, N, j, "B")
-    band_scales(k, j)
-    b_mean, b_pert = perturbation_split(B, j)
-    pert_b = float(np.max(np.abs(eigenvalues(b_pert))))
-    norms["B_perturbation"] = pert_b
-    checks["B_perturbation_sqrtN"] = pert_b <= 4.0 * math.sqrt(N)
-    mean_mean = anticommutator(a_mean, b_mean)
-    expected = np.full((N, N), 2.0 * N / (k * j))
-    constant = bool(np.array_equal(mean_mean, expected))
-    checks["mean_mean_constant"] = constant
-    mean_top = 2.0 * N * N / (k * j) if constant else float(
-        np.max(eigenvalues(mean_mean))
-    )
-    norms["mean_A_mean_B"] = mean_top
-    cross_ab = anticommutator(a_mean, b_pert)
-    cross_ba = anticommutator(a_pert, b_mean)
-    norm_ab = float(np.max(np.abs(eigenvalues(cross_ab))))
-    norm_ba = float(np.max(np.abs(eigenvalues(cross_ba))))
-    norms["mean_A_pert_B"] = norm_ab
-    norms["pert_A_mean_B"] = norm_ba
-    checks["cross_ab_bound"] = norm_ab <= 4.0 * N**1.5 / k
-    checks["cross_ba_bound"] = norm_ba <= 4.0 * N**1.5 / j
-    pert_pert = anticommutator(a_pert, b_pert)
-    norm_pp = float(np.max(np.abs(eigenvalues(pert_pert))))
-    norms["pert_A_pert_B"] = norm_pp
-    checks["pert_pert_bulk"] = norm_pp <= 4.0 * N
-    return WeylReport(N, k, j, norms, checks, mean_top, 1 if constant else -1)

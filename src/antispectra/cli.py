@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 
 from . import blips, densities, stats
-from .ensembles import EnsembleSpec, dump_matrix, rng_stream, sample_ensemble
+from .ensembles import dump_matrix, parse_ensemble, rng_stream, sample_ensemble
 from .spectra import empirical_histogram, empirical_moments
 
 
@@ -52,24 +52,15 @@ def _check_trials(trials):
         raise ValueError(f"invalid trials: {trials} must be >= 1")
 
 
-def _parse_sizes(text):
+def _parse_list(text, what, least):
+    """Comma-separated integers, each >= least; what names the list in errors."""
     try:
-        sizes = tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"invalid size list {text!r}") from None
-    if not sizes or any(n < 1 for n in sizes):
-        raise ValueError(f"invalid size list {text!r}")
-    return sizes
-
-
-def _parse_orders(text):
-    try:
-        orders = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"invalid order list {text!r}") from None
-    if any(m < 0 for m in orders):
-        raise ValueError(f"invalid order list {text!r}")
-    return orders
+        raise ValueError(f"invalid {what} list {text!r}") from None
+    if any(value < least for value in values):
+        raise ValueError(f"invalid {what} list {text!r}")
+    return values
 
 
 def _parse_grid(text):
@@ -86,28 +77,7 @@ def _parse_grid(text):
 
 
 def _cmd_sample(args):
-    name, _, params = args.ensemble.partition(":")
-    parts = params.split(":") if params else []
-    kind = {"goe": "goe", "pte": "pte", "bce": "bce",
-            "checker": "checkerboard", "hollow": "hollow-goe"}.get(name)
-    if kind is None:
-        raise ValueError(f"unknown ensemble {args.ensemble!r}")
-    k = None
-    w = 1.0
-    if kind in ("bce", "checkerboard"):
-        if not parts:
-            raise ValueError(f"ensemble {args.ensemble!r} needs a parameter k")
-        if len(parts) > (2 if kind == "checkerboard" else 1):
-            raise ValueError(f"ensemble {args.ensemble!r} takes too many parameters")
-        try:
-            k = int(parts[0])
-            if len(parts) > 1:
-                w = float(parts[1])
-        except ValueError:
-            raise ValueError(f"invalid ensemble {args.ensemble!r}") from None
-    elif parts:
-        raise ValueError(f"ensemble {args.ensemble!r} takes no parameter")
-    spec = EnsembleSpec(kind, args.n, k, w, args.dist)
+    spec = parse_ensemble(args.ensemble, args.n, args.dist)
     matrix = sample_ensemble(spec, rng_stream(args.seed, 0))
     buffer = io.StringIO()
     dump_matrix(buffer, matrix, args.ensemble)
@@ -170,7 +140,7 @@ def _cmd_density(args):
 
 def _cmd_blip(args):
     _check_trials(args.trials)
-    orders = _parse_orders(args.m)
+    orders = _parse_list(args.m, "order", 0)
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("blips",), orders=orders, dist=args.dist,
@@ -214,7 +184,7 @@ def _cmd_regimes(args):
 
 def _cmd_convergence(args):
     _check_trials(args.trials)
-    sizes = _parse_sizes(args.n)
+    sizes = _parse_list(args.n, "size", 1)
     report = stats.moment_variance_scan(
         args.pair, args.m, sizes, args.trials, seed=args.seed,
         dist=args.dist, threads=args.threads,

@@ -5,6 +5,7 @@ symmetry holds exactly (entry for entry), not just to rounding.  Passing
 the same seed twice reproduces the same matrix bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +157,7 @@ class EnsembleSpec:
 
     k is the block or modulus parameter (ignored for goe and pte), w the
     pinned checkerboard weight, dist the entry distribution tag.  Dimension
-    constraints are enforced at construction.
+    constraints and a finite w are enforced at construction.
     """
 
     kind: str
@@ -170,6 +171,8 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution tag {self.dist!r}")
+        if not math.isfinite(self.w):
+            raise ValueError(f"invalid weight: w={self.w} must be finite")
         if self.kind == "pte" and self.N % 2:
             raise ValueError(
                 f"invalid dimension: palindromic Toeplitz needs even N, got {self.N}"
@@ -180,6 +183,39 @@ class EnsembleSpec:
             _check_dims(self.N, self.k)
         else:
             _check_dims(self.N)
+
+
+#: Each ensemble name of a sample spec: its kind and its most parameters.
+_SPEC_NAMES = {"goe": ("goe", 0), "pte": ("pte", 0), "bce": ("bce", 1),
+               "checker": ("checkerboard", 2), "hollow": ("hollow-goe", 0)}
+
+
+def parse_ensemble(text, N, dist="standard-normal"):
+    """Parse a sample spec, goe, pte, bce:k, checker:k[:w] or hollow, at size N.
+
+    k is an integer and w a float; EnsembleSpec checks them against N, and
+    every error names the spec.
+    """
+    name, colon, params = text.partition(":")
+    if name not in _SPEC_NAMES:
+        raise ValueError(f"unknown ensemble {text!r}")
+    kind, most = _SPEC_NAMES[name]
+    parts = params.split(":") if colon else []
+    if len(parts) > most:
+        if not most:
+            raise ValueError(f"ensemble {text!r} takes no parameter")
+        raise ValueError(f"ensemble {text!r} takes too many parameters")
+    if most and not parts:
+        raise ValueError(f"ensemble {text!r} needs a parameter k")
+    try:
+        k = int(parts[0]) if parts else None
+        w = float(parts[1]) if len(parts) > 1 else 1.0
+    except ValueError:
+        raise ValueError(f"invalid ensemble {text!r}") from None
+    try:
+        return EnsembleSpec(kind, N, k, w, dist)
+    except ValueError as exc:
+        raise ValueError(f"ensemble {text!r}: {exc}") from None
 
 
 def sample_ensemble(spec, seed=None):
@@ -204,18 +240,6 @@ def mean_matrix(N, k):
     """
     _check_dims(N, k)
     return _same_residue(N, k).astype(float)
-
-
-def perturbation_split(M, k):
-    """Split a weight-1 checkerboard sample into mean plus perturbation.
-
-    Returns (mean, M - mean) with mean = mean_matrix(N, k); the
-    perturbation vanishes on the residue-equal positions and its
-    spectral radius grows only like sqrt(N).
-    """
-    N = M.shape[0]
-    mean = mean_matrix(N, k)
-    return mean, M - mean
 
 
 def dump_matrix(f, M, kind):

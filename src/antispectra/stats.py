@@ -10,7 +10,7 @@ import numpy as np
 from . import combinatorics
 from .blips import (BlipReport, band_scales, blip_measure_goe_checker,
                     blip_measure_largest)
-from .ensembles import EnsembleSpec, rng_stream, sample_ensemble
+from .ensembles import DISTRIBUTIONS, EnsembleSpec, rng_stream, sample_ensemble
 from .matops import anticommutator, ell_anticommutator, eigenvalues
 from .spectra import empirical_moments
 
@@ -157,15 +157,14 @@ def genus_expansion(name, m):
 class ExperimentPlan:
     """A reproducible batch of anticommutator samples.
 
-    trials fixes the count per size; when None, the count is ceil(N^delta)
-    with delta defaulting to 1/2.  Seeds derive from (seed, size index,
-    trial index, matrix slot), so no two draws share a stream.
+    trials fixes the count per size; when None, the count is ceil(sqrt(N)).
+    Seeds derive from (seed, size index, trial index, matrix slot), so no
+    two draws share a stream.
     """
 
     pair: str
     sizes: tuple
     trials: int = None
-    delta: float = None
     seed: int = 0
     outputs: tuple = ("spectra", "moments")
     orders: tuple = (1, 2, 3, 4)
@@ -181,8 +180,8 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one size")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"invalid trials: {self.trials} must be >= 1")
-        if self.trials is None and self.delta is not None and self.delta <= 0:
-            raise ValueError(f"invalid delta: {self.delta} must be positive")
+        if self.dist not in DISTRIBUTIONS:
+            raise ValueError(f"unknown distribution tag {self.dist!r}")
         for out in self.outputs:
             if out not in ("spectra", "moments", "blips"):
                 raise ValueError(f"unknown output {out!r}")
@@ -190,8 +189,7 @@ class ExperimentPlan:
     def trials_for(self, N):
         if self.trials is not None:
             return self.trials
-        delta = 0.5 if self.delta is None else self.delta
-        return max(1, math.ceil(N**delta))
+        return max(1, math.ceil(N**0.5))
 
 
 @dataclass
@@ -253,7 +251,7 @@ def run_trials(plan, threads=1):
     return aggregate
 
 
-def averaged_blip_measure(plan, regime=None, threads=1):
+def averaged_blip_measure(plan, threads=1):
     """Mean of the per-trial blip measures over the plan's first g(N) samples.
 
     The averaged measure pools every trial's point masses at weight 1/g; its
@@ -262,9 +260,8 @@ def averaged_blip_measure(plan, regime=None, threads=1):
     """
     if len(plan.sizes) != 1:
         raise ValueError("averaged measure wants exactly one size")
-    wanted = regime if regime is not None else plan.regime
-    if "blips" not in plan.outputs or wanted != plan.regime:
-        plan = replace(plan, outputs=("blips",), regime=wanted)
+    if "blips" not in plan.outputs:
+        plan = replace(plan, outputs=("blips",))
     N = plan.sizes[0]
     reports = run_trials(plan, threads=threads).blips[N]
     g = len(reports)

@@ -23,13 +23,18 @@ from antispectra.spectra import empirical_histogram, empirical_moments
 CRITERION_LINES = []
 
 
-def _criterion(number, checks):
-    """checks: list of (label, ok, measured). One summary line per criterion."""
+def _criterion(number, checks, note=None):
+    """checks: list of (label, ok, measured). One summary line per criterion.
+
+    note, if given, is a measured value the line reports without judging it.
+    """
     ok = all(flag for _, flag, _ in checks)
     detail = "; ".join(
         f"{label} [{'ok' if flag else 'FAIL'}] {value}"
         for label, flag, value in checks
     )
+    if note:
+        detail += f" | not judged: {note}"
     line = f"CRITERION {number}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     CRITERION_LINES.append(line)
@@ -295,6 +300,4 @@ def test_criterion_10_convergence_rates():
          -4.6 <= slope <= -3.4, round(slope, 3)),
         ("first blip-moment variance does not grow from N=512 to 1024",
          ratio1 <= 2.0, f"ratio {ratio1:.2f}"),
-        ("second blip-moment variance (pre-asymptotic transient, informational)",
-         True, f"ratio {ratio2:.2f}"),
-    ])
+    ], note=f"second blip-moment variance ratio {ratio2:.2f} (pre-asymptotic transient)")

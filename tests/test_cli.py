@@ -39,6 +39,13 @@ def run_cli(capsys, *argv):
     ("moments", "--pair", "goe-goe:", "--m", "2"),
     ("sample", "--ensemble", "checker:3:2.5:9", "--n", "9"),
     ("regimes", "--pair", "goe-checker:1", "--n", "20"),
+    ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--dist", "bogus"),
+    ("convergence", "--pair", "goe-goe", "--n", "8,16,24", "--trials", "3", "--dist", "nope"),
+    ("sample", "--ensemble", "goe:", "--n", "4"),
+    ("sample", "--ensemble", "hollow:", "--n", "4"),
+    ("sample", "--ensemble", "checker:3:nan", "--n", "6"),
+    ("sample", "--ensemble", "checker:2:inf", "--n", "4"),
+    ("sample", "--ensemble", "checker:0", "--n", "4"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -55,6 +62,15 @@ def test_usage_errors_exit_two(capsys, argv):
     (("moments", "--pair", "goe-goe:", "--m", "2"), "'goe-goe:'"),
     (("moments", "--pair", "goe-bce:", "--m", "2"), "'goe-bce:'"),
     (("sample", "--ensemble", "checker:3:2.5:9", "--n", "9"), "'checker:3:2.5:9'"),
+    (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--dist", "bogus"),
+     "'bogus'"),
+    (("convergence", "--pair", "goe-goe", "--n", "8,16,24", "--trials", "3",
+      "--dist", "nope"), "'nope'"),
+    (("sample", "--ensemble", "goe:", "--n", "4"), "'goe:'"),
+    (("sample", "--ensemble", "hollow:", "--n", "4"), "'hollow:'"),
+    (("sample", "--ensemble", "checker:3:nan", "--n", "6"), "'checker:3:nan'"),
+    (("sample", "--ensemble", "checker:2:inf", "--n", "4"), "'checker:2:inf'"),
+    (("sample", "--ensemble", "checker:0", "--n", "4"), "'checker:0'"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -212,6 +228,8 @@ def test_blip_payload(capsys):
     payload = json.loads(out)
     assert payload["regime"] == "goe-checker-blip"
     assert payload["trials"] == 2
+    assert set(payload) == {"regime", "N", "k", "j", "n", "moments", "moments_valid",
+                            "counts", "trials"}
     assert {entry["m"] for entry in payload["moments"]} == {0, 1}
     assert set(payload["counts"]) == {"bulk", "pos_blip", "neg_blip", "outside_bump"}
 
@@ -232,7 +250,9 @@ def test_blip_payload_counts_eigenvalues_outside_the_bump(capsys):
         code, out, _ = run_cli(capsys, "blip", "--pair", pair, "--n", n,
                                "--trials", trials, "--seed", seed)
         assert code == 0
-        assert (json.loads(out)["counts"]["outside_bump"] > 0) is outside
+        payload = json.loads(out)
+        assert (payload["counts"]["outside_bump"] > 0) is outside
+        assert payload["moments_valid"] is not outside
 
 
 def test_regimes_payload(capsys):

@@ -110,18 +110,6 @@ def test_mean_matrix_pattern_and_spectrum():
     np.testing.assert_allclose(eigs[:-k], np.zeros(N - k), atol=1e-9)
 
 
-def test_perturbation_split_reconstructs_exactly():
-    N, k = 144, 4
-    M = ensembles.sample_checkerboard(N, k, 1.0, seed=7)
-    mean, pert = ensembles.perturbation_split(M, k)
-    np.testing.assert_array_equal(mean + pert, M)
-    np.testing.assert_array_equal(mean, ensembles.mean_matrix(N, k))
-    i = np.arange(N)
-    mask = (i[:, None] - i[None, :]) % k == 0
-    np.testing.assert_array_equal(pert[mask], np.zeros(int(mask.sum())))
-    assert np.linalg.norm(pert, 2) <= 4 * np.sqrt(N)
-
-
 @pytest.mark.parametrize("kind,N,k,message", [
     ("goe", 0, None, "dimension"),
     ("pte", 9, None, "even"),
@@ -132,6 +120,35 @@ def test_perturbation_split_reconstructs_exactly():
 def test_spec_validation(kind, N, k, message):
     with pytest.raises(ValueError, match=message):
         ensembles.EnsembleSpec(kind, N, k)
+
+
+@pytest.mark.parametrize("text,kind,k,w", [
+    ("goe", "goe", None, 1.0),
+    ("pte", "pte", None, 1.0),
+    ("bce:3", "bce", 3, 1.0),
+    ("checker:3", "checkerboard", 3, 1.0),
+    ("checker:3:-2.5", "checkerboard", 3, -2.5),
+    ("hollow", "hollow-goe", None, 1.0),
+])
+def test_parse_ensemble_reads_every_kind(text, kind, k, w):
+    spec = ensembles.parse_ensemble(text, 12, "rademacher")
+    assert spec == ensembles.EnsembleSpec(kind, 12, k, w, "rademacher")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("wishart", "unknown ensemble"),
+    ("goe:", "takes no parameter"),
+    ("bce", "needs a parameter k"),
+    ("bce:3:2", "too many parameters"),
+    ("checker:3:nan", "w=nan must be finite"),
+    ("checker:2:-inf", "w=-inf must be finite"),
+    ("checker:0", "k=0 must be positive"),
+    ("checker:5", "k=5 must divide N=12"),
+])
+def test_parse_ensemble_errors_name_the_spec(text, message):
+    with pytest.raises(ValueError, match=message) as info:
+        ensembles.parse_ensemble(text, 12)
+    assert repr(text) in str(info.value)
 
 
 def test_sample_ensemble_matches_direct_samplers():

@@ -55,8 +55,6 @@ def test_plan_trial_counts():
     assert plan.trials_for(100) == 7
     plan = stats.ExperimentPlan("goe-goe", (100,))
     assert plan.trials_for(100) == 10  # ceil(sqrt(N))
-    plan = stats.ExperimentPlan("goe-goe", (100,), delta=0.3)
-    assert plan.trials_for(100) == 4
 
 
 def test_plan_validation():
@@ -64,8 +62,9 @@ def test_plan_validation():
         stats.ExperimentPlan("goe-goe", ())
     with pytest.raises(ValueError, match="trials"):
         stats.ExperimentPlan("goe-goe", (10,), trials=0)
-    with pytest.raises(ValueError, match="delta"):
-        stats.ExperimentPlan("goe-goe", (10,), delta=-1.0)
+    # GOE members never read dist, so the plan itself checks the tag.
+    with pytest.raises(ValueError, match="'bogus'"):
+        stats.ExperimentPlan("goe-goe", (10,), dist="bogus")
     with pytest.raises(ValueError, match="output"):
         stats.ExperimentPlan("goe-goe", (10,), outputs=("sketches",))
 
