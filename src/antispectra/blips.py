@@ -138,6 +138,23 @@ def _outside_bump(x):
     return int(np.count_nonzero((x > 2.0) | (x < 1.0 - math.sqrt(2.0))))
 
 
+def _weighted_report(regime, eigs, N, k, j, n, orders, x, locations, share):
+    """The blip report of one spectrum from its weight arguments and locations.
+
+    Each eigenvalue carries weight f^(2n)(x) at its location, n defaulting
+    to default_blip_order(N); the m-th moment is the weighted power sum
+    divided by share, the number of eigenvalues the regime holds.  counts
+    adds outside_bump to the regime counts.
+    """
+    if n is None:
+        n = default_blip_order(N)
+    weights = weight_f(n)(x)
+    moments = [(m, float(np.sum(weights * locations**m)) / share) for m in orders]
+    counts = regime_classify(eigs, N, k, j)
+    counts["outside_bump"] = _outside_bump(x)
+    return BlipReport(regime, N, k, j, n, locations, weights, moments, counts)
+
+
 def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
     """Weighted empirical measure of the blip regime of a GOE/checkerboard pair.
 
@@ -158,44 +175,25 @@ def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
     (at N = 10, k = 5 it is about half the spectrum).
     """
     eigs = np.asarray(eigs, dtype=float)
-    if n is None:
-        n = default_blip_order(N)
-    f = weight_f(n)
     x = k**2 * eigs**2 / N**3
-    weights = f(x)
     locations = (eigs**2 - N**3 / k**2) / N**2.5
-    moments = [
-        (m, float(np.sum(weights * locations**m)) / (2 * k)) for m in orders
-    ]
-    counts = regime_classify(eigs, N, k)
-    counts["outside_bump"] = _outside_bump(x)
-    return BlipReport(
-        "goe-checker-blip", N, k, None, n, locations, weights, moments, counts
-    )
+    return _weighted_report("goe-checker-blip", eigs, N, k, None, n, orders,
+                            x, locations, 2 * k)
 
 
 def blip_measure_largest(eigs, N, k, j, n=None, orders=(0, 1, 2)):
     """Weighted empirical measure of the largest blip of a two-checkerboard pair.
 
     Weight f^(2n)(j k lambda / (2 N^2)) at location (lambda - 2N^2/(jk)) / N,
-    with no prefactor (the regime holds a single eigenvalue).  counts adds
-    outside_bump, the number of eigenvalues whose argument
-    x = j k lambda / (2 N^2) lies above 2 or below 1 - sqrt(2) (where the
-    weight exceeds its peak 1), to the regime counts.  At small N the most
-    negative eigenvalues reach below the lower edge.
+    with no prefactor (the regime holds a single eigenvalue).  At small N
+    the most negative eigenvalues have arguments below 1 - sqrt(2), so they
+    count in outside_bump.
     """
     eigs = np.asarray(eigs, dtype=float)
-    band_scales(k, j)
-    if n is None:
-        n = default_blip_order(N)
-    f = weight_f(n)
     x = j * k * eigs / (2.0 * N**2)
-    weights = f(x)
     locations = (eigs - 2.0 * N**2 / (j * k)) / N
-    moments = [(m, float(np.sum(weights * locations**m))) for m in orders]
-    counts = regime_classify(eigs, N, k, j)
-    counts["outside_bump"] = _outside_bump(x)
-    return BlipReport("largest-blip", N, k, j, n, locations, weights, moments, counts)
+    return _weighted_report("largest-blip", eigs, N, k, j, n, orders,
+                            x, locations, 1)
 
 
 def _trace_exact(k, m):
@@ -296,6 +294,5 @@ def theory_largest_blip_moment(m, k, j):
     """
     if m < 0:
         raise ValueError(f"invalid order: m={m} must be >= 0")
-    if k < 2 or j < 2:
-        raise ValueError(f"invalid dimension: k={k}, j={j} must be >= 2")
+    band_scales(k, j)
     return float(_theory_largest_exact(m, k, j))

@@ -29,7 +29,7 @@ def _atomic_write(path, text):
 
 def _emit(args, text):
     """Write the primary artifact to --out atomically, or to stdout."""
-    if getattr(args, "out", None):
+    if args.out:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -45,11 +45,6 @@ def _emit_json(args, payload):
     sys.stdout.write(text)
     if args.out:
         _atomic_write(args.out, text)
-
-
-def _check_trials(trials):
-    if trials is not None and trials < 1:
-        raise ValueError(f"invalid trials: {trials} must be >= 1")
 
 
 def _parse_list(text, what, least):
@@ -86,7 +81,6 @@ def _cmd_sample(args):
 
 
 def _cmd_spectrum(args):
-    _check_trials(args.trials)
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("spectra",), dist=args.dist,
@@ -139,12 +133,11 @@ def _cmd_density(args):
 
 
 def _cmd_blip(args):
-    _check_trials(args.trials)
     orders = _parse_list(args.m, "order", 0)
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("blips",), orders=orders, dist=args.dist,
-        regime=args.regime, weight_order=args.weight_n,
+        weight_order=args.weight_n,
     )
     report = stats.averaged_blip_measure(plan, threads=args.threads)
     payload = report.as_dict()
@@ -154,7 +147,6 @@ def _cmd_blip(args):
 
 
 def _cmd_regimes(args):
-    _check_trials(args.trials)
     pair = stats.parse_pair(args.pair)
     pair.blip_regime()  # a checkerboard pair, its k and j checked before sampling
     plan = stats.ExperimentPlan(
@@ -183,7 +175,6 @@ def _cmd_regimes(args):
 
 
 def _cmd_convergence(args):
-    _check_trials(args.trials)
     sizes = _parse_list(args.n, "size", 1)
     report = stats.moment_variance_scan(
         args.pair, args.m, sizes, args.trials, seed=args.seed,
@@ -193,15 +184,21 @@ def _cmd_convergence(args):
     return 0
 
 
-def _add_common(parser, trials=None, with_n=True):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dist", default="standard-normal")
-    parser.add_argument("--threads", type=int, default=1)
+def _add_common(parser, exact=False):
+    """--seed and --out, which every command takes."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="ignored by the exact tables" if exact else None)
     parser.add_argument("--out")
+
+
+def _add_trials(parser, trials, with_n=True):
+    """Every option of a command that runs trials; trials is the default count."""
+    _add_common(parser)
+    parser.add_argument("--dist", default="standard-normal")
     if with_n:
         parser.add_argument("--n", type=int, required=True)
-    if trials is not None:
-        parser.add_argument("--trials", type=int, default=trials)
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--trials", type=int, default=trials)
 
 
 def _build_parser():
@@ -213,7 +210,10 @@ def _build_parser():
 
     p = sub.add_parser("sample", help="emit one sampled matrix as CSV")
     p.add_argument("--ensemble", required=True,
-                   help="goe | pte | bce:k | checker:k[:w] | hollow")
+                   help="goe | pte | bce:k | checker:k[:w] | hollow; "
+                        "goe and hollow are Gaussian only")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--dist", default="standard-normal")
     _add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -221,48 +221,46 @@ def _build_parser():
     p.add_argument("--pair", required=True)
     p.add_argument("--bins", type=int, default=80)
     p.add_argument("--norm-exp", type=float, default=1.0)
-    _add_common(p, trials=100)
+    _add_trials(p, 100)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("moments", help="exact limiting moments")
     p.add_argument("--pair", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--method")
-    _add_common(p, with_n=False)
+    _add_common(p, exact=True)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("genus", help="genus-expansion moment as a polynomial in 1/k^2")
     p.add_argument("--pair", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int)
-    _add_common(p, with_n=False)
+    _add_common(p, exact=True)
     p.set_defaults(func=_cmd_genus)
 
     p = sub.add_parser("density", help="tabulate a limiting density")
     p.add_argument("--which", required=True, choices=("goe-goe", "pte-pte"))
     p.add_argument("--grid", default="-4:4:201", help="lo:hi:count")
-    _add_common(p, with_n=False)
+    _add_common(p, exact=True)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("blip", help="averaged weighted blip measure")
     p.add_argument("--pair", required=True)
-    p.add_argument("--regime", choices=("blip", "largest"))
     p.add_argument("--m", default="0,1,2", help="comma-separated orders")
     p.add_argument("--weight-n", type=int)
-    _add_common(p, trials=None)
-    p.add_argument("--trials", type=int)
+    _add_trials(p, None)
     p.set_defaults(func=_cmd_blip)
 
     p = sub.add_parser("regimes", help="classify eigenvalues by regime")
     p.add_argument("--pair", required=True)
-    _add_common(p, trials=10)
+    _add_trials(p, 10)
     p.set_defaults(func=_cmd_regimes)
 
     p = sub.add_parser("convergence", help="moment-variance scan across sizes")
     p.add_argument("--pair", required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", required=True, help="comma-separated sizes")
-    _add_common(p, trials=200, with_n=False)
+    _add_trials(p, 200, with_n=False)
     p.set_defaults(func=_cmd_convergence)
 
     return parser

@@ -55,14 +55,20 @@ def _check_dims(N, k=None):
             raise ValueError(f"invalid dimension: k={k} must divide N={N}")
 
 
-def _strict_upper(N):
-    """Boolean mask of the positions i < j.
+def _symmetric_fill(rng, N, dist="standard-normal", diagonal=1.0):
+    """N x N symmetric draw: the strict upper triangle, mirrored, then the diagonal.
 
-    Assigning through it fills the draws in row-major order, the order of
-    np.triu_indices(N, 1), without building two index arrays.
+    The mask i < j takes the draws in row-major order, the order of
+    np.triu_indices(N, 1), without building two index arrays.  The diagonal
+    draws, times ``diagonal``, come last; None leaves the diagonal zero.
     """
     i = np.arange(N)
-    return i[:, None] < i[None, :]
+    a = np.zeros((N, N))
+    a[i[:, None] < i[None, :]] = _draw(rng, dist, N * (N - 1) // 2)
+    a += a.T
+    if diagonal is not None:
+        a[np.diag_indices(N)] = _draw(rng, dist, N) * diagonal
+    return a
 
 
 def _same_residue(N, k):
@@ -74,12 +80,7 @@ def _same_residue(N, k):
 def sample_goe(N, seed=None):
     """N x N GOE draw: off-diagonal N(0,1) mirrored, diagonal N(0,2)."""
     _check_dims(N)
-    rng = _as_generator(seed)
-    a = np.zeros((N, N))
-    a[_strict_upper(N)] = rng.standard_normal(N * (N - 1) // 2)
-    a += a.T
-    a[np.diag_indices(N)] = rng.standard_normal(N) * np.sqrt(2.0)
-    return a
+    return _symmetric_fill(_as_generator(seed), N, diagonal=np.sqrt(2.0))
 
 
 def sample_pte(N, seed=None, dist="standard-normal"):
@@ -132,11 +133,7 @@ def sample_bce(N, k, seed=None, dist="standard-normal"):
 def sample_checkerboard(N, k, w=1.0, seed=None, dist="standard-normal"):
     """Symmetric iid draw with entries pinned to w where i = j (mod k)."""
     _check_dims(N, k)
-    rng = _as_generator(seed)
-    a = np.zeros((N, N))
-    a[_strict_upper(N)] = _draw(rng, dist, N * (N - 1) // 2)
-    a += a.T
-    a[np.diag_indices(N)] = _draw(rng, dist, N)
+    a = _symmetric_fill(_as_generator(seed), N, dist)
     a[_same_residue(N, k)] = w
     return a
 
@@ -144,11 +141,7 @@ def sample_checkerboard(N, k, w=1.0, seed=None, dist="standard-normal"):
 def sample_hollow_goe(k, seed=None):
     """k x k symmetric with zero diagonal and off-diagonal N(0,1)."""
     _check_dims(k)
-    rng = _as_generator(seed)
-    a = np.zeros((k, k))
-    a[_strict_upper(k)] = rng.standard_normal(k * (k - 1) // 2)
-    a += a.T
-    return a
+    return _symmetric_fill(_as_generator(seed), k, diagonal=None)
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,8 @@ class EnsembleSpec:
 
     k is the block or modulus parameter (ignored for goe and pte), w the
     pinned checkerboard weight, dist the entry distribution tag.  Dimension
-    constraints and a finite w are enforced at construction.
+    constraints, a finite w and Gaussian entries for the GOE kinds are
+    enforced at construction.
     """
 
     kind: str
@@ -171,6 +165,8 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution tag {self.dist!r}")
+        if self.kind in ("goe", "hollow-goe") and self.dist != "standard-normal":
+            raise ValueError(f"{self.kind} entries are Gaussian, not {self.dist!r}")
         if not math.isfinite(self.w):
             raise ValueError(f"invalid weight: w={self.w} must be finite")
         if self.kind == "pte" and self.N % 2:

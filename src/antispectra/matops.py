@@ -1,50 +1,35 @@
 """Anticommutators, their higher-order cousins, and their eigenvalues."""
 
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 
 
-def anticommutator(A, B):
-    """{A, B} = AB + BA for symmetric A and B, from a single matrix product.
+def anticommutator(*matrices):
+    """Sum of the products of the given symmetric matrices over all their orderings.
 
-    For symmetric inputs BA = (AB)^T, so {A, B} = P + P^T with P = AB: one
-    GEMM instead of two.  Entry (i, j) is P_ij + P_ji and entry (j, i) is
-    P_ji + P_ij, so the result is exactly symmetric, bit for bit, and the
-    eigensolvers downstream need no averaging step.
+    With two inputs this is {A, B} = AB + BA.  The transpose of each product
+    is the product in the reversed ordering, so the sum S over the l!/2
+    orderings whose first index is below their last holds one of each
+    reversed pair, and the full sum is S + S^T: half the products, and
+    exactly symmetric, bit for bit, since entries (i, j) and (j, i) are both
+    S_ij + S_ji.  For two inputs S is the single GEMM AB.
     """
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    P = A @ B
-    return P + P.T
-
-
-def ell_anticommutator(matrices):
-    """Sum of products over all orderings of the given symmetric matrices.
-
-    With two inputs this is {A, B}; with one it is just the input.  The
-    transpose of each product is the product in the reversed ordering, so
-    the sum S over the l!/2 orderings whose first index is below their last
-    holds one of each reversed pair, and the full sum is S + S^T: exactly
-    symmetric, from half the products.
-    """
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise ValueError(f"dimension mismatch: {m.shape} vs {shape}")
-    if len(mats) == 1:
-        return np.array(mats[0], dtype=float)
-    total = np.zeros(shape)
-    for order in permutations(range(len(mats))):
-        if order[0] > order[-1]:
-            continue
-        prod = mats[order[0]]
-        for idx in order[1:]:
-            prod = prod @ mats[idx]
-        total += prod
+    if len(matrices) < 2:
+        raise ValueError(f"need at least two matrices, got {len(matrices)}")
+    square = (len(matrices[0]),) * 2
+    for m in matrices:
+        if m.shape != square:
+            raise ValueError(f"dimension mismatch: {m.shape}, want {square}")
+    total = None
+    for order in permutations(range(len(matrices))):
+        if order[0] < order[-1]:
+            prod = reduce(np.matmul, (matrices[i] for i in order))
+            if total is None:
+                total = prod
+            else:
+                total += prod
     return total + total.T
 
 

@@ -11,7 +11,7 @@ from . import combinatorics
 from .blips import (BlipReport, band_scales, blip_measure_goe_checker,
                     blip_measure_largest)
 from .ensembles import DISTRIBUTIONS, EnsembleSpec, rng_stream, sample_ensemble
-from .matops import anticommutator, ell_anticommutator, eigenvalues
+from .matops import anticommutator, eigenvalues
 from .spectra import empirical_moments
 
 class _Family(NamedTuple):
@@ -91,16 +91,14 @@ class Pair:
         compute = getattr(combinatorics, PAIRS[self.name].moment)
         return compute(m, *self.params) if self.params else compute(m, method)
 
-    def blip_regime(self, requested=None):
-        """The pair's blip regime, checked against a requested one.
+    def blip_regime(self):
+        """The pair's blip regime, its parameters checked.
 
         k must be at least 2, and for two checkerboards j too, coprime to k.
         """
         regime = PAIRS[self.name].regime
         if regime is None:
             raise ValueError(f"blip regimes need a checkerboard pair, got {self.spec!r}")
-        if requested not in (None, regime):
-            raise ValueError(f"regime {requested!r} undefined for pair {self.spec!r}")
         if regime == "largest":
             try:
                 band_scales(*self.params)
@@ -169,7 +167,6 @@ class ExperimentPlan:
     outputs: tuple = ("spectra", "moments")
     orders: tuple = (1, 2, 3, 4)
     dist: str = "standard-normal"
-    regime: str = None
     weight_order: int = None
 
     def __post_init__(self):
@@ -210,7 +207,7 @@ def run_trials(plan, threads=1):
     """
     pair = parse_pair(plan.pair)
     if "blips" in plan.outputs:
-        pair.blip_regime(plan.regime)
+        pair.blip_regime()
     aggregate = TrialAggregate(plan, {}, {}, {})
     for ni, N in enumerate(plan.sizes):
         specs = pair.specs(N, plan.dist)
@@ -220,9 +217,7 @@ def run_trials(plan, threads=1):
                 sample_ensemble(spec, rng_stream(plan.seed, ni, t, si))
                 for si, spec in enumerate(specs)
             ]
-            if len(mats) == 2:
-                return anticommutator(mats[0], mats[1])
-            return ell_anticommutator(mats)
+            return anticommutator(*mats)
 
         def one_trial(t):
             # The sampled matrices die with sampled_anticommutator's frame,

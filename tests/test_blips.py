@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from antispectra import blips
+from antispectra import blips, stats
 from antispectra.densities import SUPPORT_GOE_GOE
 from antispectra.ensembles import rng_stream, sample_checkerboard, sample_goe
 from antispectra.matops import anticommutator, eigenvalues
@@ -206,6 +206,9 @@ def test_theory_largest_moment_values():
         np.testing.assert_allclose(blips.theory_largest_blip_moment(m, 3, 5),
                                    blips.theory_largest_blip_moment(m, 5, 3),
                                    rtol=1e-12)
+    # the regime exists only for coprime k and j
+    with pytest.raises(ValueError, match="coprime"):
+        blips.theory_largest_blip_moment(1, 2, 4)
 
 
 def test_blip_counts_on_sampled_spectra_with_threshold_slack():
@@ -220,6 +223,22 @@ def test_blip_counts_on_sampled_spectra_with_threshold_slack():
         for factor in (1.1, 1 / 1.1):
             scaled = blips.regime_classify(eigs / factor, N, k)
             assert scaled == counts
+
+
+@pytest.mark.parametrize("k,j", [(3, 5), (2, 5)])
+def test_intermediary_regime_counts_on_samples(k, j):
+    # A sampled {k-checker, j-checker} spectrum has k - 1 eigenvalues of each
+    # sign near w1 N^(3/2), j - 1 near w2 N^(3/2) and one near 2 N^2 / (k j).
+    N, trials = 450, 20
+    plan = stats.ExperimentPlan(f"checker-checker:{k},{j}", (N,), trials=trials,
+                                seed=1, outputs=("spectra",))
+    want = {"pos_inter_1": k - 1, "neg_inter_1": k - 1, "pos_inter_2": j - 1,
+            "neg_inter_2": j - 1, "largest": 1, "neg_largest": 0}
+    hits = 0
+    for eigs in stats.run_trials(plan).spectra[N]:
+        counts = blips.regime_classify(eigs, N, k, j)
+        hits += all(counts[key] == value for key, value in want.items())
+    assert hits >= 0.8 * trials
 
 
 def test_zeroth_moment_approaches_one_with_dimension():

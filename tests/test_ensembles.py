@@ -131,8 +131,10 @@ def test_spec_validation(kind, N, k, message):
     ("hollow", "hollow-goe", None, 1.0),
 ])
 def test_parse_ensemble_reads_every_kind(text, kind, k, w):
-    spec = ensembles.parse_ensemble(text, 12, "rademacher")
-    assert spec == ensembles.EnsembleSpec(kind, 12, k, w, "rademacher")
+    # The GOE kinds are Gaussian only; the others take any entry distribution.
+    dist = "standard-normal" if kind in ("goe", "hollow-goe") else "rademacher"
+    spec = ensembles.parse_ensemble(text, 12, dist)
+    assert spec == ensembles.EnsembleSpec(kind, 12, k, w, dist)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -144,10 +146,13 @@ def test_parse_ensemble_reads_every_kind(text, kind, k, w):
     ("checker:2:-inf", "w=-inf must be finite"),
     ("checker:0", "k=0 must be positive"),
     ("checker:5", "k=5 must divide N=12"),
+    ("goe", "goe entries are Gaussian, not 'rademacher'"),
+    ("hollow", "hollow-goe entries are Gaussian, not 'rademacher'"),
 ])
 def test_parse_ensemble_errors_name_the_spec(text, message):
+    # rademacher entries are valid for every kind but the two GOE kinds
     with pytest.raises(ValueError, match=message) as info:
-        ensembles.parse_ensemble(text, 12)
+        ensembles.parse_ensemble(text, 12, "rademacher")
     assert repr(text) in str(info.value)
 
 

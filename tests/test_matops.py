@@ -42,11 +42,11 @@ def test_anticommutator_rejects_mismatched_shapes():
 
 
 def test_ell_two_reduces_to_anticommutator():
+    # Two factors take the one-GEMM path: P + P^T with P = AB, bit for bit.
     A = sample_goe(25, seed=3)
     B = sample_goe(25, seed=4)
-    np.testing.assert_allclose(
-        matops.ell_anticommutator([A, B]), matops.anticommutator(A, B), atol=1e-10
-    )
+    P = A @ B
+    np.testing.assert_array_equal(matops.anticommutator(A, B), P + P.T)
 
 
 def test_ell_three_sums_all_orderings():
@@ -57,7 +57,7 @@ def test_ell_three_sums_all_orderings():
         for idx in order:
             prod = prod @ mats[idx]
         brute += prod
-    got = matops.ell_anticommutator(mats)
+    got = matops.anticommutator(*mats)
     np.testing.assert_allclose(got, (brute + brute.T) / 2, atol=1e-9)
     np.testing.assert_array_equal(got, got.T)
 
@@ -67,23 +67,19 @@ def test_ell_four_sums_all_orderings():
     brute = np.zeros((9, 9))
     for order in itertools.permutations(range(4)):
         brute += np.linalg.multi_dot([mats[idx] for idx in order])
-    got = matops.ell_anticommutator(mats)
+    got = matops.anticommutator(*mats)
     np.testing.assert_allclose(got, brute, rtol=1e-12, atol=1e-12 * np.max(np.abs(brute)))
     np.testing.assert_array_equal(got, got.T)
 
 
-def test_ell_one_returns_its_input():
-    A = sample_goe(8, seed=15)
-    got = matops.ell_anticommutator([A])
-    np.testing.assert_array_equal(got, A)
-    assert got is not A
-
-
 def test_ell_anticommutator_rejects_empty_and_mismatch():
-    with pytest.raises(ValueError):
-        matops.ell_anticommutator([])
+    for few in ((), (np.eye(3),)):
+        with pytest.raises(ValueError, match="at least two"):
+            matops.anticommutator(*few)
     with pytest.raises(ValueError, match="mismatch"):
-        matops.ell_anticommutator([np.eye(3), np.eye(4), np.eye(3)])
+        matops.anticommutator(np.eye(3), np.eye(4), np.eye(3))
+    with pytest.raises(ValueError, match="mismatch"):
+        matops.anticommutator(np.ones((3, 4)), np.ones((3, 4)))
 
 
 def test_eigenvalues_sorted_and_complete():

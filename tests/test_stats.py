@@ -5,7 +5,7 @@ import pytest
 
 from antispectra import combinatorics, stats
 from antispectra.ensembles import rng_stream, sample_goe
-from antispectra.matops import eigenvalues, ell_anticommutator
+from antispectra.matops import anticommutator, eigenvalues
 
 
 @pytest.mark.parametrize("pair,kinds,params", [
@@ -82,7 +82,7 @@ def test_run_trials_matches_manual_sampling():
     plan = stats.ExperimentPlan("anti-l:3", (24,), trials=2, seed=11)
     got = stats.run_trials(plan).spectra[24][0]
     mats = [sample_goe(24, rng_stream(11, 0, 0, si)) for si in range(3)]
-    np.testing.assert_array_equal(got, eigenvalues(ell_anticommutator(mats)))
+    np.testing.assert_array_equal(got, eigenvalues(anticommutator(*mats)))
 
 
 def test_run_trials_outputs_follow_plan():
@@ -102,20 +102,13 @@ def test_run_trials_blip_output():
     assert all(r.moment(0) is not None for r in reports)
 
 
-def test_blip_regime_conflict_rejected():
-    plan = stats.ExperimentPlan("goe-checker:5", (250,), trials=1,
-                                outputs=("blips",), regime="largest")
-    with pytest.raises(ValueError, match="regime"):
-        stats.run_trials(plan)
-
-
 def test_averaged_measure_reduces_to_single_trial():
     plan = stats.ExperimentPlan("goe-checker:5", (250,), trials=1, seed=3,
                                 orders=(1, 2))
     averaged = stats.averaged_blip_measure(plan)
     single = stats.run_trials(
         stats.ExperimentPlan("goe-checker:5", (250,), trials=1, seed=3,
-                             outputs=("blips",), orders=(1, 2), regime="blip")
+                             outputs=("blips",), orders=(1, 2))
     ).blips[250][0]
     assert averaged.moments == single.moments
     np.testing.assert_array_equal(averaged.locations, single.locations)
@@ -129,7 +122,7 @@ def test_averaged_measure_is_linear_in_trials():
     averaged = stats.averaged_blip_measure(plan)
     per_trial = stats.run_trials(
         stats.ExperimentPlan("goe-checker:5", (250,), trials=4, seed=4,
-                             outputs=("blips",), orders=(1, 2), regime="blip")
+                             outputs=("blips",), orders=(1, 2))
     ).blips[250]
     for m in (0, 1, 2):
         np.testing.assert_allclose(averaged.moment(m),
@@ -149,7 +142,7 @@ def test_averaged_measure_reduces_variance():
                                     orders=(1,))
         reports = stats.run_trials(
             stats.ExperimentPlan("goe-checker:5", (N,), trials=g, seed=2000 + r,
-                                 outputs=("blips",), orders=(1,), regime="blip")
+                                 outputs=("blips",), orders=(1,))
         ).blips[N]
         values = [rep.moment(1) for rep in reports]
         singles.extend(values)
