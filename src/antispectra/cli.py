@@ -66,8 +66,8 @@ def _parse_grid(text):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"invalid grid {text!r}") from None
-    if count < 2 or not hi > lo:
-        raise ValueError(f"invalid grid {text!r}")
+    if count < 2 or not 0 < hi - lo < np.inf:
+        raise ValueError(f"invalid grid {text!r}: want finite lo < hi, count >= 2")
     return np.linspace(lo, hi, count)
 
 

@@ -39,11 +39,10 @@ def eigenvalues(M):
     Delegates to the dense symmetric solver of the LAPACK that NumPy ships
     (tridiagonalize, then implicitly shifted iteration).  NumPy and SciPy
     each bundle their own OpenBLAS with its own thread pool, and a pool's
-    threads keep spinning for a while after a call returns.  The trial loop
-    forms its products with NumPy, so solving with NumPy too keeps a trial
-    on one pool; alternating with SciPy's solver made each call run against
-    the other library's idle-spinning threads, about twice as slow on two
-    cores.
+    threads keep spinning for a while after a call returns.  The package
+    imports no SciPy, so a process holds NumPy's pool alone; alternating
+    with SciPy's solver made each call run against the other library's
+    idle-spinning threads, about twice as slow on two cores.
     """
     if not np.all(np.isfinite(M)):
         raise ArithmeticError("matrix has non-finite entries")

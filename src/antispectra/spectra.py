@@ -69,6 +69,8 @@ def empirical_histogram(spectra, p=1.0, bins=80, range=None):
     spectra = list(spectra)
     if not spectra:
         raise ValueError("no spectra given")
+    if not np.isfinite(p):
+        raise ValueError(f"invalid p {p!r}: the norm exponent must be finite")
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     if range is not None and not range[0] < range[1]:

@@ -314,6 +314,8 @@ def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal",
     and (log N, log variance); needs at least three distinct sizes for a
     slope to mean anything, and at least two trials per size for a spread.
     """
+    if m < 1:
+        raise ValueError(f"invalid m: {m} must be >= 1")
     sizes = tuple(int(n) for n in sizes)
     if len(set(sizes)) < 3:
         raise ValueError("need at least 3 distinct sizes for a slope")

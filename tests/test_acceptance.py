@@ -125,7 +125,7 @@ def test_criterion_03_goe_pte_table_bounds_and_functional_equation():
     for m in range(1, 7):
         lower, upper = comb.moment_bounds_goe_pte(m)
         bounds_ok = bounds_ok and lower <= comb.moment_goe_pte(m) <= upper
-    residual = densities.check_sigma_pde(3, 3).max_residual
+    residual = densities.check_sigma_pde(3, 3)
     _criterion(3, [
         ("enumeration equals sigma_{m,0} for m<=3", enum_ok,
          tuple(table.value(m, 0) for m in range(1, 4))),

@@ -49,6 +49,11 @@ def run_cli(capsys, *argv):
     ("sample", "--ensemble", "checker:0", "--n", "4"),
     ("sample", "--ensemble", "goe", "--n", "3", "--seed", "1", "--dist", "rademacher"),
     ("sample", "--ensemble", "hollow", "--n", "3", "--dist", "uniform-scaled"),
+    ("convergence", "--pair", "goe-goe", "--m", "0", "--n", "8,16,32", "--trials", "3"),
+    ("density", "--which", "goe-goe", "--grid=-inf:4:5"),
+    ("density", "--which", "pte-pte", "--grid=-4:inf:5"),
+    ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "inf"),
+    ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "nan"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -78,6 +83,14 @@ def test_usage_errors_exit_two(capsys, argv):
      "'goe': goe entries are Gaussian, not 'rademacher'"),
     (("sample", "--ensemble", "hollow", "--n", "3", "--dist", "uniform-scaled"),
      "'hollow': hollow-goe entries are Gaussian, not 'uniform-scaled'"),
+    (("convergence", "--pair", "goe-goe", "--m", "0", "--n", "8,16,32", "--trials", "3"),
+     "invalid m: 0 must be >= 1"),
+    (("density", "--which", "goe-goe", "--grid=-inf:4:5"), "'-inf:4:5'"),
+    (("density", "--which", "pte-pte", "--grid=-4:inf:5"), "'-4:inf:5'"),
+    (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "inf"),
+     "invalid p inf"),
+    (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "nan"),
+     "invalid p nan"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)

@@ -169,6 +169,9 @@ def test_variance_scan_shape_and_validation():
     assert report.as_dict()["var_slope"] == report.var_slope
     with pytest.raises(ValueError, match="sizes"):
         stats.moment_variance_scan("goe-goe", 2, (24, 48), 40)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"invalid m: {m} must be >= 1"):
+            stats.moment_variance_scan("goe-goe", m, (24, 48, 96), 40)
 
 
 def test_variance_scan_rejects_single_trial():
