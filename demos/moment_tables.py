@@ -78,7 +78,7 @@ def main():
     goe_goe_table(args.m_max)
     pte_pte_table(min(args.m_max, 4))
     goe_pte_table(args.m_max)
-    genus_tables(min(args.m_max, 4))
+    genus_tables(min(args.m_max, comb.ENUMERATION_LIMITS["bce-bce"]))
     normalized_identities()
     ell_table(args.m_max)
 

@@ -1,6 +1,5 @@
 """Weighted blip spectral measures, their theoretical moments, and regime checks."""
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,8 +8,6 @@ import numpy as np
 
 from .combinatorics import double_factorial
 from .densities import SUPPORT_GOE_GOE
-
-EXACT_TRACE_BUDGET = 10**7
 
 
 def default_blip_order(N):
@@ -196,32 +193,52 @@ def blip_measure_largest(eigs, N, k, j, n=None, orders=(0, 1, 2)):
                             x, locations, 1)
 
 
+def _goe_power_moment(powers, memo):
+    """E[prod of Tr X^p over powers] for the GOE X of _trace_exact.
+
+    powers is a tuple of positive powers in descending order; the value is
+    a polynomial in k as its list of coefficients of k^0, k^1, ...  The
+    loop equation opens the first power p against the rest R:
+      E[Tr X^p R] = sum_{i=0}^{p-2} E[Tr X^i Tr X^(p-2-i) R]
+                    + (p-1) E[Tr X^(p-2) R]
+                    + sum_{q in R} 2q E[Tr X^(p+q-2) R minus q],
+    with Tr X^0 = k.  memo belongs to one call.
+    """
+    if not powers:
+        return [1]
+    if powers in memo:
+        return memo[powers]
+    p, rest = powers[0], powers[1:]
+    out = []
+
+    def add(weight, state):
+        kept = tuple(sorted((q for q in state if q), reverse=True))
+        shift = len(state) - len(kept)
+        value = _goe_power_moment(kept, memo)
+        out.extend([0] * (shift + len(value) - len(out)))
+        for e, c in enumerate(value):
+            out[e + shift] += weight * c
+
+    for i in range(p - 1):
+        add(1, (i, p - 2 - i) + rest)
+    if p >= 2:
+        add(p - 1, (p - 2,) + rest)
+    for j, q in enumerate(rest):
+        add(2 * q, (p + q - 2,) + rest[:j] + rest[j + 1:])
+    memo[powers] = out
+    return out
+
+
 def _trace_exact(k, m):
-    """Exact E[Tr X^m] for a k x k GOE X, summed over index tuples.
+    """Exact E[Tr X^m] for a k x k GOE X, by the loop equation on powers.
 
     Off-diagonal entries have variance 1 and diagonal entries variance 2,
-    the GOE that sample_goe draws, so an entry met 2p times contributes
-    (2p-1)!! off the diagonal and 2^p (2p-1)!! on it.
+    the GOE that sample_goe draws, so E[x_ij x_kl] = [i=k][j=l] + [i=l][j=k]
+    and _goe_power_moment gives E[Tr X^m] as a polynomial in k.
     """
     if m == 0:
         return k
-    total = 0
-    for idx in itertools.product(range(k), repeat=m):
-        pairs = {}
-        for t in range(m):
-            a, b = idx[t], idx[(t + 1) % m]
-            key = (a, b) if a < b else (b, a)
-            pairs[key] = pairs.get(key, 0) + 1
-        term = 1
-        for (a, b), count in pairs.items():
-            if count % 2:
-                term = 0
-                break
-            term *= double_factorial(count - 1)
-            if a == b:
-                term *= 2 ** (count // 2)
-        total += term
-    return total
+    return sum(c * k**e for e, c in enumerate(_goe_power_moment((m,), {})))
 
 
 def theory_blip_moment_goe_checker(m, k):
@@ -253,8 +270,6 @@ def theory_blip_moment_goe_checker(m, k):
     """
     if m < 0:
         raise ValueError(f"invalid order: m={m} must be >= 0")
-    if k**m > EXACT_TRACE_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: k^m = {k**m}")
     if m % 2:
         return 0.0
     exact = Fraction(5 ** (m // 2) * _trace_exact(k, m), k ** (2 * m + 1))

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -80,11 +81,23 @@ def _cmd_sample(args):
     return 0
 
 
+def _check_norm_exp(p, n):
+    """Reject --norm-exp before sampling: p finite, n^p a finite nonzero float."""
+    try:
+        scale = float(n) ** p
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(p) and 0 < scale < math.inf):
+        raise ValueError(f"invalid p {p!r} for --norm-exp: want a finite exponent "
+                         f"whose scale N^p = {n}^{p} is a finite nonzero float")
+
+
 def _cmd_spectrum(args):
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("spectra",), dist=args.dist,
     )
+    _check_norm_exp(args.norm_exp, args.n)
     spectra = stats.run_trials(plan, threads=args.threads).spectra[args.n]
     hist = empirical_histogram(spectra, p=args.norm_exp, bins=args.bins)
     buffer = io.StringIO()

@@ -16,8 +16,8 @@ ENUMERATION_LIMITS = {
     "goe-goe": 5,
     "pte-pte": 4,
     "goe-pte": 4,
-    "goe-bce": 5,
-    "bce-bce": 4,
+    "goe-bce": 8,
+    "bce-bce": 6,
 }
 
 
@@ -138,30 +138,22 @@ def _nc_pairings(positions):
 
 
 def _first_return_shape(rho, marked):
-    """Split the cycles of rho by how many marked points each one holds.
-
-    Returns (closed, shape): closed counts the cycles holding no marked
-    point, and shape is the sorted tuple of the nonzero counts, i.e. the
-    cycle type of the first-return map of rho on the marked points.
-    """
-    closed = 0
+    """The cycle type of the first-return map of rho on the marked points:
+    the sorted tuple of the nonzero counts of marked points on rho's cycles."""
     shape = []
     for cycle in _cycles(rho):
         hits = sum(map(marked.__getitem__, cycle))
         if hits:
             shape.append(hits)
-        else:
-            closed += 1
-    return closed, tuple(sorted(shape))
+    return tuple(sorted(shape))
 
 
-def _face_classes(m, a_pairings):
+def _face_classes(m):
     """Tally _first_return_shape(rho, b-positions), rho = x -> tau_a(x) + 1,
-    over every word of 2m letter-pairs and every a-pairing that a_pairings
-    yields.  For non-crossing a-arcs the shape lists the b-counts of the
-    faces of the arc diagram (see moment_goe_bce)."""
+    over every word of 2m letter-pairs and every non-crossing a-pairing.
+    The shape lists the b-counts of the faces of the arc diagram."""
     n2 = 4 * m
-    by_rank = list(a_pairings(range(2 * m)))  # pairs of ranks among the a-positions
+    by_rank = list(_nc_pairings(range(2 * m)))  # pairs of ranks among the a-positions
     classes = {}
     for word in enumerate_configurations(2 * m):
         a_pos = [i for i, c in enumerate(word) if c == "a"]
@@ -361,7 +353,7 @@ def _moment_goe_pte_enumeration(m):
         raise ValueError(f"budget exceeded: enumeration limited to m <= "
                          f"{ENUMERATION_LIMITS['goe-pte']}, got {m}")
     total = 0
-    for (_, faces), ways in _face_classes(m, _nc_pairings).items():
+    for faces, ways in _face_classes(m).items():
         for size in faces:
             ways *= double_factorial(size - 1) if size % 2 == 0 else 0
         total += ways
@@ -420,84 +412,112 @@ class LaurentMoment:
         return " + ".join(parts)
 
 
-def _genus(cycles, top):
-    """Half the amount by which a cycle count falls short of top."""
-    defect = top - cycles
-    if defect < 0 or defect % 2:
-        raise ArithmeticError(f"cycle count {cycles} out of range for top {top}")
-    return defect // 2
+class _Rotations(dict):
+    """Maps a cyclic word to its least rotation, each word computed once.
 
-
-def _pairing_cycle_counts(rho):
-    """Tally the cycle counts of rho o tau over every pairing tau of rho's points.
-
-    Returns {cycles: number of pairings}.  Conjugating rho only permutes
-    the pairings, so the tally depends on rho's cycle type alone.
+    One instance serves one call, like the memo beside it.
     """
-    counts = {}
-    perm = list(rho)
-    for pairs in _pairings(range(len(rho))):
-        for i, j in pairs:
-            perm[i], perm[j] = rho[j], rho[i]
-        c = len(_cycles(perm))
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+
+    def __missing__(self, word):
+        n = len(word)
+        twice = word + word
+        least = min([twice[i:i + n] for i in range(n)], default=word)
+        self[word] = least
+        return least
 
 
-def _canonical_permutation(shape):
-    """A permutation with the given cycle type: each cycle runs over a block
-    of consecutive points, x -> x + 1 inside it."""
-    rho = []
-    for length in shape:
-        first = len(rho)
-        rho += range(first + 1, first + length)
-        rho.append(first)
-    return rho
-
-
-def _genus_weights(m, layer_confined):
-    """Tally pairings of the 4m-letter words by cycle defect.
-
-    With layer_confined, a-arcs are non-crossing and b-arcs stay inside
-    the faces they cut out (b-arcs may cross each other there); without
-    it both letters pair freely.  Returns counts[g] of pairings whose
-    cycle count falls short of the maximum 2m+1 by exactly 2g.
-
-    Both branches count b-pairings by class, as moment_bce_bce and
-    moment_goe_bce explain, instead of walking every pairing.
-    """
-    name = "goe-bce" if layer_confined else "bce-bce"
+def _check_genus_limit(name, m):
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     if m > ENUMERATION_LIMITS[name]:
         raise ValueError(f"budget exceeded: enumeration limited to m <= "
                          f"{ENUMERATION_LIMITS[name]}, got {m}")
-    top = 2 * m + 1
-    one_face = {}  # face size L -> tally over the pairings of an L-cycle
 
-    def tally(shape):
-        if not layer_confined:
-            return _pairing_cycle_counts(_canonical_permutation(shape))
-        out = {0: 1}
-        for length in shape:
-            if length not in one_face:
-                one_face[length] = _pairing_cycle_counts(_canonical_permutation((length,)))
-            step = {}
-            for c, n in out.items():
-                for d, k in one_face[length].items():
-                    step[c + d] = step.get(c + d, 0) + n * k
-            out = step
-        return out
 
-    classes = _face_classes(m, _nc_pairings if layer_confined else _pairings)
-    counts = {}
-    by_shape = {}
-    for (closed, shape), ways in classes.items():
-        if shape not in by_shape:
-            by_shape[shape] = tally(shape)
-        for c, n in by_shape[shape].items():
-            g = _genus(closed + c, top)
-            counts[g] = counts.get(g, 0) + ways * n
-    g_max = max(counts)
-    return LaurentMoment(tuple(counts.get(g, 0) for g in range(g_max + 1)))
+def _gue_trace_moment(words, memo, rotations):
+    """E[prod of Tr w over words] for independent GUE_k letters with E|x_ij|^2 = 1/k.
+
+    words is a sorted tuple of nonempty cyclic words, each its least
+    rotation; the value is a polynomial in k held as {exponent: coefficient}.
+    The loop equation pairs the first letter x of the first word with each
+    equal letter, at weight 1/k: in the same word Tr(x u1 x u2) becomes
+    Tr(u1) Tr(u2), in another word Tr(x u) Tr(v1 x v2) merges into
+    Tr(u v2 v1), and an empty trace is k.  memo belongs to one call.
+    """
+    if not words:
+        return {0: 1}
+    if words in memo:
+        return memo[words]
+    out = {}
+
+    def add(state):
+        kept = tuple(sorted(rotations[w] for w in state if w))
+        shift = len(state) - len(kept) - 1
+        for e, c in _gue_trace_moment(kept, memo, rotations).items():
+            out[e + shift] = out.get(e + shift, 0) + c
+
+    first, rest = words[0], words[1:]
+    x, u = first[0], first[1:]
+    for j, y in enumerate(u):
+        if y == x:
+            add((u[:j], u[j + 1:]) + rest)
+    for i, v in enumerate(rest):
+        others = rest[:i] + rest[i + 1:]
+        for j, y in enumerate(v):
+            if y == x:
+                add((u + v[j + 1:] + v[:j],) + others)
+    memo[words] = out
+    return out
+
+
+def _harer_zagier(n_max):
+    """eps[n][g]: gluings of a 2n-gon into a genus-g surface (Harer-Zagier 1986).
+
+    (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2),
+    so E[tr G^(2n)] = sum_g eps_g(n) k^(-2g) for G a GUE_k with E|g_ij|^2 = 1/k.
+    """
+    eps = [[1]]
+    for n in range(1, n_max + 1):
+        row = []
+        for g in range(n // 2 + 1):
+            acc = 2 * (2 * n - 1) * (eps[n - 1][g] if g < len(eps[n - 1]) else 0)
+            if g:
+                acc += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[n - 2][g - 1]
+            row.append(acc // (n + 1))
+        eps.append(row)
+    return eps
+
+
+def _free_word_moment(word, eps, memo, rotations):
+    """phi(word) for a semicircular s free from b, phi(b^(2n)) = sum_g eps[n][g] k^(-2g).
+
+    word is a least rotation over the letters 'a' (for s) and 'b', with an
+    even count of each; the value is a list of coefficients of k^0, k^-2,
+    ...  By traciality the word is rotated to start with its last a (which
+    meets 2.5x fewer subwords at m = 8 than its first), and phi(s u) sums
+    phi(u1) phi(u2) over the splittings u = u1 s u2 (the non-crossing
+    pairings of s).  A splitting that leaves an odd count of either letter
+    in u1 contributes 0 and is skipped.  memo belongs to one call.
+    """
+    if "a" not in word:
+        return eps[len(word) // 2]
+    if word in memo:
+        return memo[word]
+    start = word.rindex("a")
+    u = word[start + 1:] + word[:start]
+    out = []
+    for j, y in enumerate(u):
+        left = u[:j]
+        if y != "a" or len(left) % 2 or left.count("a") % 2:
+            continue
+        p = _free_word_moment(rotations[left], eps, memo, rotations)
+        q = _free_word_moment(rotations[u[j + 1:]], eps, memo, rotations)
+        out += [0] * (len(p) + len(q) - 1 - len(out))
+        for g, a in enumerate(p):
+            for h, c in enumerate(q):
+                out[g + h] += a * c
+    memo[word] = out
+    return out
 
 
 def moment_goe_bce(m):
@@ -506,19 +526,23 @@ def moment_goe_bce(m):
     The coefficient of k^-2g counts layer-confined pairings with cycle
     defect 2g; at k=1 the value collapses to the palindromic mixed case.
 
-    The pairings are counted by class, as in moment_bce_bce, with the
-    a-arcs non-crossing.  Then rho = gamma o tau_a steps along the b-points
-    of a face and, at the closing end of an a-arc, jumps past the arc's
-    inside, so the cycles of rho_B are exactly the faces of the arc
-    diagram, each in cyclic order.  A layer-confined tau_b pairs points
-    within a face, so rho_B o tau_b keeps every face and its cycle count
-    is the sum over faces of those of an L-cycle composed with a pairing
-    of its L points.  That one-face tally (the gluings of an L-gon by
-    genus) is computed once per L and convolved over the faces.
+    It equals phi((sb + bs)^(2m)), with s semicircular and free from b and
+    phi(b^(2n)) = sum_g eps_g(n) k^(-2g), eps_g(n) the Harer-Zagier numbers
+    (Harer-Zagier 1986; Nica-Speicher 2006, Lecture 22).  Each word of the
+    anticommutator's expansion, with a standing for s, is reduced by the
+    semicircular recursion of _free_word_moment, memoised by least
+    rotation within this call.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return _genus_weights(m, layer_confined=True)
+    _check_genus_limit("goe-bce", m)
+    eps = _harer_zagier(m)
+    memo, rotations = {}, _Rotations()
+    total = []
+    for word in enumerate_configurations(2 * m):
+        value = _free_word_moment(rotations[word], eps, memo, rotations)
+        total += [0] * (len(value) - len(total))
+        for g, c in enumerate(value):
+            total[g] += c
+    return LaurentMoment(tuple(total))
 
 
 def moment_bce_bce(m):
@@ -527,20 +551,20 @@ def moment_bce_bce(m):
     Every type-respecting pairing contributes k to the power of its cycle
     defect; at k=1 this reduces to the palindromic Toeplitz closed form.
 
-    The pairings are counted by class, not one by one.  Write gamma for
-    x -> x + 1 (mod 4m), tau_a for the a-pairing (fixing the b-positions
-    B) and rho = gamma o tau_a.  For every b-pairing tau_b the permutation
-    x -> tau(x) + 1 is rho o tau_b; its cycles are the rho-cycles that
-    miss B, plus the cycles of rho_B o tau_b, where rho_B is the
-    first-return map of rho on B.  Relabelling B by any h turns rho_B
-    into h rho_B h^-1 and only permutes the pairings of B, so the tally
-    of cycles(rho_B o tau_b) over all tau_b depends on the cycle type of
-    rho_B alone.  It is computed once per type (18 types at m = 4) on a
-    canonical permutation and shifted by the number of closed cycles.
+    It equals E[tr_k {A, B}^(2m)] for independent GUE_k matrices A and B
+    with E|a_ij|^2 = 1/k: the sum of E[Tr w] / k over the words w of the
+    anticommutator's expansion, each computed by the loop equations of
+    _gue_trace_moment, memoised within this call.  The coefficient of
+    k^(1-2g) in the sum of E[Tr w] is coeffs[g].
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return _genus_weights(m, layer_confined=False)
+    _check_genus_limit("bce-bce", m)
+    memo, rotations = {}, _Rotations()
+    total = {}
+    for word in enumerate_configurations(2 * m):
+        for e, c in _gue_trace_moment((rotations[word],), memo, rotations).items():
+            total[e] = total.get(e, 0) + c
+    return LaurentMoment(tuple(total.get(1 - 2 * g, 0)
+                               for g in range((1 - min(total)) // 2 + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,9 @@ def density_pte_pte(x):
     x = np.asarray(x, dtype=float)
     if np.any(x == 0):
         raise ValueError("singular point: density diverges at x = 0")
-    z = np.abs(x) / 2
+    # e^-z underflows to 0 past z = 746, so capping z at 800 changes no
+    # finite result and gives the limit 0 at x = +-inf.
+    z = np.minimum(np.abs(x) / 2, 800.0)
     h = 0.25 / np.sqrt(np.maximum(z, 1.0))
     total = 0.5 + sum(np.exp(-2 * z * np.sinh(k * h / 2) ** 2)
                       for k in range(1, 100))

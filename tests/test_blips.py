@@ -1,6 +1,7 @@
 """Blip-regime measures, their weight, and exact small-matrix limits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,6 +168,16 @@ def test_goe_trace_exact_small_cases():
         assert blips._trace_exact(k, 2) == k * (k + 1)
         assert blips._trace_exact(k, 4) == 2 * k**3 + 5 * k**2 + 5 * k
         assert blips._trace_exact(k, 3) == 0
+
+
+def test_theory_blip_moment_past_the_old_index_walk():
+    # E[Tr X^8] = P(k); at k = 20 the index walk would have taken 20^8 steps.
+    def P(k):
+        return 14 * k**5 + 93 * k**4 + 374 * k**3 + 690 * k**2 + 509 * k
+
+    assert blips._trace_exact(20, 8) == P(20)
+    assert blips.theory_blip_moment_goe_checker(8, 20) == float(
+        Fraction(5**4 * P(20), 20**17))
 
 
 def test_theory_blip_moment_values():

@@ -54,6 +54,8 @@ def run_cli(capsys, *argv):
     ("density", "--which", "pte-pte", "--grid=-4:inf:5"),
     ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "inf"),
     ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "nan"),
+    ("spectrum", "--pair", "goe-goe", "--n", "400", "--norm-exp", "nan"),
+    ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "1000"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -91,6 +93,9 @@ def test_usage_errors_exit_two(capsys, argv):
      "invalid p inf"),
     (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "nan"),
      "invalid p nan"),
+    (("spectrum", "--pair", "goe-goe", "--n", "400", "--norm-exp", "nan"), "--norm-exp"),
+    (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "1000"),
+     "--norm-exp"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -107,6 +112,7 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("spectrum", "--pair", "goe-bce:-3"), "'goe-bce:-3'"),
     (("regimes", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
     (("blip", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
+    (("spectrum", "--pair", "goe-goe", "--norm-exp", "nan"), "--norm-exp"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):
@@ -218,14 +224,16 @@ def test_genus_payload(capsys):
 
 
 def test_genus_enumeration_limits(capsys):
-    # goe-bce counts one class per face shape and reaches m = 5; bce-bce
-    # still walks every free a-pairing and stops at m = 4.
-    code, out, _ = run_cli(capsys, "genus", "--pair", "goe-bce", "--m", "5")
+    # bce-bce reaches m = 6 and goe-bce m = 8; one past each is refused.
+    code, out, _ = run_cli(capsys, "genus", "--pair", "bce-bce", "--m", "5")
     assert code == 0
-    assert json.loads(out)["symbolic"] == "4066 + 7000*k^-2 + 2086*k^-4"
-    code, _, err = run_cli(capsys, "genus", "--pair", "bce-bce", "--m", "5")
-    assert code == 2
-    assert "budget exceeded" in err
+    assert json.loads(out)["symbolic"] == (
+        "4066 + 521880*k^-2 + 19317738*k^-4 + 214110380*k^-6"
+        " + 550074096*k^-8 + 130429440*k^-10")
+    for pair, m in (("bce-bce", 7), ("goe-bce", 9)):
+        code, _, err = run_cli(capsys, "genus", "--pair", pair, "--m", str(m))
+        assert code == 2
+        assert "budget exceeded" in err
 
 
 def test_sample_writes_loadable_matrix(capsys, tmp_path):

@@ -2,9 +2,9 @@
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,11 +132,17 @@ def test_moment_method_validation():
 
 
 GOE_BCE_COEFFS = {1: (2,), 2: (10, 2), 3: (66, 38), 4: (498, 544, 54),
-                  5: (4066, 7000, 2086)}
+                  5: (4066, 7000, 2086),
+                  6: (34970, 85392, 50154, 3820),
+                  7: (312066, 1010072, 965818, 227244),
+                  8: (2862562, 11717824, 16330368, 7783928, 544070)}
 BCE_BCE_COEFFS = {
     1: (2, 2),
     2: (10, 86, 48),
     3: (66, 1890, 9084, 3360),
+    5: (4066, 521880, 19317738, 214110380, 550074096, 130429440),
+    6: (34970, 7650346, 543441030, 14023616398, 120115298600, 255019577856,
+        52887859200),
 }
 
 
@@ -152,6 +158,27 @@ def test_bce_bce_laurent_coefficients(m, coeffs):
 
 def test_bce_bce_fourth_moment_golden():
     assert comb.moment_bce_bce(4).coeffs == (498, 33236, 529634, 1759064, 499968)
+
+
+def _gue(rng, count, k):
+    """count GUE_k matrices with E|a_ij|^2 = 1/k."""
+    z = rng.standard_normal((count, k, k)) + 1j * rng.standard_normal((count, k, k))
+    return (z + np.conj(np.swapaxes(z, 1, 2))) / (2 * math.sqrt(k))
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (3, 2), (2, 3)])
+def test_bce_bce_agrees_with_gue_monte_carlo(k, m):
+    # The table is E[tr_k {A, B}^(2m)] for independent GUE_k matrices A, B.
+    rng = np.random.default_rng(2024)
+    samples = []
+    for _ in range(8):
+        a, b = _gue(rng, 50_000, k), _gue(rng, 50_000, k)
+        c = a @ b + b @ a
+        power = np.linalg.matrix_power(c @ c, m)
+        samples.append(np.trace(power, axis1=1, axis2=2).real / k)
+    samples = np.concatenate(samples)
+    stderr = samples.std(ddof=1) / math.sqrt(samples.size)
+    assert abs(samples.mean() - float(comb.moment_bce_bce(m).at(k))) <= 3 * stderr
 
 
 def _matchings(points):
@@ -211,37 +238,11 @@ def test_goe_bce_agrees_with_pairing_by_pairing_tally(m):
     assert comb.moment_goe_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
 
 
-@given(n=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_pairing_cycle_tally_depends_on_cycle_type_only(n, seed):
-    rng = random.Random(seed)
-    rho = list(range(n))
-    rng.shuffle(rho)
-    h = list(range(n))
-    rng.shuffle(h)
-    conjugate = [0] * n  # h rho h^-1
-    for x in range(n):
-        conjugate[h[x]] = h[rho[x]]
-    tally = comb._pairing_cycle_counts(rho)
-    assert comb._pairing_cycle_counts(conjugate) == tally
-    assert sum(tally.values()) == comb.double_factorial(n - 1)
-
-
-def test_pairing_cycle_tally_of_one_cycle_is_the_cycle_count_tally():
-    # For rho = x -> x + 1 (mod n), rho o tau is x -> tau(x) + 1.
-    for n in (2, 4, 6, 8):
-        tally = {}
-        for pairs in _matchings(list(range(n))):
-            c = comb.cycle_count(pairs, n)
-            tally[c] = tally.get(c, 0) + 1
-        assert comb._pairing_cycle_counts(list(range(1, n)) + [0]) == tally
-
-
 def test_laurent_reductions_and_evaluation():
     # one-dimensional blocks collapse each pair onto its Toeplitz analogue
-    for m in range(1, 6):
+    for m in range(1, comb.ENUMERATION_LIMITS["goe-bce"] + 1):
         assert comb.moment_goe_bce(m).at(1) == comb.moment_goe_pte(m)
-    for m in range(1, 5):
+    for m in range(1, comb.ENUMERATION_LIMITS["bce-bce"] + 1):
         assert comb.moment_bce_bce(m).at(1) == comb.moment_pte_pte(m)
     value = comb.moment_goe_bce(2).at(2)
     assert value == Fraction(21, 2)
@@ -252,9 +253,9 @@ def test_laurent_reductions_and_evaluation():
 
 
 def test_laurent_constant_term_is_goe_goe_limit():
-    for m in range(1, 6):
+    for m in range(1, comb.ENUMERATION_LIMITS["goe-bce"] + 1):
         assert comb.moment_goe_bce(m).coeffs[0] == comb.moment_goe_goe(m)
-    for m in range(1, 5):
+    for m in range(1, comb.ENUMERATION_LIMITS["bce-bce"] + 1):
         assert comb.moment_bce_bce(m).coeffs[0] == comb.moment_goe_goe(m)
 
 

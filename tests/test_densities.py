@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ def test_density_pte_pte_matches_bessel_form():
     values = densities.density_pte_pte(np.array(xs))
     assert values.shape == (len(xs),)
     np.testing.assert_array_equal(values, [densities.density_pte_pte(x) for x in xs])
+
+
+def test_density_pte_pte_vanishes_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert densities.density_pte_pte(math.inf) == 0.0
+        assert densities.density_pte_pte(-math.inf) == 0.0
+        values = densities.density_pte_pte(np.array([-math.inf, 1.0, math.inf]))
+    np.testing.assert_array_equal(values, [0.0, densities.density_pte_pte(1.0), 0.0])
 
 
 def test_density_pte_pte_rejects_origin():

@@ -85,6 +85,19 @@ def test_run_trials_matches_manual_sampling():
     np.testing.assert_array_equal(got, eigenvalues(anticommutator(*mats)))
 
 
+@pytest.mark.parametrize("pair,N,table", [
+    ("goe-pte", 1000, combinatorics.moment_goe_pte),
+    ("goe-bce:3", 600, lambda m: combinatorics.moment_goe_bce(m).at(3)),
+], ids=["goe-pte", "goe-bce:3"])
+def test_sampled_moments_match_exact_tables(pair, N, table):
+    # Moments normalised as criterion 6 does: mean of sum(lambda^2m) / N^(2m+1).
+    plan = stats.ExperimentPlan(pair, (N,), trials=40, seed=3, orders=(2, 4, 6))
+    report = stats.run_trials(plan).moments[N]
+    for m in (1, 2, 3):
+        z = (report.mean(2 * m) - float(table(m))) / report.stderr(2 * m)
+        assert abs(z) <= 3, (pair, m, z)
+
+
 def test_run_trials_outputs_follow_plan():
     plan = stats.ExperimentPlan("goe-goe", (40,), trials=3, seed=1,
                                 outputs=("moments",), orders=(2,))
