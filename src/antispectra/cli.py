@@ -3,7 +3,6 @@
 import argparse
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -12,7 +11,7 @@ import numpy as np
 
 from . import blips, densities, stats
 from .ensembles import dump_matrix, parse_ensemble, rng_stream, sample_ensemble
-from .spectra import empirical_histogram, empirical_moments
+from .spectra import check_norm_exp, empirical_histogram, empirical_moments
 
 
 def _atomic_write(path, text):
@@ -81,23 +80,17 @@ def _cmd_sample(args):
     return 0
 
 
-def _check_norm_exp(p, n):
-    """Reject --norm-exp before sampling: p finite, n^p a finite nonzero float."""
-    try:
-        scale = float(n) ** p
-    except OverflowError:
-        scale = math.inf
-    if not (math.isfinite(p) and 0 < scale < math.inf):
-        raise ValueError(f"invalid p {p!r} for --norm-exp: want a finite exponent "
-                         f"whose scale N^p = {n}^{p} is a finite nonzero float")
-
-
 def _cmd_spectrum(args):
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("spectra",), dist=args.dist,
     )
-    _check_norm_exp(args.norm_exp, args.n)
+    if args.bins < 1:
+        raise ValueError(f"invalid --bins {args.bins}: must be >= 1")
+    try:
+        check_norm_exp(args.norm_exp, args.n)
+    except ValueError as exc:
+        raise ValueError(f"--norm-exp: {exc}") from None
     spectra = stats.run_trials(plan, threads=args.threads).spectra[args.n]
     hist = empirical_histogram(spectra, p=args.norm_exp, bins=args.bins)
     buffer = io.StringIO()

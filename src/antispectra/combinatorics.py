@@ -21,6 +21,14 @@ ENUMERATION_LIMITS = {
 }
 
 
+def _check_limit(name, m):
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if m > ENUMERATION_LIMITS[name]:
+        raise ValueError(f"budget exceeded: enumeration limited to m <= "
+                         f"{ENUMERATION_LIMITS[name]}, got {m}")
+
+
 def double_factorial(n):
     """n!! for odd n >= -1, with (-1)!! = 1."""
     out = 1
@@ -75,29 +83,16 @@ def cycle_count(pairing, size=None):
     Equals n+1 exactly when the pairing of 2n points is non-crossing,
     and otherwise drops below n-1 in steps of two.
     """
-    return len(_cycles(_after_shift(as_partner_table(pairing, size))))
-
-
-def _after_shift(table):
-    """The permutation x -> table[x] + 1 (mod len(table)) as a list."""
-    n2 = len(table)
-    return [(j + 1) % n2 for j in table]
-
-
-def _cycles(perm):
-    """The cycles of the permutation x -> perm[x], each a list in walk order."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = perm[x]
-        cycles.append(cycle)
+    table = as_partner_table(pairing, size)
+    seen = [False] * len(table)
+    cycles = 0
+    for start in range(len(table)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = (table[x] + 1) % len(table)
     return cycles
 
 
@@ -122,80 +117,75 @@ def _pairings(positions):
             yield tail
 
 
-def _nc_pairings(positions):
-    """Yield the non-crossing matchings of the positions (same order as math:
-    the leftmost point pairs with a point leaving even gaps on both sides)."""
-    positions = list(positions)
-    if not positions:
-        yield []
-        return
-    first = positions[0]
-    for t in range(1, len(positions), 2):
-        inner, outer = positions[1:t], positions[t + 1:]
-        for left in _nc_pairings(inner):
-            for right in _nc_pairings(outer):
-                yield [(first, positions[t])] + left + right
+# ---------------------------------------------------------------------------
+# the free semicircular word recursion
 
 
-def _first_return_shape(rho, marked):
-    """The cycle type of the first-return map of rho on the marked points:
-    the sorted tuple of the nonzero counts of marked points on rho's cycles."""
-    shape = []
-    for cycle in _cycles(rho):
-        hits = sum(map(marked.__getitem__, cycle))
-        if hits:
-            shape.append(hits)
-    return tuple(sorted(shape))
+class _Rotations(dict):
+    """Maps a cyclic word to its least rotation, each word computed once.
+
+    One instance serves one call, like the memo beside it.
+    """
+
+    def __missing__(self, word):
+        n = len(word)
+        twice = word + word
+        least = min([twice[i:i + n] for i in range(n)], default=word)
+        self[word] = least
+        return least
 
 
-def _face_classes(m):
-    """Tally _first_return_shape(rho, b-positions), rho = x -> tau_a(x) + 1,
-    over every word of 2m letter-pairs and every non-crossing a-pairing.
-    The shape lists the b-counts of the faces of the arc diagram."""
-    n2 = 4 * m
-    by_rank = list(_nc_pairings(range(2 * m)))  # pairs of ranks among the a-positions
-    classes = {}
+def _free_word_moment(word, eps, memo, rotations):
+    """phi(word) for a semicircular s free from b, phi(b^(2n)) = sum_g eps[n][g] k^(-2g).
+
+    word is a least rotation over the letters 'a' (for s) and 'b', with an
+    even count of each; the value is a list of coefficients of k^0, k^-2,
+    ...  By traciality the word is rotated to start with its last a (which
+    meets 2.5x fewer subwords at m = 8 than its first), and phi(s u) sums
+    phi(u1) phi(u2) over the splittings u = u1 s u2 (the non-crossing
+    pairings of s).  A splitting that leaves an odd count of either letter
+    in u1 contributes 0 and is skipped.  memo belongs to one call.
+    """
+    if "a" not in word:
+        return eps[len(word) // 2]
+    if word in memo:
+        return memo[word]
+    start = word.rindex("a")
+    u = word[start + 1:] + word[:start]
+    out = []
+    for j, y in enumerate(u):
+        left = u[:j]
+        if y != "a" or len(left) % 2 or left.count("a") % 2:
+            continue
+        p = _free_word_moment(rotations[left], eps, memo, rotations)
+        q = _free_word_moment(rotations[u[j + 1:]], eps, memo, rotations)
+        out += [0] * (len(p) + len(q) - 1 - len(out))
+        for g, a in enumerate(p):
+            for h, c in enumerate(q):
+                out[g + h] += a * c
+    memo[word] = out
+    return out
+
+
+def _free_moment_sum(m, eps):
+    """phi((sb + bs)^(2m)) as coefficients of k^0, k^-2, ..., for s semicircular
+    and free from b with phi(b^(2n)) = sum_g eps[n][g] k^(-2g).
+
+    Sums _free_word_moment over the words of the anticommutator's expansion,
+    a standing for s; the memo and rotations live for this one call.
+    """
+    memo, rotations = {}, _Rotations()
+    total = []
     for word in enumerate_configurations(2 * m):
-        a_pos = [i for i, c in enumerate(word) if c == "a"]
-        is_b = [c == "b" for c in word]
-        table = list(range(n2))  # the a-pairing, fixing the b-positions
-        for a_pairs in by_rank:
-            for r, s in a_pairs:
-                i, j = a_pos[r], a_pos[s]
-                table[i], table[j] = j, i
-            key = _first_return_shape(_after_shift(table), is_b)
-            classes[key] = classes.get(key, 0) + 1
-    return classes
+        value = _free_word_moment(rotations[word], eps, memo, rotations)
+        total += [0] * (len(value) - len(total))
+        for g, c in enumerate(value):
+            total[g] += c
+    return total
 
 
 # ---------------------------------------------------------------------------
 # {GOE, GOE}
-
-
-def _count_nc_typed(word, lo, hi, memo):
-    """Count non-crossing matchings of word[lo:hi] pairing equal letters only.
-
-    memo maps (lo, hi) to its count and belongs to this one word.
-    """
-    if lo >= hi:
-        return 1
-    if (lo, hi) not in memo:
-        total = 0
-        for t in range(lo + 1, hi, 2):
-            if word[t] == word[lo]:
-                inner = _count_nc_typed(word, lo + 1, t, memo)
-                if inner:
-                    total += inner * _count_nc_typed(word, t + 1, hi, memo)
-        memo[lo, hi] = total
-    return memo[lo, hi]
-
-
-def _moment_goe_goe_enumeration(m):
-    if m > ENUMERATION_LIMITS["goe-goe"]:
-        raise ValueError(f"budget exceeded: enumeration limited to m <= "
-                         f"{ENUMERATION_LIMITS['goe-goe']}, got {m}")
-    return sum(_count_nc_typed(word, 0, 4 * m, {})
-               for word in enumerate_configurations(2 * m))
 
 
 def _f_g_tables(m_max):
@@ -257,13 +247,16 @@ def schroeder_numbers(order):
 def moment_goe_goe(m, method="recurrence"):
     """Limiting expected 2m-th moment of the two-GOE anticommutator.
 
-    All four methods return the same integer; 'enumeration' recounts it
-    from scratch by classifying pairings and is capped at m <= 5.
+    All four methods return the same integer.  'enumeration' is capped at
+    m <= 5 and recounts it as phi((sb + bs)^(2m)) for free semicirculars s
+    and b, by the word recursion with b's moments the Catalan numbers.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if method == "enumeration":
-        return _moment_goe_goe_enumeration(m)
+        _check_limit("goe-goe", m)
+        semicircle = [[catalan(n)] for n in range(m + 1)]
+        return _free_moment_sum(m, semicircle)[0]
     if method == "recurrence":
         f, _ = _f_g_tables(m)
         return 2 * f[m]
@@ -290,9 +283,7 @@ def moment_pte_pte(m, method="closed_form"):
     if method == "closed_form":
         return 2 ** (2 * m) * double_factorial(2 * m - 1) ** 2
     if method == "enumeration":
-        if m > ENUMERATION_LIMITS["pte-pte"]:
-            raise ValueError(f"budget exceeded: enumeration limited to m <= "
-                             f"{ENUMERATION_LIMITS['pte-pte']}, got {m}")
+        _check_limit("pte-pte", m)
         walked = {}  # set size -> number of its pairings
         total = 0
         for word in enumerate_configurations(2 * m):
@@ -348,30 +339,21 @@ def sigma_table(n_max, s_max):
     return SigmaTable(n_max=n_max, s_max=s_max, values=trimmed)
 
 
-def _moment_goe_pte_enumeration(m):
-    if m > ENUMERATION_LIMITS["goe-pte"]:
-        raise ValueError(f"budget exceeded: enumeration limited to m <= "
-                         f"{ENUMERATION_LIMITS['goe-pte']}, got {m}")
-    total = 0
-    for faces, ways in _face_classes(m).items():
-        for size in faces:
-            ways *= double_factorial(size - 1) if size % 2 == 0 else 0
-        total += ways
-    return total
-
-
 def moment_goe_pte(m, method="recurrence"):
     """Limiting 2m-th moment for one GOE factor against one palindromic
     Toeplitz factor: the a-arcs must be non-crossing and every b-pair must
     stay inside a single face of the a-arc diagram.  Usually computed as
-    sigma_{m,0}; enumeration recounts for m <= 4, multiplying (L-1)!! over
-    the faces' b-counts L (_face_classes), 0 for an odd face."""
+    sigma_{m,0}; enumeration recounts for m <= 4 as phi((sb + bs)^(2m)),
+    s semicircular and free from a standard Gaussian b, by the word
+    recursion with b's moments (2n-1)!!."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if method == "recurrence":
         return sigma_table(m, 0).value(m, 0)
     if method == "enumeration":
-        return _moment_goe_pte_enumeration(m)
+        _check_limit("goe-pte", m)
+        gaussian = [[double_factorial(2 * n - 1)] for n in range(m + 1)]
+        return _free_moment_sum(m, gaussian)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -410,28 +392,6 @@ class LaurentMoment:
         parts = [str(self.coeffs[0])]
         parts += [f"{c}*k^-{2 * g}" for g, c in enumerate(self.coeffs) if g and c]
         return " + ".join(parts)
-
-
-class _Rotations(dict):
-    """Maps a cyclic word to its least rotation, each word computed once.
-
-    One instance serves one call, like the memo beside it.
-    """
-
-    def __missing__(self, word):
-        n = len(word)
-        twice = word + word
-        least = min([twice[i:i + n] for i in range(n)], default=word)
-        self[word] = least
-        return least
-
-
-def _check_genus_limit(name, m):
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if m > ENUMERATION_LIMITS[name]:
-        raise ValueError(f"budget exceeded: enumeration limited to m <= "
-                         f"{ENUMERATION_LIMITS[name]}, got {m}")
 
 
 def _gue_trace_moment(words, memo, rotations):
@@ -488,38 +448,6 @@ def _harer_zagier(n_max):
     return eps
 
 
-def _free_word_moment(word, eps, memo, rotations):
-    """phi(word) for a semicircular s free from b, phi(b^(2n)) = sum_g eps[n][g] k^(-2g).
-
-    word is a least rotation over the letters 'a' (for s) and 'b', with an
-    even count of each; the value is a list of coefficients of k^0, k^-2,
-    ...  By traciality the word is rotated to start with its last a (which
-    meets 2.5x fewer subwords at m = 8 than its first), and phi(s u) sums
-    phi(u1) phi(u2) over the splittings u = u1 s u2 (the non-crossing
-    pairings of s).  A splitting that leaves an odd count of either letter
-    in u1 contributes 0 and is skipped.  memo belongs to one call.
-    """
-    if "a" not in word:
-        return eps[len(word) // 2]
-    if word in memo:
-        return memo[word]
-    start = word.rindex("a")
-    u = word[start + 1:] + word[:start]
-    out = []
-    for j, y in enumerate(u):
-        left = u[:j]
-        if y != "a" or len(left) % 2 or left.count("a") % 2:
-            continue
-        p = _free_word_moment(rotations[left], eps, memo, rotations)
-        q = _free_word_moment(rotations[u[j + 1:]], eps, memo, rotations)
-        out += [0] * (len(p) + len(q) - 1 - len(out))
-        for g, a in enumerate(p):
-            for h, c in enumerate(q):
-                out[g + h] += a * c
-    memo[word] = out
-    return out
-
-
 def moment_goe_bce(m):
     """2m-th moment of the GOE against block-circulant pair, exact in k.
 
@@ -528,21 +456,11 @@ def moment_goe_bce(m):
 
     It equals phi((sb + bs)^(2m)), with s semicircular and free from b and
     phi(b^(2n)) = sum_g eps_g(n) k^(-2g), eps_g(n) the Harer-Zagier numbers
-    (Harer-Zagier 1986; Nica-Speicher 2006, Lecture 22).  Each word of the
-    anticommutator's expansion, with a standing for s, is reduced by the
-    semicircular recursion of _free_word_moment, memoised by least
-    rotation within this call.
+    (Harer-Zagier 1986; Nica-Speicher 2006, Lecture 22), summed by
+    _free_moment_sum.
     """
-    _check_genus_limit("goe-bce", m)
-    eps = _harer_zagier(m)
-    memo, rotations = {}, _Rotations()
-    total = []
-    for word in enumerate_configurations(2 * m):
-        value = _free_word_moment(rotations[word], eps, memo, rotations)
-        total += [0] * (len(value) - len(total))
-        for g, c in enumerate(value):
-            total[g] += c
-    return LaurentMoment(tuple(total))
+    _check_limit("goe-bce", m)
+    return LaurentMoment(tuple(_free_moment_sum(m, _harer_zagier(m))))
 
 
 def moment_bce_bce(m):
@@ -557,7 +475,7 @@ def moment_bce_bce(m):
     _gue_trace_moment, memoised within this call.  The coefficient of
     k^(1-2g) in the sum of E[Tr w] is coeffs[g].
     """
-    _check_genus_limit("bce-bce", m)
+    _check_limit("bce-bce", m)
     memo, rotations = {}, _Rotations()
     total = {}
     for word in enumerate_configurations(2 * m):

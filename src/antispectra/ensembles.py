@@ -127,7 +127,11 @@ def sample_bce(N, k, seed=None, dist="standard-normal"):
             blocks[i] = _draw(rng, dist, (k, k))
     for i in range(n // 2 + 1, n):
         blocks[i] = blocks[n - i].T
-    return np.block([[blocks[(c - r) % n] for c in range(n)] for r in range(n)])
+    # Block row r, column c is B_{(c - r) mod n}: gather [r, c, a, b], then
+    # interleave to rows r*k + a and columns c*k + b (C order even at k = 1).
+    index = (np.arange(n) - np.arange(n)[:, None]) % n
+    gathered = np.stack(blocks)[index].transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(gathered.reshape(N, N))
 
 
 def sample_checkerboard(N, k, w=1.0, seed=None, dist="standard-normal"):

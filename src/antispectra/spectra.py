@@ -1,5 +1,6 @@
 """Empirical spectral measures: pooled histograms and moment estimates."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,17 +61,29 @@ class MomentReport:
         raise KeyError(f"order {m} not in report")
 
 
+def check_norm_exp(p, n):
+    """Reject a norm exponent p unless it is finite and n^p a finite nonzero float."""
+    try:
+        scale = float(n) ** p
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(p) and 0 < scale < math.inf):
+        raise ValueError(f"invalid p {p!r}: want a finite exponent whose scale "
+                         f"N^p = {n}^{p} is a finite nonzero float")
+
+
 def empirical_histogram(spectra, p=1.0, bins=80, range=None):
     """Pool eigenvalues lambda/N^p over trials and bin to unit area.
 
     N is taken from each spectrum's length, so mixed sizes pool on a
-    common scale.  An explicit degenerate range is rejected.
+    common scale; check_norm_exp judges p at every nonempty size.  An
+    explicit degenerate range is rejected.
     """
     spectra = list(spectra)
     if not spectra:
         raise ValueError("no spectra given")
-    if not np.isfinite(p):
-        raise ValueError(f"invalid p {p!r}: the norm exponent must be finite")
+    for n in {len(s) for s in spectra if len(s)}:
+        check_norm_exp(p, n)
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     if range is not None and not range[0] < range[1]:

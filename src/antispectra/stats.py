@@ -179,6 +179,8 @@ class ExperimentPlan:
             raise ValueError(f"invalid trials: {self.trials} must be >= 1")
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution tag {self.dist!r}")
+        if self.weight_order is not None and self.weight_order < 1:
+            raise ValueError(f"invalid weight_order: {self.weight_order} must be >= 1")
         for out in self.outputs:
             if out not in ("spectra", "moments", "blips"):
                 raise ValueError(f"unknown output {out!r}")
@@ -205,6 +207,8 @@ def run_trials(plan, threads=1):
     Per-trial work is independent; spectra come back in trial order, so the
     aggregate is identical for any worker count.
     """
+    if threads < 1:
+        raise ValueError(f"invalid threads: {threads} must be >= 1")
     pair = parse_pair(plan.pair)
     if "blips" in plan.outputs:
         pair.blip_regime()

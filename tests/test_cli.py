@@ -96,6 +96,13 @@ def test_usage_errors_exit_two(capsys, argv):
     (("spectrum", "--pair", "goe-goe", "--n", "400", "--norm-exp", "nan"), "--norm-exp"),
     (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "1000"),
      "--norm-exp"),
+    (("spectrum", "--pair", "goe-goe", "--n", "300", "--bins", "0"), "--bins"),
+    (("blip", "--pair", "goe-checker:2", "--n", "20", "--trials", "2", "--weight-n", "0"),
+     "invalid weight_order: 0"),
+    (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--threads", "-3"),
+     "invalid threads: -3"),
+    (("regimes", "--pair", "goe-checker:2", "--n", "20", "--trials", "2", "--threads", "0"),
+     "invalid threads: 0"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -113,6 +120,9 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("regimes", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
     (("blip", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
     (("spectrum", "--pair", "goe-goe", "--norm-exp", "nan"), "--norm-exp"),
+    (("spectrum", "--pair", "goe-goe", "--bins", "0"), "--bins"),
+    (("blip", "--pair", "goe-checker:2", "--weight-n", "0"), "invalid weight_order"),
+    (("spectrum", "--pair", "goe-goe", "--threads", "0"), "invalid threads"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):

@@ -59,6 +59,33 @@ def test_bce_block_structure():
     np.testing.assert_array_equal(blocks[0, n // 2], blocks[0, n // 2].T)
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+@pytest.mark.parametrize("N,k", [(12, 4), (10, 5), (12, 3), (6, 1)])
+@pytest.mark.parametrize("dist", ensembles.DISTRIBUTIONS)
+def test_bce_matches_index_construction(seed, N, k, dist):
+    # Free blocks B_0..B_{n//2} in draw order, B_0 and an even n's B_{n/2}
+    # symmetric; entry (r*k + a, c*k + b) is B_{(c - r) mod n}[a, b], with
+    # B_{n-i} = B_i^T.
+    n = N // k
+    rng = ensembles.rng_stream(seed)
+    free = []
+    for i in range(n // 2 + 1):
+        if i == 0 or 2 * i == n:
+            upper = np.zeros((k, k))
+            upper[np.triu_indices(k)] = ensembles._draw(rng, dist, k * (k + 1) // 2)
+            free.append(upper + np.triu(upper, 1).T)
+        else:
+            free.append(ensembles._draw(rng, dist, (k, k)))
+    expected = np.empty((N, N))
+    for row in range(N):
+        for col in range(N):
+            (r, a), (c, b) = divmod(row, k), divmod(col, k)
+            i = (c - r) % n
+            expected[row, col] = free[i][a, b] if i < len(free) else free[n - i][b, a]
+    got = ensembles.sample_bce(N, k, seed=seed, dist=dist)
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_bce_rejects_nondivisor_block_size():
     with pytest.raises(ValueError):
         ensembles.sample_bce(10, 3, seed=0)

@@ -1,6 +1,8 @@
 """Histogram pooling and empirical moment summaries."""
 
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +48,16 @@ def test_histogram_validation():
         sp.empirical_histogram(_fake_spectra(1, 10), range=(1.0, 1.0))
     with pytest.raises(ValueError, match="outside"):
         sp.empirical_histogram(_fake_spectra(1, 10), range=(500.0, 600.0))
+
+
+@pytest.mark.parametrize("p", [1000.0, -1000.0, float("inf"), float("nan")])
+def test_histogram_rejects_norm_exponent_without_finite_scale(p):
+    # 10^1000 overflows and 10^-1000 underflows to 0: a ValueError naming p,
+    # raised before any warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"invalid p {p!r}")):
+            sp.empirical_histogram([np.linspace(-1, 1, 10)], p=p)
 
 
 def test_write_csv_format():
