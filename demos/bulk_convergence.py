@@ -11,20 +11,8 @@ import argparse
 
 import numpy as np
 
-from antispectra import combinatorics as comb
 from antispectra import densities, stats
 from antispectra.spectra import empirical_histogram
-
-
-def exact_moment(pair, m):
-    """Limiting value of the rescaled spectral moment M_m (tables index M_2m)."""
-    if m % 2:
-        return 0
-    if pair == "goe-goe":
-        return comb.moment_goe_goe(m // 2)
-    if pair == "pte-pte":
-        return comb.moment_pte_pte(m // 2)
-    raise ValueError(f"no exact table for {pair!r}")
 
 
 def moment_table(pair, sizes, trials, seed):
@@ -35,7 +23,7 @@ def moment_table(pair, sizes, trials, seed):
     print(f"{pair} moments over {trials} trials per size:")
     header = f"{'N':>6}" + "".join(f" {'M' + str(m):>12}" for m in orders)
     print(header + "   (exact: " + ", ".join(
-        str(exact_moment(pair, 2 * i)) for i in (1, 2)) + " at m=2,4)")
+        str(stats.parse_pair(pair).moment(i)) for i in (1, 2)) + " at m=2,4)")
     for N in sizes:
         report = result.moments[N]
         row = "".join(f" {report.mean(m):>12.5f}" for m in orders)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import double_factorial
+from .combinatorics import _Rotations, _gaussian_trace_moment, double_factorial
 from .densities import SUPPORT_GOE_GOE
 
 
@@ -193,52 +193,20 @@ def blip_measure_largest(eigs, N, k, j, n=None, orders=(0, 1, 2)):
                             x, locations, 1)
 
 
-def _goe_power_moment(powers, memo):
-    """E[prod of Tr X^p over powers] for the GOE X of _trace_exact.
-
-    powers is a tuple of positive powers in descending order; the value is
-    a polynomial in k as its list of coefficients of k^0, k^1, ...  The
-    loop equation opens the first power p against the rest R:
-      E[Tr X^p R] = sum_{i=0}^{p-2} E[Tr X^i Tr X^(p-2-i) R]
-                    + (p-1) E[Tr X^(p-2) R]
-                    + sum_{q in R} 2q E[Tr X^(p+q-2) R minus q],
-    with Tr X^0 = k.  memo belongs to one call.
-    """
-    if not powers:
-        return [1]
-    if powers in memo:
-        return memo[powers]
-    p, rest = powers[0], powers[1:]
-    out = []
-
-    def add(weight, state):
-        kept = tuple(sorted((q for q in state if q), reverse=True))
-        shift = len(state) - len(kept)
-        value = _goe_power_moment(kept, memo)
-        out.extend([0] * (shift + len(value) - len(out)))
-        for e, c in enumerate(value):
-            out[e + shift] += weight * c
-
-    for i in range(p - 1):
-        add(1, (i, p - 2 - i) + rest)
-    if p >= 2:
-        add(p - 1, (p - 2,) + rest)
-    for j, q in enumerate(rest):
-        add(2 * q, (p + q - 2,) + rest[:j] + rest[j + 1:])
-    memo[powers] = out
-    return out
-
-
 def _trace_exact(k, m):
-    """Exact E[Tr X^m] for a k x k GOE X, by the loop equation on powers.
+    """Exact E[Tr X^m] for a k x k GOE X, by the Gaussian word engine.
 
     Off-diagonal entries have variance 1 and diagonal entries variance 2,
     the GOE that sample_goe draws, so E[x_ij x_kl] = [i=k][j=l] + [i=l][j=k]
-    and _goe_power_moment gives E[Tr X^m] as a polynomial in k.
+    and X / sqrt(k) is the engine's GOE letter: E[Tr X^m] is k^(m/2) times
+    the engine's polynomial for the one word a^m.
     """
     if m == 0:
         return k
-    return sum(c * k**e for e, c in enumerate(_goe_power_moment((m,), {})))
+    if m % 2:
+        return 0
+    moment = _gaussian_trace_moment(("a" * m,), True, {}, _Rotations())
+    return sum(c * k ** (e + m // 2) for e, c in moment.items())
 
 
 def theory_blip_moment_goe_checker(m, k):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import blips, densities, stats
 from .ensembles import dump_matrix, parse_ensemble, rng_stream, sample_ensemble
-from .spectra import check_norm_exp, empirical_histogram, empirical_moments
+from .spectra import check_norm_exp, empirical_histogram
 
 
 def _atomic_write(path, text):
@@ -83,7 +83,7 @@ def _cmd_sample(args):
 def _cmd_spectrum(args):
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
-        outputs=("spectra",), dist=args.dist,
+        outputs=("spectra", "moments"), dist=args.dist,
     )
     if args.bins < 1:
         raise ValueError(f"invalid --bins {args.bins}: must be >= 1")
@@ -91,13 +91,12 @@ def _cmd_spectrum(args):
         check_norm_exp(args.norm_exp, args.n)
     except ValueError as exc:
         raise ValueError(f"--norm-exp: {exc}") from None
-    spectra = stats.run_trials(plan, threads=args.threads).spectra[args.n]
-    hist = empirical_histogram(spectra, p=args.norm_exp, bins=args.bins)
+    aggregate = stats.run_trials(plan, threads=args.threads)
+    hist = empirical_histogram(aggregate.spectra[args.n], p=args.norm_exp, bins=args.bins)
     buffer = io.StringIO()
     hist.write_csv(buffer)
     _emit(args, buffer.getvalue())
-    report = empirical_moments(spectra, (1, 2, 3, 4), args.n, pair=args.pair)
-    summary = report.as_dict()
+    summary = aggregate.moments[args.n].as_dict()
     summary["clipped_mass"] = hist.clipped_mass
     summary["bins"] = args.bins
     summary["norm_exp"] = args.norm_exp

@@ -394,15 +394,20 @@ class LaurentMoment:
         return " + ".join(parts)
 
 
-def _gue_trace_moment(words, memo, rotations):
-    """E[prod of Tr w over words] for independent GUE_k letters with E|x_ij|^2 = 1/k.
+def _gaussian_trace_moment(words, twisted, memo, rotations):
+    """E[prod of Tr w over words] for independent Gaussian k x k letters.
 
-    words is a sorted tuple of nonempty cyclic words, each its least
-    rotation; the value is a polynomial in k held as {exponent: coefficient}.
-    The loop equation pairs the first letter x of the first word with each
-    equal letter, at weight 1/k: in the same word Tr(x u1 x u2) becomes
-    Tr(u1) Tr(u2), in another word Tr(x u) Tr(v1 x v2) merges into
-    Tr(u v2 v1), and an empty trace is k.  memo belongs to one call.
+    The letters are GUE_k with E[x_ab x_cd] = [a=d][b=c] / k, or GOE_k when
+    twisted is true, whose Wick rule adds [a=c][b=d] / k.  words is a sorted
+    tuple of nonempty cyclic words, each its least rotation; the value is a
+    polynomial in k held as {exponent: coefficient}.  The loop equation
+    pairs the first letter x of the first word with each equal letter, at
+    weight 1/k: in the same word Tr(x u1 x u2) becomes Tr(u1) Tr(u2), in
+    another word Tr(x u) Tr(v1 x v2) merges into Tr(u w) with w = v2 v1,
+    and an empty trace is k.  A GOE letter is symmetric, so the twisted
+    term of each pairing transposes a part: Tr(u1 reverse(u2)) in the same
+    word, Tr(u reverse(w)) across two (Goulden-Jackson 1997).  memo belongs
+    to one call.
     """
     if not words:
         return {0: 1}
@@ -413,19 +418,25 @@ def _gue_trace_moment(words, memo, rotations):
     def add(state):
         kept = tuple(sorted(rotations[w] for w in state if w))
         shift = len(state) - len(kept) - 1
-        for e, c in _gue_trace_moment(kept, memo, rotations).items():
+        for e, c in _gaussian_trace_moment(kept, twisted, memo, rotations).items():
             out[e + shift] = out.get(e + shift, 0) + c
 
     first, rest = words[0], words[1:]
     x, u = first[0], first[1:]
     for j, y in enumerate(u):
         if y == x:
-            add((u[:j], u[j + 1:]) + rest)
+            u1, u2 = u[:j], u[j + 1:]
+            add((u1, u2) + rest)
+            if twisted:
+                add((u1 + u2[::-1],) + rest)
     for i, v in enumerate(rest):
         others = rest[:i] + rest[i + 1:]
         for j, y in enumerate(v):
             if y == x:
-                add((u + v[j + 1:] + v[:j],) + others)
+                w = v[j + 1:] + v[:j]
+                add((u + w,) + others)
+                if twisted:
+                    add((u + w[::-1],) + others)
     memo[words] = out
     return out
 
@@ -472,14 +483,15 @@ def moment_bce_bce(m):
     It equals E[tr_k {A, B}^(2m)] for independent GUE_k matrices A and B
     with E|a_ij|^2 = 1/k: the sum of E[Tr w] / k over the words w of the
     anticommutator's expansion, each computed by the loop equations of
-    _gue_trace_moment, memoised within this call.  The coefficient of
-    k^(1-2g) in the sum of E[Tr w] is coeffs[g].
+    _gaussian_trace_moment with the GUE rule, memoised within this call.
+    The coefficient of k^(1-2g) in the sum of E[Tr w] is coeffs[g].
     """
     _check_limit("bce-bce", m)
     memo, rotations = {}, _Rotations()
     total = {}
     for word in enumerate_configurations(2 * m):
-        for e, c in _gue_trace_moment((rotations[word],), memo, rotations).items():
+        moment = _gaussian_trace_moment((rotations[word],), False, memo, rotations)
+        for e, c in moment.items():
             total[e] = total.get(e, 0) + c
     return LaurentMoment(tuple(total.get(1 - 2 * g, 0)
                                for g in range((1 - min(total)) // 2 + 1)))

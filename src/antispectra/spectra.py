@@ -62,7 +62,10 @@ class MomentReport:
 
 
 def check_norm_exp(p, n):
-    """Reject a norm exponent p unless it is finite and n^p a finite nonzero float."""
+    """Reject a size n below 1, and a norm exponent p unless it is finite and
+    n^p a finite nonzero float."""
+    if n < 1:
+        raise ValueError(f"invalid n {n!r}: must be >= 1")
     try:
         scale = float(n) ** p
     except OverflowError:

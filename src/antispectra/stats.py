@@ -175,6 +175,9 @@ class ExperimentPlan:
         object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
         if not self.sizes:
             raise ValueError("plan needs at least one size")
+        for n in self.sizes:
+            if n < 1:
+                raise ValueError(f"invalid size: {n} must be >= 1")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"invalid trials: {self.trials} must be >= 1")
         if self.dist not in DISTRIBUTIONS:

@@ -103,6 +103,9 @@ def test_usage_errors_exit_two(capsys, argv):
      "invalid threads: -3"),
     (("regimes", "--pair", "goe-checker:2", "--n", "20", "--trials", "2", "--threads", "0"),
      "invalid threads: 0"),
+    (("spectrum", "--pair", "goe-goe", "--n", "-4", "--norm-exp", "0.5"), "invalid size: -4"),
+    (("spectrum", "--pair", "goe-goe", "--n", "0"), "invalid size: 0"),
+    (("blip", "--pair", "goe-checker:2", "--n", "-4", "--trials", "2"), "invalid size: -4"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -123,13 +126,16 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("spectrum", "--pair", "goe-goe", "--bins", "0"), "--bins"),
     (("blip", "--pair", "goe-checker:2", "--weight-n", "0"), "invalid weight_order"),
     (("spectrum", "--pair", "goe-goe", "--threads", "0"), "invalid threads"),
+    (("spectrum", "--pair", "goe-goe", "--n", "-4", "--norm-exp", "0.5"), "invalid size: -4"),
+    (("regimes", "--pair", "goe-checker:2", "--n", "0"), "invalid size: 0"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):
         raise AssertionError("sampled a matrix before rejecting the pair")
 
     monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
-    code, _, err = run_cli(capsys, *argv, "--n", "16", "--trials", "2")
+    # The defaults come first, so a case's own --n or --trials overrides them.
+    code, _, err = run_cli(capsys, argv[0], "--n", "16", "--trials", "2", *argv[1:])
     assert code == 2
     assert message in err
 

@@ -209,6 +209,37 @@ def test_bce_bce_agrees_with_pairing_by_pairing_tally(m):
     assert comb.moment_bce_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
 
 
+def _wick_trace(word, k, twisted):
+    """E[Tr word] summed over every index assignment and same-letter matching,
+    with E[x_ab x_cd] = ([a=d][b=c] + twisted [a=c][b=d]) / k."""
+    n = len(word)
+    matchings = [pairs for pairs in _matchings(list(range(n)))
+                 if all(word[s] == word[t] for s, t in pairs)]
+    total = Fraction(0)
+    for idx in itertools.product(range(k), repeat=n):
+        for pairs in matchings:
+            term = Fraction(1)
+            for s, t in pairs:
+                a, b, c, d = idx[s], idx[(s + 1) % n], idx[t], idx[(t + 1) % n]
+                term *= Fraction((a == d and b == c) + twisted * (a == c and b == d), k)
+            total += term
+    return total
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("word", ["aabb", "abab", "aabaab", "abcabc", "abcacb", "aabbcc",
+                                  "abcdabdc"])
+def test_gaussian_trace_moment_agrees_with_wick_brute_force(word, twisted):
+    # Words of several letters see the reversals of the GOE (twisted) terms,
+    # which one-letter words cannot.  Of these words only abcdabdc reaches a
+    # merge of two words whose reversal matters.
+    rotations = comb._Rotations()
+    moment = comb._gaussian_trace_moment((rotations[word],), twisted, {}, rotations)
+    for k in (1, 2, 3):
+        value = sum(c * Fraction(k) ** e for e, c in moment.items())
+        assert value == _wick_trace(word, k, twisted), k
+
+
 def _faces(word, a_pairs):
     """The b-positions grouped by the set of a-arcs strictly covering them."""
     faces = {}

@@ -67,6 +67,8 @@ def test_plan_validation():
         stats.ExperimentPlan("goe-goe", (10,), dist="bogus")
     with pytest.raises(ValueError, match="output"):
         stats.ExperimentPlan("goe-goe", (10,), outputs=("sketches",))
+    with pytest.raises(ValueError, match="invalid size: -4"):
+        stats.ExperimentPlan("goe-goe", (10, -4))
 
 
 def test_run_trials_deterministic_across_workers():
