@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matops import _add_transpose
+
 DISTRIBUTIONS = ("standard-normal", "rademacher", "uniform-scaled")
 
 KINDS = ("goe", "pte", "bce", "checkerboard", "hollow-goe")
@@ -59,13 +61,15 @@ def _symmetric_fill(rng, N, dist="standard-normal", diagonal=1.0):
     """N x N symmetric draw: the strict upper triangle, mirrored, then the diagonal.
 
     The mask i < j takes the draws in row-major order, the order of
-    np.triu_indices(N, 1), without building two index arrays.  The diagonal
-    draws, times ``diagonal``, come last; None leaves the diagonal zero.
+    np.triu_indices(N, 1), without building two index arrays.  The mirror
+    is matops._add_transpose, in place, so no second N x N array is made.
+    The diagonal draws, times ``diagonal``, come last; None leaves the
+    diagonal zero.
     """
     i = np.arange(N)
     a = np.zeros((N, N))
     a[i[:, None] < i[None, :]] = _draw(rng, dist, N * (N - 1) // 2)
-    a += a.T
+    _add_transpose(a)
     if diagonal is not None:
         a[np.diag_indices(N)] = _draw(rng, dist, N) * diagonal
     return a

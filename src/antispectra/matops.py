@@ -5,6 +5,26 @@ from itertools import permutations
 
 import numpy as np
 
+_BAND = 128  # rows per band of _add_transpose
+
+
+def _add_transpose(S):
+    """Overwrite the square S with S + S^T and return it, one band of rows at a time.
+
+    Band [lo, hi) reads rows lo:hi and columns lo:hi from the lower-right
+    block that no earlier band has written, so each entry is the single sum
+    S_ij + S_ji, bit for bit the value of S + S.T.  The only temporary is
+    one band, where S + S.T (or S += S.T, which copies the overlapping S.T)
+    would hold a second N x N array.
+    """
+    N = len(S)
+    for lo in range(0, N, _BAND):
+        hi = min(lo + _BAND, N)
+        rows = S[lo:hi, lo:] + S[lo:, lo:hi].T
+        S[lo:hi, lo:] = rows
+        S[lo:, lo:hi] = rows.T
+    return S
+
 
 def anticommutator(*matrices):
     """Sum of the products of the given symmetric matrices over all their orderings.
@@ -14,7 +34,9 @@ def anticommutator(*matrices):
     orderings whose first index is below their last holds one of each
     reversed pair, and the full sum is S + S^T: half the products, and
     exactly symmetric, bit for bit, since entries (i, j) and (j, i) are both
-    S_ij + S_ji.  For two inputs S is the single GEMM AB.
+    S_ij + S_ji.  For two inputs S is the single GEMM AB.  S + S^T is formed
+    in place, so a two-factor call holds A, B and AB and no fourth N x N
+    array.
     """
     if len(matrices) < 2:
         raise ValueError(f"need at least two matrices, got {len(matrices)}")
@@ -30,7 +52,7 @@ def anticommutator(*matrices):
                 total = prod
             else:
                 total += prod
-    return total + total.T
+    return _add_transpose(total)
 
 
 def eigenvalues(M):

@@ -215,9 +215,11 @@ def run_trials(plan, threads=1):
     pair = parse_pair(plan.pair)
     if "blips" in plan.outputs:
         pair.blip_regime()
+    # Every size's specs are built before the first trial, so a bad later
+    # size fails before the earlier sizes have sampled.
+    sized_specs = [pair.specs(N, plan.dist) for N in plan.sizes]
     aggregate = TrialAggregate(plan, {}, {}, {})
-    for ni, N in enumerate(plan.sizes):
-        specs = pair.specs(N, plan.dist)
+    for ni, (N, specs) in enumerate(zip(plan.sizes, sized_specs)):
 
         def sampled_anticommutator(t):
             mats = [

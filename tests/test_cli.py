@@ -128,6 +128,8 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("spectrum", "--pair", "goe-goe", "--threads", "0"), "invalid threads"),
     (("spectrum", "--pair", "goe-goe", "--n", "-4", "--norm-exp", "0.5"), "invalid size: -4"),
     (("regimes", "--pair", "goe-checker:2", "--n", "0"), "invalid size: 0"),
+    (("convergence", "--pair", "pte-pte", "--n", "8,16,33"), "needs even N, got 33"),
+    (("convergence", "--pair", "goe-checker:4", "--n", "8,16,30"), "k=4 must divide N=30"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):

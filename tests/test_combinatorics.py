@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antispectra import combinatorics as comb
+from antispectra import stats
 
 
 def _random_pairing(order, shuffle):
@@ -238,6 +239,40 @@ def test_gaussian_trace_moment_agrees_with_wick_brute_force(word, twisted):
     for k in (1, 2, 3):
         value = sum(c * Fraction(k) ** e for e, c in moment.items())
         assert value == _wick_trace(word, k, twisted), k
+
+
+# E[Tr C^order] for C = AB + BA with A, B independent N x N GOEs (off-diagonal
+# variance 1, diagonal 2): polynomial coefficients in N, highest power first.
+_GOE_GOE_TRACE = {2: (2, 6, 8, 0), 4: (10, 80, 414, 944, 856, 0)}
+
+
+def _goe_goe_trace(order, N):
+    return sum(c * N**p for p, c in enumerate(reversed(_GOE_GOE_TRACE[order])))
+
+
+def test_goe_goe_trace_polynomials_are_exact_at_small_n():
+    # At N = 1, C = 2ab with a, b ~ N(0, 2): E[C^2] = 4 E[a^2] E[b^2] and
+    # E[C^4] = 16 E[a^4] E[b^4], with E[a^2] = 2 and E[a^4] = 3 * 2^2.
+    assert _goe_goe_trace(2, 1) == 4 * 2 * 2
+    assert _goe_goe_trace(4, 1) == 16 * 12 * 12
+    # A GOE entry pair has covariance N times the Wick sum's twisted 1/N.
+    for order, N in ((2, 2), (2, 3), (4, 2)):
+        words = ("".join(w) for w in itertools.product(("ab", "ba"), repeat=order))
+        wick = N**order * sum(_wick_trace(word, N, True) for word in words)
+        assert wick == _goe_goe_trace(order, N), (order, N)
+
+
+def test_goe_goe_trials_match_exact_finite_n_moments():
+    # The trial path judged against E[Tr C^order] / N^(order+1) at N = 100,
+    # not the N -> oo limit: the limits 2 and 10 sit 17 and 18 standard
+    # errors below the sampled means.
+    N = 100
+    plan = stats.ExperimentPlan("goe-goe", (N,), trials=400, seed=14, orders=(2, 4))
+    report = stats.run_trials(plan).moments[N]
+    for order in (2, 4):
+        exact = _goe_goe_trace(order, N) / N ** (order + 1)
+        z = (report.mean(order) - exact) / report.stderr(order)
+        assert abs(z) <= 4, (order, z)
 
 
 def _faces(word, a_pairs):

@@ -1,6 +1,7 @@
 """Anticommutators, eigenvalue extraction, and trace-power moments."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,45 @@ def test_ell_anticommutator_rejects_empty_and_mismatch():
         matops.anticommutator(np.eye(3), np.eye(4), np.eye(3))
     with pytest.raises(ValueError, match="mismatch"):
         matops.anticommutator(np.ones((3, 4)), np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 127, 128, 129, 300])
+def test_add_transpose_is_s_plus_its_transpose(N):
+    # N spans one band, one band exactly, a band and one row, and several bands.
+    S = np.random.default_rng(N).standard_normal((N, N))
+    want = S + S.T
+    got = matops._add_transpose(S)
+    assert got is S
+    # Both triangles, bit for bit: eigvalsh reads only the lower one, so a
+    # wrong upper triangle would not show in any spectrum.
+    np.testing.assert_array_equal(np.tril(got), np.tril(want))
+    np.testing.assert_array_equal(np.triu(got), np.triu(want))
+
+
+def _peak_over_matrix(call, N):
+    """tracemalloc peak of call(), in N x N float64 matrices."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * N * N)
+
+
+def test_anticommutator_holds_one_new_matrix():
+    # The product AB plus one band; S + S.T on top of AB would make it 2.
+    N = 1024
+    A = sample_goe(N, seed=1)
+    B = sample_goe(N, seed=2)
+    assert _peak_over_matrix(lambda: matops.anticommutator(A, B), N) < 1.5
+
+
+def test_symmetric_sampler_mirrors_in_place():
+    # The matrix, the half-size draws and the boolean mask (1.625 matrices);
+    # a copy of the transpose would add another whole matrix.
+    N = 1024
+    assert _peak_over_matrix(lambda: sample_goe(N, seed=3), N) < 1.8
 
 
 def test_eigenvalues_sorted_and_complete():

@@ -73,12 +73,17 @@ def measure():
     return report
 
 
-def tree_record(root):
-    """Measure the checkout at root in a fresh process, with its commit and source digest."""
-    src = Path(root).resolve() / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    command = [sys.executable, __file__, "--measure"]
+def run_on(root, script, *args):
+    """Run script with args in a fresh process that imports root's src/; parse its JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+    command = [sys.executable, str(script), *args]
     done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def source_record(root):
+    """The commit of the checkout at root and a digest of its package source."""
+    src = Path(root).resolve() / "src"
     digest = hashlib.sha256()
     for path in sorted((src / "antispectra").glob("*.py")):
         digest.update(path.read_bytes())
@@ -90,8 +95,12 @@ def tree_record(root):
         "git_commit": git.stdout.strip() or None,
         "src_changed_since_commit": bool(status.stdout.strip()),
         "src_sha256": digest.hexdigest(),
-        "tables": json.loads(done.stdout),
     }
+
+
+def tree_record(root):
+    """Measure the checkout at root in a fresh process, with its commit and source digest."""
+    return {**source_record(root), "tables": run_on(root, __file__, "--measure")}
 
 
 def machine():
