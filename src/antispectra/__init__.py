@@ -7,7 +7,7 @@ closed-form densities, and blip-scale corrections.
 
 Subpackages are plain modules; import what you need:
 
-    ensembles       matrix samplers, seeding, disk round-trip
+    ensembles       matrix samplers, seeding, CSV dump
     matops          anticommutators and their eigenvalues
     spectra         histograms and normalized moment summaries
     combinatorics   exact limiting moments via several independent routes

@@ -245,35 +245,22 @@ def theory_blip_moment_goe_checker(m, k):
 
 
 def _theory_largest_exact(m, k, j):
-    total = Fraction(0)
-    for m1a in range(0, m + 1, 2):
-        for m1b in range(0, m - m1a + 1, 2):
-            for m2a in range(0, m - m1a - m1b + 1):
-                m2b = m - m1a - m1b - m2a
-                e2 = (m1a + m1b) // 2 - 2 * (m2a + m2b)
-                term = Fraction(math.factorial(m)) * Fraction(2, j * k) ** m
-                term *= Fraction(2) ** e2 if e2 >= 0 else Fraction(1, 2 ** (-e2))
-                term *= Fraction(
-                    double_factorial(m1a) * double_factorial(m1b),
-                    math.factorial(m1a)
-                    * math.factorial(m1b)
-                    * math.factorial(m2a)
-                    * math.factorial(m2b),
-                )
-                ea = m1a + 2 * m2a
-                eb = m1b + 2 * m2b
-                term *= Fraction(k) ** ea * Fraction(k - 1, k) ** (ea // 2)
-                term *= Fraction(j) ** eb * Fraction(j - 1, j) ** (eb // 2)
-                total += term
-    return total
+    c = Fraction(k - 1, 2 * j) + Fraction(j - 1, 2 * k)
+    var = Fraction(8 * (k - 1), j * j * k) + Fraction(8 * (j - 1), k * k * j)
+    return sum(math.comb(m, i) * c ** (m - i) * var ** (i // 2) * double_factorial(i - 1)
+               for i in range(0, m + 1, 2))
 
 
 def theory_largest_blip_moment(m, k, j):
-    """Limiting m-th weighted moment of the largest blip, by block-count sums.
+    """Limiting m-th weighted moment of the largest blip, E[(c + sigma Z)^m].
 
-    Sums the closed-form contribution over compositions of m into even
-    counts of single a- and b-blocks plus counts of double blocks, in exact
-    rational arithmetic.
+    A = M_k + W_A and B = M_j + W_B are mean part plus fluctuation, and e is
+    the all-ones vector over sqrt(N).  To second order the top eigenvalue of
+    {A, B} is 2N^2/(kj) + N ((2/j) e^T W_A e + (2/k) e^T W_B e + c), with
+    c = (k-1)/(2j) + (j-1)/(2k); the Gaussian term has variance
+    sigma^2 = 8(k-1)/(j^2 k) + 8(j-1)/(k^2 j).  The moment, exact in rationals,
+    is the sum over even i of C(m, i) c^(m-i) sigma^i (i-1)!!: at k, j = 3, 5
+    it is 13/15 for m = 1 and 377/225 for m = 2.
     """
     if m < 0:
         raise ValueError(f"invalid order: m={m} must be >= 0")

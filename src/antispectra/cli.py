@@ -215,8 +215,7 @@ def _build_parser():
 
     p = sub.add_parser("sample", help="emit one sampled matrix as CSV")
     p.add_argument("--ensemble", required=True,
-                   help="goe | pte | bce:k | checker:k[:w] | hollow; "
-                        "goe and hollow are Gaussian only")
+                   help="goe | pte | bce:k | checker:k[:w]; goe is Gaussian only")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="standard-normal")
     _add_common(p)

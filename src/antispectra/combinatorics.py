@@ -301,25 +301,10 @@ def moment_pte_pte(m, method="closed_form"):
 # {GOE, PTE}
 
 
-@dataclass(frozen=True)
-class SigmaTable:
-    """Triangular table sigma[n][s] of mixed-pair counts.
-
-    Row 0 is sigma_{0,0} = 1 and sigma_{0,s} = (2s-1)!!; deeper rows
-    follow the two-term recurrence
-      sigma_{n,s} = sum_{k=1}^{n} sigma_{k-1,1} sigma_{n-k,s}
-                                + sigma_{k-1,0} sigma_{n-k,s+1}.
-    """
-
-    n_max: int
-    s_max: int
-    values: tuple  # values[n][s]
-
-    def value(self, n, s):
-        return self.values[n][s]
-
-
 def sigma_table(n_max, s_max):
+    """Mixed-pair counts sigma[n][s], n <= n_max and s <= s_max, as a tuple of rows:
+    row 0 is (2s-1)!!, and row n sums sigma[k-1][1] sigma[n-k][s]
+    + sigma[k-1][0] sigma[n-k][s+1] over k = 1..n."""
     if n_max < 0 or s_max < 0:
         raise ValueError("table bounds must be nonnegative")
     # Row n consumes entries at column s+1 from earlier rows, so build the
@@ -335,8 +320,7 @@ def sigma_table(n_max, s_max):
                         + rows[k - 1][0] * rows[n - k][s + 1])
             row.append(acc)
         rows.append(row)
-    trimmed = tuple(tuple(row[: s_max + 1]) for row in rows)
-    return SigmaTable(n_max=n_max, s_max=s_max, values=trimmed)
+    return tuple(tuple(row[: s_max + 1]) for row in rows)
 
 
 def moment_goe_pte(m, method="recurrence"):
@@ -349,7 +333,7 @@ def moment_goe_pte(m, method="recurrence"):
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if method == "recurrence":
-        return sigma_table(m, 0).value(m, 0)
+        return sigma_table(m, 0)[m][0]
     if method == "enumeration":
         _check_limit("goe-pte", m)
         gaussian = [[double_factorial(2 * n - 1)] for n in range(m + 1)]

@@ -109,18 +109,18 @@ def check_sigma_pde(n_max, s_max):
     exactly 0; any nonzero residual means the table and the functional
     equation disagree.
     """
-    sig = sigma_table(n_max, s_max + 1).value
+    sig = sigma_table(n_max, s_max + 1)
     residual = Fraction(0)
     for n in range(0, n_max + 1):
         for s in range(0, s_max + 1):
-            lhs = Fraction(sig(n, s), math.factorial(s))
+            lhs = Fraction(sig[n][s], math.factorial(s))
             if n == 0:
                 rhs = Fraction(double_factorial(2 * s - 1), math.factorial(s))
             else:
                 acc = Fraction(0)
                 for k in range(1, n + 1):
-                    acc += sig(k - 1, 1) * Fraction(sig(n - k, s), math.factorial(s))
-                    acc += sig(k - 1, 0) * Fraction(sig(n - k, s + 1), math.factorial(s))
+                    acc += sig[k - 1][1] * Fraction(sig[n - k][s], math.factorial(s))
+                    acc += sig[k - 1][0] * Fraction(sig[n - k][s + 1], math.factorial(s))
                 rhs = acc
             residual = max(residual, abs(lhs - rhs))
     return residual

@@ -14,7 +14,7 @@ from .matops import _add_transpose
 
 DISTRIBUTIONS = ("standard-normal", "rademacher", "uniform-scaled")
 
-KINDS = ("goe", "pte", "bce", "checkerboard", "hollow-goe")
+KINDS = ("goe", "pte", "bce", "checkerboard")
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -63,15 +63,13 @@ def _symmetric_fill(rng, N, dist="standard-normal", diagonal=1.0):
     The mask i < j takes the draws in row-major order, the order of
     np.triu_indices(N, 1), without building two index arrays.  The mirror
     is matops._add_transpose, in place, so no second N x N array is made.
-    The diagonal draws, times ``diagonal``, come last; None leaves the
-    diagonal zero.
+    The diagonal draws, times ``diagonal``, come last.
     """
     i = np.arange(N)
     a = np.zeros((N, N))
     a[i[:, None] < i[None, :]] = _draw(rng, dist, N * (N - 1) // 2)
     _add_transpose(a)
-    if diagonal is not None:
-        a[np.diag_indices(N)] = _draw(rng, dist, N) * diagonal
+    a[np.diag_indices(N)] = _draw(rng, dist, N) * diagonal
     return a
 
 
@@ -92,15 +90,16 @@ def sample_pte(N, seed=None, dist="standard-normal"):
 
     The entry at (i, j) is b_d for d = |i-j| when d <= N/2 - 1 and
     b_{N-1-d} otherwise, which makes the first row a palindrome.  N must
-    be even.
+    be even.  The rows are windows of one strided view, copied once.
     """
     if N % 2:
         raise ValueError(f"invalid dimension: palindromic Toeplitz needs even N, got {N}")
     _check_dims(N)
     rng = _as_generator(seed)
     b = _draw(rng, dist, N // 2)
-    d = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
-    return b[np.where(d <= N // 2 - 1, d, N - 1 - d)]
+    row = np.concatenate([b, b[::-1]])
+    mirrored = np.concatenate([row[:0:-1], row])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, N)[::-1].copy()
 
 
 def _symmetric_block(rng, k, dist):
@@ -146,20 +145,14 @@ def sample_checkerboard(N, k, w=1.0, seed=None, dist="standard-normal"):
     return a
 
 
-def sample_hollow_goe(k, seed=None):
-    """k x k symmetric with zero diagonal and off-diagonal N(0,1)."""
-    _check_dims(k)
-    return _symmetric_fill(_as_generator(seed), k, diagonal=None)
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Which ensemble to draw, at what size, with what parameters.
 
     k is the block or modulus parameter (ignored for goe and pte), w the
     pinned checkerboard weight, dist the entry distribution tag.  Dimension
-    constraints, a finite w and Gaussian entries for the GOE kinds are
-    enforced at construction.
+    constraints, a finite w and Gaussian entries for the GOE are enforced
+    at construction.
     """
 
     kind: str
@@ -173,7 +166,7 @@ class EnsembleSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution tag {self.dist!r}")
-        if self.kind in ("goe", "hollow-goe") and self.dist != "standard-normal":
+        if self.kind == "goe" and self.dist != "standard-normal":
             raise ValueError(f"{self.kind} entries are Gaussian, not {self.dist!r}")
         if not math.isfinite(self.w):
             raise ValueError(f"invalid weight: w={self.w} must be finite")
@@ -191,11 +184,11 @@ class EnsembleSpec:
 
 #: Each ensemble name of a sample spec: its kind and its most parameters.
 _SPEC_NAMES = {"goe": ("goe", 0), "pte": ("pte", 0), "bce": ("bce", 1),
-               "checker": ("checkerboard", 2), "hollow": ("hollow-goe", 0)}
+               "checker": ("checkerboard", 2)}
 
 
 def parse_ensemble(text, N, dist="standard-normal"):
-    """Parse a sample spec, goe, pte, bce:k, checker:k[:w] or hollow, at size N.
+    """Parse a sample spec, goe, pte, bce:k or checker:k[:w], at size N.
 
     k is an integer and w a float; EnsembleSpec checks them against N, and
     every error names the spec.
@@ -232,8 +225,6 @@ def sample_ensemble(spec, seed=None):
         return sample_bce(spec.N, spec.k, seed, spec.dist)
     if spec.kind == "checkerboard":
         return sample_checkerboard(spec.N, spec.k, spec.w, seed, spec.dist)
-    if spec.kind == "hollow-goe":
-        return sample_hollow_goe(spec.N, seed)
     raise ValueError(f"unknown ensemble kind {spec.kind!r}")
 
 
@@ -251,8 +242,3 @@ def dump_matrix(f, M, kind):
     N = M.shape[0]
     np.savetxt(f, M, fmt="%.17g", delimiter=",",
                header=f"symmetric N={N} kind={kind}", comments="# ")
-
-
-def load_matrix(f):
-    """Read a matrix written by dump_matrix."""
-    return np.loadtxt(f, delimiter=",", comments="#")

@@ -44,14 +44,12 @@ def anticommutator(*matrices):
     for m in matrices:
         if m.shape != square:
             raise ValueError(f"dimension mismatch: {m.shape}, want {square}")
-    total = None
-    for order in permutations(range(len(matrices))):
-        if order[0] < order[-1]:
-            prod = reduce(np.matmul, (matrices[i] for i in order))
-            if total is None:
-                total = prod
-            else:
-                total += prod
+    # No name holds a product once it is added, so the next one is built
+    # beside the running sum alone.
+    orders = [o for o in permutations(range(len(matrices))) if o[0] < o[-1]]
+    total = reduce(np.matmul, (matrices[i] for i in orders[0]))
+    for order in orders[1:]:
+        total += reduce(np.matmul, (matrices[i] for i in order))
     return _add_transpose(total)
 
 

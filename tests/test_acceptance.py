@@ -119,7 +119,7 @@ def test_criterion_02_pte_pte_enumeration_vs_closed_form():
 
 def test_criterion_03_goe_pte_table_bounds_and_functional_equation():
     table = comb.sigma_table(3, 0)
-    enum_ok = all(comb.moment_goe_pte(m, "enumeration") == table.value(m, 0)
+    enum_ok = all(comb.moment_goe_pte(m, "enumeration") == table[m][0]
                   for m in range(1, 4))
     bounds_ok = True
     for m in range(1, 7):
@@ -128,9 +128,9 @@ def test_criterion_03_goe_pte_table_bounds_and_functional_equation():
     residual = densities.check_sigma_pde(3, 3)
     _criterion(3, [
         ("enumeration equals sigma_{m,0} for m<=3", enum_ok,
-         tuple(table.value(m, 0) for m in range(1, 4))),
+         tuple(table[m][0] for m in range(1, 4))),
         ("values are (2, 12, 104)",
-         tuple(table.value(m, 0) for m in range(1, 4)) == (2, 12, 104), ""),
+         tuple(table[m][0] for m in range(1, 4)) == (2, 12, 104), ""),
         ("bracket bounds hold for m<=6", bounds_ok, ""),
         ("functional-equation residual exactly zero", residual == 0, residual),
     ])

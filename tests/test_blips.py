@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from antispectra import blips, stats
+from antispectra.combinatorics import double_factorial
 from antispectra.densities import SUPPORT_GOE_GOE
 from antispectra.ensembles import rng_stream, sample_checkerboard, sample_goe
 from antispectra.matops import anticommutator, eigenvalues
@@ -199,20 +200,8 @@ def test_theory_largest_moment_values():
     assert blips._theory_largest_exact(0, 3, 5) == 1
     np.testing.assert_allclose(blips.theory_largest_blip_moment(1, 3, 5), 13 / 15,
                                rtol=1e-12)
-    # recompute m=2 by hand over the compositions (m1a,m1b,m2a,m2b) summing
-    # to 2 with m1a, m1b even: (2,0,0,0), (0,2,0,0), (0,0,2,0), (0,0,0,2),
-    # (0,0,1,1); the total collapses to 13/5
-    ka2 = 9 * (1 - 1 / 3)
-    jb2 = 25 * (1 - 1 / 5)
-    base = 2 * (2 / 15) ** 2
-    hand = (base * 2 * (2 / 2) * ka2
-            + base * 2 * (2 / 2) * jb2
-            + base * (1 / 16) * (1 / 2) * ka2**2
-            + base * (1 / 16) * (1 / 2) * jb2**2
-            + base * (1 / 16) * ka2 * jb2)
-    np.testing.assert_allclose(hand, 13 / 5, rtol=1e-12)
-    np.testing.assert_allclose(blips.theory_largest_blip_moment(2, 3, 5), hand,
-                               rtol=1e-12)
+    # c = 13/15 and sigma^2 = 16/75 + 32/45 = 208/225, so m2 = c^2 + sigma^2
+    assert blips._theory_largest_exact(2, 3, 5) == Fraction(377, 225)
     for m in (1, 2, 3):
         np.testing.assert_allclose(blips.theory_largest_blip_moment(m, 3, 5),
                                    blips.theory_largest_blip_moment(m, 5, 3),
@@ -220,6 +209,52 @@ def test_theory_largest_moment_values():
     # the regime exists only for coprime k and j
     with pytest.raises(ValueError, match="coprime"):
         blips.theory_largest_blip_moment(1, 2, 4)
+
+
+def _largest_block_count_sum(m, k, j):
+    """The largest blip's m-th moment as a sum over block counts.
+
+    Compositions of m into even counts m1a, m1b of single a- and b-blocks
+    and counts m2a, m2b of double blocks; an even count of single blocks
+    contributes the Gaussian moment (m1 - 1)!!.
+    """
+    total = Fraction(0)
+    for m1a in range(0, m + 1, 2):
+        for m1b in range(0, m - m1a + 1, 2):
+            for m2a in range(0, m - m1a - m1b + 1):
+                m2b = m - m1a - m1b - m2a
+                term = Fraction(math.factorial(m)) * Fraction(2, j * k) ** m
+                term *= Fraction(2) ** ((m1a + m1b) // 2 - 2 * (m2a + m2b))
+                term *= Fraction(
+                    double_factorial(m1a - 1) * double_factorial(m1b - 1),
+                    math.factorial(m1a) * math.factorial(m1b)
+                    * math.factorial(m2a) * math.factorial(m2b),
+                )
+                ea, eb = m1a + 2 * m2a, m1b + 2 * m2b
+                term *= Fraction(k) ** ea * Fraction(k - 1, k) ** (ea // 2)
+                term *= Fraction(j) ** eb * Fraction(j - 1, j) ** (eb // 2)
+                total += term
+    return total
+
+
+@pytest.mark.parametrize("k,j", [(2, 3), (3, 5), (2, 5), (5, 7), (4, 9)])
+def test_theory_largest_moment_matches_block_count_sum(k, j):
+    for m in range(9):
+        assert blips._theory_largest_exact(m, k, j) == _largest_block_count_sum(m, k, j)
+
+
+def test_largest_blip_location_follows_its_gaussian_law():
+    # Each trial's location (lambda_max - 2N^2/15) / N tends to 13/15 + sigma Z
+    # with sigma^2 = 208/225; its first two moments are judged by z-score.
+    N, trials = 300, 120
+    plan = stats.ExperimentPlan("checker-checker:3,5", (N,), trials=trials, seed=11,
+                                outputs=("spectra",))
+    x = np.array([(eigs[-1] - 2 * N**2 / 15) / N
+                  for eigs in stats.run_trials(plan).spectra[N]])
+    for values, m in ((x, 1), (x**2, 2)):
+        z = (values.mean() - blips.theory_largest_blip_moment(m, 3, 5)) / (
+            values.std(ddof=1) / math.sqrt(trials))
+        assert abs(z) <= 3, (m, z)
 
 
 def test_blip_counts_on_sampled_spectra_with_threshold_slack():

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antispectra import cli, stats
-from antispectra.ensembles import load_matrix
+from antispectra import cli, ensembles, stats
 
 
 def run_cli(capsys, *argv):
@@ -84,7 +83,7 @@ def test_usage_errors_exit_two(capsys, argv):
     (("sample", "--ensemble", "goe", "--n", "3", "--seed", "1", "--dist", "rademacher"),
      "'goe': goe entries are Gaussian, not 'rademacher'"),
     (("sample", "--ensemble", "hollow", "--n", "3", "--dist", "uniform-scaled"),
-     "'hollow': hollow-goe entries are Gaussian, not 'uniform-scaled'"),
+     "unknown ensemble 'hollow'"),
     (("convergence", "--pair", "goe-goe", "--m", "0", "--n", "8,16,32", "--trials", "3"),
      "invalid m: 0 must be >= 1"),
     (("density", "--which", "goe-goe", "--grid=-inf:4:5"), "'-inf:4:5'"),
@@ -259,7 +258,7 @@ def test_sample_writes_loadable_matrix(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "sample", "--ensemble", "checker:3:2.5",
                          "--n", "9", "--seed", "4", "--out", str(out))
     assert code == 0
-    M = load_matrix(str(out))
+    M = np.loadtxt(out, delimiter=",")
     assert M.shape == (9, 9)
     i = np.arange(9)
     mask = (i[:, None] - i[None, :]) % 3 == 0
@@ -415,3 +414,13 @@ def test_readme_pair_table_is_the_registry():
         name: (family.params, family.methods, family.regime)
         for name, family in stats.PAIRS.items()
     }
+
+
+def test_sample_kinds_in_help_and_readme_are_the_registry():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in sub.choices["sample"]._actions if a.dest == "ensemble")
+    in_help = [name.strip().partition(":")[0] for name in option.help.split(";")[0].split("|")]
+    sentence = re.search(r"`sample --ensemble` takes (.*?),\s+read by", _readme(), re.S)
+    in_readme = re.findall(r"`(\w+)", sentence.group(1))
+    assert in_help == in_readme == list(ensembles._SPEC_NAMES)

@@ -107,8 +107,8 @@ def test_goe_pte_moments_and_table():
     for m, expected in enumerate(GOE_PTE_EVEN_MOMENTS, start=1):
         assert comb.moment_goe_pte(m, "recurrence") == expected
     table = comb.sigma_table(6, 3)
-    assert [table.value(n, 0) for n in range(1, 7)] == GOE_PTE_EVEN_MOMENTS
-    assert [table.value(0, s) for s in range(4)] == [1, 1, 3, 15]
+    assert [table[n][0] for n in range(1, 7)] == GOE_PTE_EVEN_MOMENTS
+    assert [table[0][s] for s in range(4)] == [1, 1, 3, 15]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

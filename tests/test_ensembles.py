@@ -103,13 +103,6 @@ def test_checkerboard_pins_residue_classes():
     assert free.size > 0 and np.std(free) > 0.5
 
 
-def test_hollow_goe_zero_diagonal():
-    M = ensembles.sample_hollow_goe(30, seed=5)
-    np.testing.assert_array_equal(np.diag(M), np.zeros(30))
-    np.testing.assert_array_equal(M, M.T)
-    assert np.std(M[np.triu_indices(30, 1)]) > 0.5
-
-
 @pytest.mark.parametrize("dist,values", [
     ("rademacher", {-1.0, 1.0}),
 ])
@@ -155,11 +148,10 @@ def test_spec_validation(kind, N, k, message):
     ("bce:3", "bce", 3, 1.0),
     ("checker:3", "checkerboard", 3, 1.0),
     ("checker:3:-2.5", "checkerboard", 3, -2.5),
-    ("hollow", "hollow-goe", None, 1.0),
 ])
 def test_parse_ensemble_reads_every_kind(text, kind, k, w):
-    # The GOE kinds are Gaussian only; the others take any entry distribution.
-    dist = "standard-normal" if kind in ("goe", "hollow-goe") else "rademacher"
+    # The GOE is Gaussian only; the others take any entry distribution.
+    dist = "standard-normal" if kind == "goe" else "rademacher"
     spec = ensembles.parse_ensemble(text, 12, dist)
     assert spec == ensembles.EnsembleSpec(kind, 12, k, w, dist)
 
@@ -174,10 +166,10 @@ def test_parse_ensemble_reads_every_kind(text, kind, k, w):
     ("checker:0", "k=0 must be positive"),
     ("checker:5", "k=5 must divide N=12"),
     ("goe", "goe entries are Gaussian, not 'rademacher'"),
-    ("hollow", "hollow-goe entries are Gaussian, not 'rademacher'"),
+    ("hollow", "unknown ensemble"),
 ])
 def test_parse_ensemble_errors_name_the_spec(text, message):
-    # rademacher entries are valid for every kind but the two GOE kinds
+    # rademacher entries are valid for every kind but the GOE
     with pytest.raises(ValueError, match=message) as info:
         ensembles.parse_ensemble(text, 12, "rademacher")
     assert repr(text) in str(info.value)
@@ -190,7 +182,6 @@ def test_sample_ensemble_matches_direct_samplers():
         (ensembles.EnsembleSpec("bce", 12, 3), ensembles.sample_bce(12, 3, seed=9)),
         (ensembles.EnsembleSpec("checkerboard", 12, 3),
          ensembles.sample_checkerboard(12, 3, 1.0, seed=9)),
-        (ensembles.EnsembleSpec("hollow-goe", 6), ensembles.sample_hollow_goe(6, seed=9)),
     ]
     for spec, direct in pairs:
         np.testing.assert_array_equal(ensembles.sample_ensemble(spec, seed=9), direct)
@@ -202,7 +193,7 @@ def test_dump_load_round_trip():
     ensembles.dump_matrix(buffer, M, "goe")
     text = buffer.getvalue()
     assert text.splitlines()[0] == "# symmetric N=6 kind=goe"
-    back = ensembles.load_matrix(io.StringIO(text))
+    back = np.loadtxt(io.StringIO(text), delimiter=",")
     np.testing.assert_array_equal(back, M)
 
 
@@ -249,8 +240,12 @@ def test_mean_matrix_matches_difference_construction(N, k):
     np.testing.assert_array_equal(got, expected)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_hollow_goe_matches_index_construction(seed):
-    rng = ensembles.rng_stream(seed)
-    expected = _reference_upper(rng.standard_normal, 9)
-    np.testing.assert_array_equal(ensembles.sample_hollow_goe(9, seed=seed), expected)
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("N", [2, 4, 6, 10, 128, 130])
+@pytest.mark.parametrize("dist", ensembles.DISTRIBUTIONS)
+def test_pte_matches_distance_construction(seed, N, dist):
+    # Entry (i, j) is b[d] for d = |i - j| below N/2, else b[N - 1 - d].
+    b = ensembles._draw(ensembles.rng_stream(seed), dist, N // 2)
+    d = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
+    expected = b[np.where(d <= N // 2 - 1, d, N - 1 - d)]
+    np.testing.assert_array_equal(ensembles.sample_pte(N, seed=seed, dist=dist), expected)

@@ -113,6 +113,10 @@ def test_anticommutator_holds_one_new_matrix():
     A = sample_goe(N, seed=1)
     B = sample_goe(N, seed=2)
     assert _peak_over_matrix(lambda: matops.anticommutator(A, B), N) < 1.5
+    # Three factors: the running sum, the next product and its intermediate;
+    # keeping the previous product alive while the next is built makes it 4.
+    C = sample_goe(N, seed=3)
+    assert _peak_over_matrix(lambda: matops.anticommutator(A, B, C), N) < 3.5
 
 
 def test_symmetric_sampler_mirrors_in_place():
@@ -120,6 +124,13 @@ def test_symmetric_sampler_mirrors_in_place():
     # a copy of the transpose would add another whole matrix.
     N = 1024
     assert _peak_over_matrix(lambda: sample_goe(N, seed=3), N) < 1.8
+
+
+def test_pte_sampler_builds_one_matrix():
+    # The result and two vectors of under 2N entries; the distance, mask and
+    # index matrices of an N x N gather would make it 3.125.
+    N = 1024
+    assert _peak_over_matrix(lambda: sample_pte(N, seed=3), N) < 1.2
 
 
 def test_eigenvalues_sorted_and_complete():
