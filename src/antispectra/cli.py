@@ -15,7 +15,7 @@ from .spectra import check_norm_exp, empirical_histogram
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".antispectra-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -25,26 +25,6 @@ def _atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(args, text):
-    """Write the primary artifact to --out atomically, or to stdout."""
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _print_json(payload):
-    print(json.dumps(payload, indent=2))
-
-
-def _emit_json(args, payload):
-    """Print a JSON payload, and write the same text to --out atomically."""
-    text = json.dumps(payload, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        _atomic_write(args.out, text)
 
 
 def _parse_list(text, what, least):
@@ -76,8 +56,7 @@ def _cmd_sample(args):
     matrix = sample_ensemble(spec, rng_stream(args.seed, 0))
     buffer = io.StringIO()
     dump_matrix(buffer, matrix, args.ensemble)
-    _emit(args, buffer.getvalue())
-    return 0
+    return buffer.getvalue(), None
 
 
 def _cmd_spectrum(args):
@@ -95,22 +74,16 @@ def _cmd_spectrum(args):
     hist = empirical_histogram(aggregate.spectra[args.n], p=args.norm_exp, bins=args.bins)
     buffer = io.StringIO()
     hist.write_csv(buffer)
-    _emit(args, buffer.getvalue())
-    summary = aggregate.moments[args.n].as_dict()
-    summary["clipped_mass"] = hist.clipped_mass
-    summary["bins"] = args.bins
-    summary["norm_exp"] = args.norm_exp
-    if args.out:
-        _print_json(summary)
-    return 0
+    summary = {**aggregate.moments[args.n].as_dict(), "clipped_mass": hist.clipped_mass,
+               "bins": args.bins, "norm_exp": args.norm_exp}
+    return buffer.getvalue(), summary
 
 
 def _cmd_moments(args):
     pair = stats.parse_pair(args.pair)
     method = args.method or pair.methods[0]
     value = float(pair.moment(args.m, method))
-    _emit_json(args, {"pair": args.pair, "m": args.m, "method": method, "value": value})
-    return 0
+    return None, {"pair": args.pair, "m": args.m, "method": method, "value": value}
 
 
 def _cmd_genus(args):
@@ -121,8 +94,7 @@ def _cmd_genus(args):
     if args.k is not None:
         payload["k"] = args.k
         payload["value"] = float(laurent.at(args.k))
-    _emit_json(args, payload)
-    return 0
+    return None, payload
 
 
 def _cmd_density(args):
@@ -130,11 +102,8 @@ def _cmd_density(args):
     curve = densities.tabulate_density(args.which, grid)
     buffer = io.StringIO()
     curve.write_csv(buffer)
-    _emit(args, buffer.getvalue())
-    if args.out:
-        _print_json({"which": args.which, "points": int(curve.x.size),
-                     "out": args.out})
-    return 0
+    return buffer.getvalue(), {"which": args.which, "points": int(curve.x.size),
+                               "out": args.out}
 
 
 def _cmd_blip(args):
@@ -145,10 +114,7 @@ def _cmd_blip(args):
         weight_order=args.weight_n,
     )
     report = stats.averaged_blip_measure(plan, threads=args.threads)
-    payload = report.as_dict()
-    payload["trials"] = plan.trials_for(args.n)
-    _emit_json(args, payload)
-    return 0
+    return None, {**report.as_dict(), "trials": plan.trials_for(args.n)}
 
 
 def _cmd_regimes(args):
@@ -167,7 +133,7 @@ def _cmd_regimes(args):
         signature = tuple(c[key] for key in keys)
         tallies[signature] = tallies.get(signature, 0) + 1
     modal_signature, modal_count = max(tallies.items(), key=lambda item: item[1])
-    payload = {
+    return None, {
         "pair": args.pair,
         "N": args.n,
         "trials": len(counts),
@@ -175,8 +141,6 @@ def _cmd_regimes(args):
         "modal_counts": dict(zip(keys, (int(v) for v in modal_signature))),
         "modal_fraction": modal_count / len(counts),
     }
-    _emit_json(args, payload)
-    return 0
 
 
 def _cmd_convergence(args):
@@ -185,8 +149,7 @@ def _cmd_convergence(args):
         args.pair, args.m, sizes, args.trials, seed=args.seed,
         dist=args.dist, threads=args.threads,
     )
-    _emit_json(args, report.as_dict())
-    return 0
+    return None, report.as_dict()
 
 
 def _add_common(parser, exact=False):
@@ -271,13 +234,32 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Run one command and write the (CSV table or None, JSON dict or None) it returns.
+
+    The primary artifact is the table if there is one, else the payload.  --out
+    gets it; stdout gets it without --out, and the payload (if any) with --out.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"invalid --out {args.out!r}: no such directory")
+        table, payload = args.func(args)
+        if payload is not None:
+            payload = json.dumps(payload, indent=2) + "\n"
+        primary = payload if table is None else table
+        if args.out:
+            try:
+                _atomic_write(args.out, primary)
+            except OSError as exc:
+                raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}")
+        shown = payload if args.out else primary
+        if shown is not None:
+            sys.stdout.write(shown)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,8 @@
 """Exact limiting moments via pairing enumeration, recurrences, and closed forms.
 
-Positions are 0-based throughout.  A pairing of 2n positions is held as a
-partner table t with t[t[i]] == i and t[i] != i; the helpers also accept
-an iterable of index pairs.  All counting is done in Python integers, so
-nothing overflows and the genus coefficients stay exact.
+Positions are 0-based throughout, and a pairing is a list of index pairs.
+All counting is done in Python integers, so nothing overflows and the genus
+coefficients stay exact.
 """
 
 import itertools
@@ -57,43 +56,6 @@ def enumerate_configurations(n):
     if n > ENUMERATION_LIMITS["configurations"]:
         raise ValueError(f"budget exceeded: n={n} configurations not enumerable")
     return ["".join(w) for w in itertools.product(("ab", "ba"), repeat=n)]
-
-
-def as_partner_table(pairing, size=None):
-    """Normalize a pairing to a partner table, validating the involution."""
-    pairing = list(pairing)
-    if pairing and not isinstance(pairing[0], (int, tuple, list)):
-        raise TypeError("pairing must be index pairs or a partner table")
-    if pairing and isinstance(pairing[0], (tuple, list)):
-        n2 = 2 * len(pairing) if size is None else size
-        table = [-1] * n2
-        for i, j in pairing:
-            table[i], table[j] = j, i
-    else:
-        table = [int(x) for x in pairing]
-    for i, j in enumerate(table):
-        if j < 0 or j >= len(table) or j == i or table[j] != i:
-            raise ValueError("not a fixed-point-free involution")
-    return table
-
-
-def cycle_count(pairing, size=None):
-    """Number of cycles of x -> pi(x) + 1 (mod size) for the pairing pi.
-
-    Equals n+1 exactly when the pairing of 2n points is non-crossing,
-    and otherwise drops below n-1 in steps of two.
-    """
-    table = as_partner_table(pairing, size)
-    seen = [False] * len(table)
-    cycles = 0
-    for start in range(len(table)):
-        if not seen[start]:
-            cycles += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = (table[x] + 1) % len(table)
-    return cycles
 
 
 def _pairings(positions):

@@ -105,6 +105,8 @@ def test_usage_errors_exit_two(capsys, argv):
     (("spectrum", "--pair", "goe-goe", "--n", "-4", "--norm-exp", "0.5"), "invalid size: -4"),
     (("spectrum", "--pair", "goe-goe", "--n", "0"), "invalid size: 0"),
     (("blip", "--pair", "goe-checker:2", "--n", "-4", "--trials", "2"), "invalid size: -4"),
+    (("moments", "--pair", "goe-goe", "--m", "2", "--out", "/nonexistent/x.json"),
+     "invalid --out '/nonexistent/x.json': no such directory"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -129,6 +131,8 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("regimes", "--pair", "goe-checker:2", "--n", "0"), "invalid size: 0"),
     (("convergence", "--pair", "pte-pte", "--n", "8,16,33"), "needs even N, got 33"),
     (("convergence", "--pair", "goe-checker:4", "--n", "8,16,30"), "k=4 must divide N=30"),
+    (("spectrum", "--pair", "goe-goe", "--out", "/nonexistent/x.csv"),
+     "invalid --out '/nonexistent/x.csv': no such directory"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):
@@ -167,26 +171,60 @@ _EVERY_COMMAND = (
 )
 
 
-def test_every_option_is_read(capsys, tmp_path):
+def test_every_option_is_read():
     parser = cli._build_parser()
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
     assert set(commands) == {argv[0] for argv in _EVERY_COMMAND}
     unread = {}
     for argv in _EVERY_COMMAND:
-        args = parser.parse_args([*argv, "--out", str(tmp_path / argv[0])],
-                                 namespace=_ReadRecorder())
+        args = parser.parse_args(argv, namespace=_ReadRecorder())
         args._read.clear()
-        assert args.func(args) == 0
-        declared = {action.dest for action in commands[argv[0]]._actions} - {"help"}
+        table, payload = args.func(args)
+        assert table is not None or payload is not None
+        # main, not the command, reads --out; test_output_rule covers it for
+        # every command.
+        declared = {action.dest for action in commands[argv[0]]._actions} - {"help", "out"}
         # perfbench passes --seed to every exact-tables command, so the exact
         # commands keep an option they ignore.
         if argv[0] in ("moments", "genus", "density"):
             declared.discard("seed")
         if declared - args._read:
             unread[argv[0]] = declared - args._read
-    capsys.readouterr()
     assert unread == {}
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_output_rule(capsys, tmp_path, argv):
+    # The primary artifact is the CSV table of sample, spectrum and density,
+    # and the JSON payload of every other command.  Without --out stdout gets
+    # it; with --out the file gets it and stdout the payload, if any.
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "artifact"
+    code, shown, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == plain
+    if argv[0] in ("sample", "spectrum", "density"):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(plain)
+        if argv[0] == "sample":
+            assert shown == ""
+        else:
+            assert isinstance(json.loads(shown), dict)
+    else:
+        assert isinstance(json.loads(plain), dict)
+        assert shown == plain
+
+
+def test_out_write_failure_names_out(capsys, tmp_path):
+    # --out names an existing directory: the rename onto it fails after the work.
+    code, out, err = run_cli(capsys, "moments", "--pair", "goe-goe", "--m", "2",
+                             "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"cannot write --out '{tmp_path}': Is a directory" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failures_exit_three(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Exact limiting moments, pairing utilities, and genus expansions."""
+"""Exact limiting moments and genus expansions, with brute-force pairing oracles."""
 
 import itertools
 import math
@@ -31,6 +31,28 @@ def _crossings(pairing):
     return count
 
 
+def _cycle_count(pairing, size):
+    """Number of cycles of x -> pi(x) + 1 (mod size) for the pairing pi of 0..size-1.
+
+    Equals n+1 exactly when the pairing of 2n points is non-crossing,
+    and otherwise drops below n-1 in steps of two.
+    """
+    partner = [-1] * size
+    for i, j in pairing:
+        partner[i], partner[j] = j, i
+    assert -1 not in partner, "not a perfect matching"
+    seen = [False] * size
+    cycles = 0
+    for start in range(size):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = (partner[x] + 1) % size
+    return cycles
+
+
 def test_double_factorial_small_values():
     assert [comb.double_factorial(n) for n in (-1, 1, 3, 5, 7)] == [1, 1, 3, 15, 105]
     assert comb.double_factorial(9) == 9 * 7 * 5 * 3 * 1
@@ -49,19 +71,12 @@ def test_schroeder_numbers_table():
                                                  max_size=11))
 @settings(max_examples=60, deadline=None)
 def test_noncrossing_iff_maximal_cycle_count(order, shuffle):
+    # The genus brute-force tests below rest on this property of _cycle_count.
     pairing = _random_pairing(order, shuffle)
-    cycles = comb.cycle_count(pairing)
+    cycles = _cycle_count(pairing, 2 * order)
     assert cycles <= order + 1
     assert (_crossings(pairing) == 0) == (cycles == order + 1)
     assert (order + 1 - cycles) % 2 == 0
-
-
-def test_partner_table_round_trip():
-    pairing = [(0, 3), (1, 2), (4, 5)]
-    table = comb.as_partner_table(pairing)
-    assert table == [3, 2, 1, 0, 5, 4]
-    for a, b in pairing:
-        assert table[a] == b and table[b] == a
 
 
 GOE_GOE_EVEN_MOMENTS = [2, 10, 66, 498, 4066, 34970]
@@ -204,7 +219,7 @@ def test_bce_bce_agrees_with_pairing_by_pairing_tally(m):
         b_pos = [i for i, c in enumerate(word) if c == "b"]
         for pa in _matchings(a_pos):
             for pb in _matchings(b_pos):
-                defect = top - comb.cycle_count(pa + pb, size)
+                defect = top - _cycle_count(pa + pb, size)
                 assert defect >= 0 and defect % 2 == 0
                 tally[defect // 2] = tally.get(defect // 2, 0) + 1
     assert comb.moment_bce_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
@@ -287,7 +302,7 @@ def _faces(word, a_pairs):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_goe_bce_agrees_with_pairing_by_pairing_tally(m):
     # Brute force: non-crossing a-arcs, then every b-pairing that keeps each
-    # pair inside one face, each walked by cycle_count.
+    # pair inside one face, each walked by _cycle_count.
     size, top = 4 * m, 2 * m + 1
     tally = {}
     for pieces in itertools.product(("ab", "ba"), repeat=2 * m):
@@ -298,7 +313,7 @@ def test_goe_bce_agrees_with_pairing_by_pairing_tally(m):
                 continue
             for parts in itertools.product(*(list(_matchings(f)) for f in _faces(word, pa))):
                 pb = [pair for part in parts for pair in part]
-                defect = top - comb.cycle_count(pa + pb, size)
+                defect = top - _cycle_count(pa + pb, size)
                 assert defect >= 0 and defect % 2 == 0
                 tally[defect // 2] = tally.get(defect // 2, 0) + 1
     assert comb.moment_goe_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
@@ -337,6 +352,34 @@ def test_ell_anticommutator_moments():
         comb.moment_ell_anticommutator(2, 1)
     with pytest.raises(ValueError, match="m"):
         comb.moment_ell_anticommutator(0, 3)
+
+
+def _anti_l_word_moment(ell, m):
+    """phi(P^(2m)) for P the sum over the ell! orderings of ell free semicirculars.
+
+    Each of the expansion's ell!^(2m) words w contributes the k^1 coefficient
+    of E[Tr w] for independent GUE_k letters: the limit of E[tr w] = E[Tr w] / k.
+    """
+    orderings = ["".join(p) for p in itertools.permutations("abcdefgh"[:ell])]
+    memo, rotations = {}, comb._Rotations()
+    total = 0
+    for pieces in itertools.product(orderings, repeat=2 * m):
+        word = rotations["".join(pieces)]
+        total += comb._gaussian_trace_moment((word,), False, memo, rotations).get(1, 0)
+    return total
+
+
+_ANTI_L_DEFECT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: the anti-l recurrence is wrong for l >= 3 at this order")
+
+
+@pytest.mark.parametrize("ell,m", [
+    (2, 4), (3, 1), (3, 2), (4, 1),
+    pytest.param(3, 3, marks=_ANTI_L_DEFECT),  # recurrence 2088, word route 2064
+    pytest.param(4, 2, marks=_ANTI_L_DEFECT),  # recurrence 1488, word route 1536
+])
+def test_anti_l_recurrence_matches_the_free_word_route(ell, m):
+    assert comb.moment_ell_anticommutator(m, ell) == _anti_l_word_moment(ell, m)
 
 
 def test_bulk_moment_checker_formula():
