@@ -1,6 +1,7 @@
 """Command line front end emitting plot-ready CSV and JSON."""
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -169,7 +170,12 @@ def _add_trials(parser, trials, with_n=True):
     parser.add_argument("--trials", type=int, default=trials)
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: a constant description of the CLI.
+
+    parse_args keeps nothing between calls, so every call may share it.
+    """
     parser = argparse.ArgumentParser(
         prog="antispectra",
         description="Spectra of anticommutators of structured random matrices.",

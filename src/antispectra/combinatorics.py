@@ -5,7 +5,6 @@ All counting is done in Python integers, so nothing overflows and the genus
 coefficients stay exact.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,17 +44,29 @@ def catalan(m):
 # configurations and pairings
 
 
-def enumerate_configurations(n):
-    """All words of n letter-pairs, each pair 'ab' or 'ba', in lex order.
+def _configuration_classes(n):
+    """Each rotation class of the words of n letter-pairs, each pair 'ab' or 'ba', once.
 
-    These index the ways of expanding a product of n anticommutator
-    factors; there are 2^n of them.
+    These words index the ways of expanding a product of n anticommutator
+    factors, 2^n of them.  Yields (word, size) in lex order: the least of the
+    class's pair-rotations and the class's size, its period in pairs.  A
+    tracial value is the same across a class, so a sum over all 2^n words is
+    the sum of size x value over the classes.  Duval's generation of the
+    Lyndon words of length dividing n (Fredricksen-Kessler-Maiorana).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > ENUMERATION_LIMITS["configurations"]:
         raise ValueError(f"budget exceeded: n={n} configurations not enumerable")
-    return ["".join(w) for w in itertools.product(("ab", "ba"), repeat=n)]
+    lyndon = [-1]  # 0 stands for 'ab', 1 for 'ba'
+    while lyndon:
+        lyndon[-1] += 1
+        period = len(lyndon)
+        if n % period == 0:
+            yield "".join(("ab", "ba")[x] for x in lyndon) * (n // period), period
+        lyndon = (lyndon * (n // period + 1))[:n]
+        while lyndon and lyndon[-1] == 1:
+            lyndon.pop()
 
 
 def _pairings(positions):
@@ -134,15 +145,16 @@ def _free_moment_sum(m, eps):
     and free from b with phi(b^(2n)) = sum_g eps[n][g] k^(-2g).
 
     Sums _free_word_moment over the words of the anticommutator's expansion,
-    a standing for s; the memo and rotations live for this one call.
+    a standing for s, one word per rotation class weighted by its size; the
+    memo and rotations live for this one call.
     """
     memo, rotations = {}, _Rotations()
     total = []
-    for word in enumerate_configurations(2 * m):
+    for word, size in _configuration_classes(2 * m):
         value = _free_word_moment(rotations[word], eps, memo, rotations)
         total += [0] * (len(value) - len(total))
         for g, c in enumerate(value):
-            total[g] += c
+            total[g] += size * c
     return total
 
 
@@ -248,12 +260,12 @@ def moment_pte_pte(m, method="closed_form"):
         _check_limit("pte-pte", m)
         walked = {}  # set size -> number of its pairings
         total = 0
-        for word in enumerate_configurations(2 * m):
-            ways = 1
-            for size in (word.count("a"), word.count("b")):
-                if size not in walked:
-                    walked[size] = sum(1 for _ in _pairings(range(size)))
-                ways *= walked[size]
+        for word, size in _configuration_classes(2 * m):
+            ways = size
+            for count in (word.count("a"), word.count("b")):
+                if count not in walked:
+                    walked[count] = sum(1 for _ in _pairings(range(count)))
+                ways *= walked[count]
             total += ways
         return total
     raise ValueError(f"unknown method {method!r}")
@@ -429,16 +441,17 @@ def moment_bce_bce(m):
     It equals E[tr_k {A, B}^(2m)] for independent GUE_k matrices A and B
     with E|a_ij|^2 = 1/k: the sum of E[Tr w] / k over the words w of the
     anticommutator's expansion, each computed by the loop equations of
-    _gaussian_trace_moment with the GUE rule, memoised within this call.
+    _gaussian_trace_moment with the GUE rule, memoised within this call, and
+    summed one word per rotation class weighted by its size.
     The coefficient of k^(1-2g) in the sum of E[Tr w] is coeffs[g].
     """
     _check_limit("bce-bce", m)
     memo, rotations = {}, _Rotations()
     total = {}
-    for word in enumerate_configurations(2 * m):
+    for word, size in _configuration_classes(2 * m):
         moment = _gaussian_trace_moment((rotations[word],), False, memo, rotations)
         for e, c in moment.items():
-            total[e] = total.get(e, 0) + c
+            total[e] = total.get(e, 0) + size * c
     return LaurentMoment(tuple(total.get(1 - 2 * g, 0)
                                for g in range((1 - min(total)) // 2 + 1)))
 

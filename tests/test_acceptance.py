@@ -4,6 +4,7 @@ Each test prints one CRITERION line with every measured value; a failed
 criterion's assertion message repeats the full clause-by-clause detail.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from antispectra.ensembles import (mean_matrix, rng_stream, sample_goe,
                                    sample_pte)
 from antispectra.matops import anticommutator, eigenvalues
 from antispectra.spectra import empirical_histogram, empirical_moments
+from test_combinatorics import _wick_trace
 
 
 CRITERION_LINES = []
@@ -275,14 +277,42 @@ def test_criterion_09_largest_blip_and_deterministic_top(largest_blips):
     ])
 
 
+def _var_m2(N):
+    """Exact Var(Tr C^2 / N^3) of one goe-goe trial at size N.
+
+    E[(Tr C^2)^2] = 4N^6 + 24N^5 + 124N^4 + 392N^3 + 960N^2 + 800N less
+    E[Tr C^2]^2 = (2N^3 + 6N^2 + 8N)^2, over N^6.
+    """
+    return Fraction(56 * N**4 + 296 * N**3 + 896 * N**2 + 800 * N, N**6)
+
+
+def test_criterion_10_exact_variance_at_small_n():
+    # At N = 1, C = 2ab with a, b ~ N(0, 2): E[(Tr C^2)^2] = 16 E[a^4] E[b^4]
+    # = 2304 and E[Tr C^2] = 4 E[a^2] E[b^2] = 16.
+    assert _var_m2(1) == 16 * 12 * 12 - 16**2
+    # At N = 2 by Wick's rule over every index assignment; a GOE entry pair
+    # has covariance N times the brute force's twisted 1/N.
+    N = 2
+    words = ["".join(w) for w in itertools.product(("ab", "ba"), repeat=2)]
+    square = N**4 * sum(_wick_trace((u, v), N, True) for u in words for v in words)
+    mean = N**2 * sum(_wick_trace((w,), N, True) for w in words)
+    assert _var_m2(N) * N**6 == square - mean**2
+
+
 def test_criterion_10_convergence_rates():
     # Var(M_2) falls like N^-2 and M_2 is near Gaussian, so the fourth central
     # moment (about 3 Var^2) falls like N^-4.  Over 200 trials its relative
     # standard error is sqrt(96/200)/3 = 0.23, which makes the slope's
     # standard error about 0.15 over N = 64..512; each band is 4 of them.
+    # Each measured variance is also judged against its exact value by its
+    # own standard error, sqrt((mu4 - var^2 (n - 3)/(n - 1)) / n).
     scan = stats.moment_variance_scan("goe-goe", 2, (64, 128, 256, 512), 200,
                                       seed=3)
     slope = scan.slope
+    var_z = {
+        N: (var - float(_var_m2(N))) / math.sqrt((central4 - var**2 * (n - 3) / (n - 1)) / n)
+        for N, n, var, central4 in scan.rows
+    }
     plan = stats.ExperimentPlan("goe-checker:4", (512, 1024), trials=96,
                                 seed=1010, outputs=("blips",), orders=(1, 2))
     reports = stats.run_trials(plan).blips
@@ -296,6 +326,9 @@ def test_criterion_10_convergence_rates():
     _criterion(10, [
         ("variance log-log slope in -2 +- 0.3",
          -2.3 <= scan.var_slope <= -1.7, round(scan.var_slope, 3)),
+        ("each variance within 4 standard errors of the exact Var(M_2)",
+         all(abs(z) <= 4 for z in var_z.values()),
+         "z " + ", ".join(f"{z:.2f} at N={N}" for N, z in var_z.items())),
         ("fourth-central-moment log-log slope in -4 +- 0.6",
          -4.6 <= slope <= -3.4, round(slope, 3)),
         ("first blip-moment variance does not grow from N=512 to 1024",

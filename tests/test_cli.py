@@ -194,6 +194,26 @@ def test_every_option_is_read():
     assert unread == {}
 
 
+def test_one_parser_serves_every_call(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    # A default is read afresh on each call, not left over from the last one.
+    argv = ("moments", "--pair", "goe-goe", "--m", "2")
+    code, out, _ = run_cli(capsys, *argv, "--method", "series")
+    assert (code, json.loads(out)["method"]) == (0, "series")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["method"]) == (0, "recurrence")
+
+
+def test_bad_option_leaves_the_parser_as_built(capsys):
+    cli._build_parser.cache_clear()
+    alone = run_cli(capsys, "genus", "--pair", "goe-bce", "--m", "2", "--k", "2")
+    cli._build_parser.cache_clear()
+    code, _, err = run_cli(capsys, "genus", "--pair", "goe-bce", "--m", "2", "--k", "x")
+    assert code == 2 and "--k" in err
+    after = run_cli(capsys, "genus", "--pair", "goe-bce", "--m", "2", "--k", "2")
+    assert after == alone and alone[0] == 0
+
+
 @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
 def test_output_rule(capsys, tmp_path, argv):
     # The primary artifact is the CSV table of sample, spectrum and density,

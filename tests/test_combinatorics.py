@@ -79,6 +79,46 @@ def test_noncrossing_iff_maximal_cycle_count(order, shuffle):
     assert (order + 1 - cycles) % 2 == 0
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_configuration_classes_partition_the_words(n):
+    classes = list(comb._configuration_classes(n))
+    assert sum(size for _, size in classes) == 2**n
+    for word, size in classes:
+        rotations = {word[2 * i:] + word[:2 * i] for i in range(n)}
+        assert word == min(rotations)
+        assert size == len(rotations)
+    assert len({word for word, _ in classes}) == len(classes)
+
+
+def _brute_force_sum(value, m):
+    """Sum of value(word), a {power: coefficient} dict, over all 2^(2m) words."""
+    total = {}
+    for pieces in itertools.product(("ab", "ba"), repeat=2 * m):
+        for e, c in value("".join(pieces)).items():
+            total[e] = total.get(e, 0) + c
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_class_sums_equal_the_sum_over_every_word(m):
+    # The Catalan, (2n-1)!! and Harer-Zagier rows of goe-goe, goe-pte and goe-bce.
+    rows = ([[comb.catalan(n)] for n in range(m + 1)],
+            [[comb.double_factorial(2 * n - 1)] for n in range(m + 1)],
+            comb._harer_zagier(m))
+    rotations = comb._Rotations()
+    for eps in rows:
+        memo = {}
+        words = _brute_force_sum(
+            lambda w: dict(enumerate(comb._free_word_moment(rotations[w], eps, memo, rotations))),
+            m)
+        assert comb._free_moment_sum(m, eps) == [words[g] for g in range(len(words))]
+    memo = {}
+    words = _brute_force_sum(
+        lambda w: comb._gaussian_trace_moment((rotations[w],), False, memo, rotations), m)
+    assert comb.moment_bce_bce(m).coeffs == tuple(words[1 - 2 * g]
+                                                  for g in range(len(words)))
+
+
 GOE_GOE_EVEN_MOMENTS = [2, 10, 66, 498, 4066, 34970]
 
 
@@ -225,18 +265,23 @@ def test_bce_bce_agrees_with_pairing_by_pairing_tally(m):
     assert comb.moment_bce_bce(m).coeffs == tuple(tally[g] for g in range(len(tally)))
 
 
-def _wick_trace(word, k, twisted):
-    """E[Tr word] summed over every index assignment and same-letter matching,
-    with E[x_ab x_cd] = ([a=d][b=c] + twisted [a=c][b=d]) / k."""
-    n = len(word)
+def _wick_trace(words, k, twisted):
+    """E[product of Tr w over words] summed over every index assignment and
+    same-letter matching, with E[x_ab x_cd] = ([a=d][b=c] + twisted [a=c][b=d]) / k."""
+    letters = "".join(words)
+    after, start = [], 0  # after[s]: the position whose index ends letter s's entry
+    for w in words:
+        after += [start + (i + 1) % len(w) for i in range(len(w))]
+        start += len(w)
+    n = len(letters)
     matchings = [pairs for pairs in _matchings(list(range(n)))
-                 if all(word[s] == word[t] for s, t in pairs)]
+                 if all(letters[s] == letters[t] for s, t in pairs)]
     total = Fraction(0)
     for idx in itertools.product(range(k), repeat=n):
         for pairs in matchings:
             term = Fraction(1)
             for s, t in pairs:
-                a, b, c, d = idx[s], idx[(s + 1) % n], idx[t], idx[(t + 1) % n]
+                a, b, c, d = idx[s], idx[after[s]], idx[t], idx[after[t]]
                 term *= Fraction((a == d and b == c) + twisted * (a == c and b == d), k)
             total += term
     return total
@@ -253,7 +298,7 @@ def test_gaussian_trace_moment_agrees_with_wick_brute_force(word, twisted):
     moment = comb._gaussian_trace_moment((rotations[word],), twisted, {}, rotations)
     for k in (1, 2, 3):
         value = sum(c * Fraction(k) ** e for e, c in moment.items())
-        assert value == _wick_trace(word, k, twisted), k
+        assert value == _wick_trace((word,), k, twisted), k
 
 
 # E[Tr C^order] for C = AB + BA with A, B independent N x N GOEs (off-diagonal
@@ -273,7 +318,7 @@ def test_goe_goe_trace_polynomials_are_exact_at_small_n():
     # A GOE entry pair has covariance N times the Wick sum's twisted 1/N.
     for order, N in ((2, 2), (2, 3), (4, 2)):
         words = ("".join(w) for w in itertools.product(("ab", "ba"), repeat=order))
-        wick = N**order * sum(_wick_trace(word, N, True) for word in words)
+        wick = N**order * sum(_wick_trace((word,), N, True) for word in words)
         assert wick == _goe_goe_trace(order, N), (order, N)
 
 
@@ -380,6 +425,28 @@ _ANTI_L_DEFECT = pytest.mark.xfail(
 ])
 def test_anti_l_recurrence_matches_the_free_word_route(ell, m):
     assert comb.moment_ell_anticommutator(m, ell) == _anti_l_word_moment(ell, m)
+
+
+def test_anti_l_trials_match_exact_finite_n_fourth_moment():
+    # anti-l:3 samples C, the sum over the 3! orderings of three iid GOEs
+    # (off-diagonal variance 1, diagonal 2).  With x = A / sqrt(N), the GOE
+    # letters of _gaussian_trace_moment at k = N, tr (C / N^(3/2))^4 is
+    # Tr C_x^4 / N: E of it is the sum of E[Tr w] over the 6^4 words of the
+    # expansion, at k = N, over N.  The limit 96 sits 19 standard errors
+    # below the sampled mean.
+    N = 40
+    orderings = ["".join(p) for p in itertools.permutations("abc")]
+    memo, rotations = {}, comb._Rotations()
+    exact = Fraction(0)
+    for pieces in itertools.product(orderings, repeat=4):
+        word = rotations["".join(pieces)]
+        moment = comb._gaussian_trace_moment((word,), True, memo, rotations)
+        exact += sum(c * Fraction(N) ** e for e, c in moment.items())
+    exact /= N
+    plan = stats.ExperimentPlan("anti-l:3", (N,), trials=400, seed=19, outputs=("spectra",))
+    samples = np.array([np.sum(eigs**4) / N**7 for eigs in stats.run_trials(plan).spectra[N]])
+    z = (samples.mean() - float(exact)) / (samples.std(ddof=1) / math.sqrt(samples.size))
+    assert abs(z) <= 4, z
 
 
 def test_bulk_moment_checker_formula():
