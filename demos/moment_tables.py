@@ -68,6 +68,9 @@ def ell_table(m_max):
         values = [comb.moment_ell_anticommutator(m, ell)
                   for m in range(1, min(m_max, 3) + 1)]
         print(f"  ell={ell}: {values}")
+    if m_max >= 3:
+        print("  (the ell >= 3 values from m = 3 on disagree with the free word"
+              " route, which gives 2064 at ell = 3, m = 3)")
 
 
 def main():

@@ -71,7 +71,7 @@ def _cmd_spectrum(args):
         check_norm_exp(args.norm_exp, args.n)
     except ValueError as exc:
         raise ValueError(f"--norm-exp: {exc}") from None
-    aggregate = stats.run_trials(plan, threads=args.threads)
+    aggregate = stats.run_trials(plan)
     hist = empirical_histogram(aggregate.spectra[args.n], p=args.norm_exp, bins=args.bins)
     buffer = io.StringIO()
     hist.write_csv(buffer)
@@ -114,7 +114,7 @@ def _cmd_blip(args):
         outputs=("blips",), orders=orders, dist=args.dist,
         weight_order=args.weight_n,
     )
-    report = stats.averaged_blip_measure(plan, threads=args.threads)
+    report = stats.averaged_blip_measure(plan)
     return None, {**report.as_dict(), "trials": plan.trials_for(args.n)}
 
 
@@ -125,7 +125,7 @@ def _cmd_regimes(args):
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("spectra",), dist=args.dist,
     )
-    spectra = stats.run_trials(plan, threads=args.threads).spectra[args.n]
+    spectra = stats.run_trials(plan).spectra[args.n]
     counts = [blips.regime_classify(eigs, args.n, *pair.params) for eigs in spectra]
     keys = list(counts[0])
     mean_counts = {key: float(np.mean([c[key] for c in counts])) for key in keys}
@@ -146,10 +146,8 @@ def _cmd_regimes(args):
 
 def _cmd_convergence(args):
     sizes = _parse_list(args.n, "size", 1)
-    report = stats.moment_variance_scan(
-        args.pair, args.m, sizes, args.trials, seed=args.seed,
-        dist=args.dist, threads=args.threads,
-    )
+    report = stats.moment_variance_scan(args.pair, args.m, sizes, args.trials,
+                                        seed=args.seed, dist=args.dist)
     return None, report.as_dict()
 
 
@@ -166,7 +164,6 @@ def _add_trials(parser, trials, with_n=True):
     parser.add_argument("--dist", default="standard-normal")
     if with_n:
         parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--trials", type=int, default=trials)
 
 

@@ -1,13 +1,15 @@
 """Closed-form limiting densities, the moment generating function, and
 series/PDE cross-checks in exact arithmetic."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import double_factorial, moment_pte_pte, sigma_table
+from .combinatorics import (_Rotations, _free_word_moment, double_factorial,
+                            moment_pte_pte, sigma_table)
 
 #: Edge of the support of the two-GOE limiting density.
 SUPPORT_GOE_GOE = math.sqrt((11 + 5 * math.sqrt(5)) / 2)
@@ -100,29 +102,35 @@ def mgf_pte_pte_series(z, terms=20):
     return total
 
 
+def _free_sigma(n_max, s_max):
+    """sigma[n][s], n <= n_max, s <= s_max, by its definition: the sum of phi(w b^(2s))
+    over the 2^(2n) words w of (sb + bs)^(2n), s semicircular and free from a standard
+    Gaussian b, by the free word recursion, which shares no code with sigma_table."""
+    gaussian = [[double_factorial(2 * i - 1)] for i in range(n_max + s_max + 1)]
+    memo, rotations = {}, _Rotations()
+
+    def phi(word):  # the k^0 coefficient; a word of value 0 has none
+        return sum(_free_word_moment(rotations[word], gaussian, memo, rotations)[:1])
+
+    return [[sum(phi("".join(w) + "bb" * s)
+                 for w in itertools.product(("ab", "ba"), repeat=2 * n))
+             for s in range(s_max + 1)]
+            for n in range(n_max + 1)]
+
+
 def check_sigma_pde(n_max, s_max):
     """Largest coefficientwise residual, a Fraction, of the generating
     function F(z,w) = sum sigma_{n,s} z^n w^s / s! in the equation
-    F = (1-2w)^(-1/2) + z (dF/dw(z,0) F + F(z,0) dF/dw).
-
-    Everything is exact rational arithmetic, so the expected residual is
-    exactly 0; any nonzero residual means the table and the functional
-    equation disagree.
+    F = (1-2w)^(-1/2) + z (dF/dw(z,0) F + F(z,0) dF/dw), with sigma_table on
+    the left and _free_sigma's counts on the right.  The arithmetic is exact,
+    so any nonzero residual means the table and the definition disagree.
     """
-    sig = sigma_table(n_max, s_max + 1)
+    sig, free = sigma_table(n_max, s_max), _free_sigma(n_max - 1, s_max + 1)
     residual = Fraction(0)
-    for n in range(0, n_max + 1):
-        for s in range(0, s_max + 1):
-            lhs = Fraction(sig[n][s], math.factorial(s))
-            if n == 0:
-                rhs = Fraction(double_factorial(2 * s - 1), math.factorial(s))
-            else:
-                acc = Fraction(0)
-                for k in range(1, n + 1):
-                    acc += sig[k - 1][1] * Fraction(sig[n - k][s], math.factorial(s))
-                    acc += sig[k - 1][0] * Fraction(sig[n - k][s + 1], math.factorial(s))
-                rhs = acc
-            residual = max(residual, abs(lhs - rhs))
+    for n, s in itertools.product(range(n_max + 1), range(s_max + 1)):
+        rhs = sum(free[k - 1][1] * free[n - k][s] + free[k - 1][0] * free[n - k][s + 1]
+                  for k in range(1, n + 1)) if n else double_factorial(2 * s - 1)
+        residual = max(residual, abs(Fraction(sig[n][s] - rhs, math.factorial(s))))
     return residual
 
 

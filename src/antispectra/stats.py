@@ -1,7 +1,7 @@
 """Pair specs, seeded experiment plans, deterministic trial running, and convergence scans."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -151,6 +151,17 @@ def genus_expansion(name, m):
     return getattr(combinatorics, family.moment)(m)
 
 
+def _integer(field, value, least):
+    """value as an int if it is an integer (NumPy's too) >= least, else a ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"invalid {field}: {value} is not an integer") from None
+    if value < least:
+        raise ValueError(f"invalid {field}: {value} must be >= {least}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A reproducible batch of anticommutator samples.
@@ -170,20 +181,20 @@ class ExperimentPlan:
     weight_order: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes",
+                           tuple(_integer("size", n, 1) for n in self.sizes))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
+        object.__setattr__(self, "orders",
+                           tuple(_integer("order", m, 0) for m in self.orders))
         if not self.sizes:
             raise ValueError("plan needs at least one size")
-        for n in self.sizes:
-            if n < 1:
-                raise ValueError(f"invalid size: {n} must be >= 1")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError(f"invalid trials: {self.trials} must be >= 1")
+        if self.trials is not None:
+            object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution tag {self.dist!r}")
-        if self.weight_order is not None and self.weight_order < 1:
-            raise ValueError(f"invalid weight_order: {self.weight_order} must be >= 1")
+        if self.weight_order is not None:
+            object.__setattr__(self, "weight_order",
+                               _integer("weight_order", self.weight_order, 1))
         for out in self.outputs:
             if out not in ("spectra", "moments", "blips"):
                 raise ValueError(f"unknown output {out!r}")
@@ -205,13 +216,12 @@ class TrialAggregate:
 
 
 def run_trials(plan, threads=1):
-    """Sample every planned trial and aggregate the requested statistics.
+    """Sample every planned trial, one at a time, and aggregate the requested statistics.
 
-    Per-trial work is independent; spectra come back in trial order, so the
-    aggregate is identical for any worker count.
+    BLAS threads each trial.  threads must be 1; it stays for callers that pass it.
     """
-    if threads < 1:
-        raise ValueError(f"invalid threads: {threads} must be >= 1")
+    if threads != 1:
+        raise ValueError(f"invalid threads: {threads} must be 1")
     pair = parse_pair(plan.pair)
     if "blips" in plan.outputs:
         pair.blip_regime()
@@ -220,26 +230,15 @@ def run_trials(plan, threads=1):
     sized_specs = [pair.specs(N, plan.dist) for N in plan.sizes]
     aggregate = TrialAggregate(plan, {}, {}, {})
     for ni, (N, specs) in enumerate(zip(plan.sizes, sized_specs)):
-
-        def sampled_anticommutator(t):
-            mats = [
+        # The sampled matrices are temporaries of the argument list, freed before
+        # the solver copies its input, so they add nothing to the solve's peak.
+        spectra = [
+            eigenvalues(anticommutator(*[
                 sample_ensemble(spec, rng_stream(plan.seed, ni, t, si))
                 for si, spec in enumerate(specs)
-            ]
-            return anticommutator(*mats)
-
-        def one_trial(t):
-            # The sampled matrices die with sampled_anticommutator's frame,
-            # before the solver copies its input, so they add nothing to the
-            # peak memory of the solve.
-            return eigenvalues(sampled_anticommutator(t))
-
-        count = plan.trials_for(N)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                spectra = list(pool.map(one_trial, range(count)))
-        else:
-            spectra = [one_trial(t) for t in range(count)]
+            ]))
+            for t in range(plan.trials_for(N))
+        ]
         if "spectra" in plan.outputs:
             aggregate.spectra[N] = spectra
         if "moments" in plan.outputs:
@@ -315,8 +314,7 @@ def _loglog_slope(sizes, values):
     return float(np.polyfit(np.log(sizes), np.log(values), 1)[0])
 
 
-def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal",
-                         threads=1):
+def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal"):
     """Variance and fourth central moment of the m-th moment across sizes.
 
     Fits ordinary least-squares lines to (log N, log fourth central moment)
@@ -325,25 +323,21 @@ def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal",
     """
     if m < 1:
         raise ValueError(f"invalid m: {m} must be >= 1")
-    sizes = tuple(int(n) for n in sizes)
     if len(set(sizes)) < 3:
         raise ValueError("need at least 3 distinct sizes for a slope")
     if trials < 2:
-        raise ValueError(
-            f"invalid trials: {trials} must be >= 2 to measure a variance"
-        )
-    plan = ExperimentPlan(
-        pair, sizes, trials=trials, seed=seed, outputs=("spectra",), dist=dist
-    )
-    aggregate = run_trials(plan, threads=threads)
+        raise ValueError(f"invalid trials: {trials} must be >= 2 to measure a variance")
+    plan = ExperimentPlan(pair, sizes, trials=trials, seed=seed, outputs=("spectra",),
+                          dist=dist)
+    aggregate = run_trials(plan)
     rows = []
-    for N in sizes:
+    for N in plan.sizes:
         values = np.array(
             [float(np.sum(eigs**m)) / N ** (m + 1) for eigs in aggregate.spectra[N]]
         )
         var = float(np.var(values, ddof=1))
         central4 = float(np.mean((values - values.mean()) ** 4))
         rows.append((N, len(values), var, central4))
-    slope = _loglog_slope(sizes, [row[3] for row in rows])
-    var_slope = _loglog_slope(sizes, [row[2] for row in rows])
+    slope = _loglog_slope(plan.sizes, [row[3] for row in rows])
+    var_slope = _loglog_slope(plan.sizes, [row[2] for row in rows])
     return ConvergenceReport(pair, m, rows, slope, var_slope)

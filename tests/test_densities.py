@@ -139,6 +139,11 @@ def test_sigma_functional_equation_residual_is_zero():
     assert densities.check_sigma_pde(6, 3) == 0
 
 
+def test_sigma_table_matches_its_free_word_definition():
+    table = densities.sigma_table(5, 4)
+    assert densities._free_sigma(5, 4) == [list(row) for row in table]
+
+
 def test_tabulate_density_handles_singular_grid_points():
     grid = np.linspace(-2, 2, 21)  # includes 0.0 exactly
     curve = densities.tabulate_density("pte-pte", grid)

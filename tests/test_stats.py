@@ -69,15 +69,44 @@ def test_plan_validation():
         stats.ExperimentPlan("goe-goe", (10,), outputs=("sketches",))
     with pytest.raises(ValueError, match="invalid size: -4"):
         stats.ExperimentPlan("goe-goe", (10, -4))
+    # Integers only, never truncated: each message names the field and value.
+    with pytest.raises(ValueError, match="invalid size: 10.9 is not an integer"):
+        stats.ExperimentPlan("goe-goe", (10.9,))
+    with pytest.raises(ValueError, match="invalid order: 2.7 is not an integer"):
+        stats.ExperimentPlan("goe-goe", (10,), orders=(2.7, 2))
+    with pytest.raises(ValueError, match="invalid order: -1 must be >= 0"):
+        stats.ExperimentPlan("goe-goe", (10,), orders=(2, -1))
+    with pytest.raises(ValueError, match="invalid trials: 2.5 is not an integer"):
+        stats.ExperimentPlan("goe-goe", (10,), trials=2.5)
+    with pytest.raises(ValueError, match="invalid weight_order: 1.5 is not an integer"):
+        stats.ExperimentPlan("goe-checker:5", (10,), outputs=("blips",), weight_order=1.5)
+    with pytest.raises(ValueError, match="invalid size: 16.9 is not an integer"):
+        stats.moment_variance_scan("goe-goe", 2, (16.9, 24.2, 32.7), 3)
+    # NumPy integers pass, as Python ints.
+    plan = stats.ExperimentPlan("goe-goe", (np.int64(10),), trials=np.int32(2),
+                                orders=(np.int64(2),), weight_order=np.int64(3))
+    values = (*plan.sizes, plan.trials, *plan.orders, plan.weight_order)
+    assert values == (10, 2, 2, 3) and {type(v) for v in values} == {int}
 
 
-def test_run_trials_deterministic_across_workers():
-    plan = stats.ExperimentPlan("goe-goe", (60,), trials=6, seed=5)
-    serial = stats.run_trials(plan, threads=1)
-    threaded = stats.run_trials(plan, threads=3)
-    for a, b in zip(serial.spectra[60], threaded.spectra[60]):
-        np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(serial.spectra[60][0], serial.spectra[60][1])
+def test_benchmark_calls_run_one_trial_at_a_time(monkeypatch):
+    # The benchmark's two stats calls, as it makes them.
+    plan = stats.ExperimentPlan("goe-goe", (60,), trials=2, seed=5)
+    spectra = stats.run_trials(plan, threads=1).spectra[60]
+    assert not np.array_equal(spectra[0], spectra[1])
+    blip_plan = stats.ExperimentPlan("goe-checker:5", (250,), trials=2, seed=3,
+                                     outputs=("blips",), orders=(0, 1, 2))
+    assert stats.averaged_blip_measure(blip_plan, threads=1).N == 250
+
+    def no_sampling(spec, seed=None):
+        raise AssertionError("sampled a matrix before rejecting threads")
+
+    monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
+    for threads in (2, 0):
+        with pytest.raises(ValueError, match=f"invalid threads: {threads}"):
+            stats.run_trials(plan, threads=threads)
+        with pytest.raises(ValueError, match=f"invalid threads: {threads}"):
+            stats.averaged_blip_measure(blip_plan, threads=threads)
 
 
 def test_run_trials_matches_manual_sampling():
