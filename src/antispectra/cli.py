@@ -151,9 +151,16 @@ def _cmd_convergence(args):
     return None, report.as_dict()
 
 
+def _seed(text):
+    """A --seed value: an integer >= 0, of any size."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _add_common(parser, exact=False):
     """--seed and --out, which every command takes."""
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="ignored by the exact tables" if exact else None)
     parser.add_argument("--out")
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import (_Rotations, _free_word_moment, double_factorial,
+from .combinatorics import (_a_first, _free_word_moment, double_factorial,
                             moment_pte_pte, sigma_table)
 
 #: Edge of the support of the two-GOE limiting density.
@@ -107,10 +107,10 @@ def _free_sigma(n_max, s_max):
     over the 2^(2n) words w of (sb + bs)^(2n), s semicircular and free from a standard
     Gaussian b, by the free word recursion, which shares no code with sigma_table."""
     gaussian = [[double_factorial(2 * i - 1)] for i in range(n_max + s_max + 1)]
-    memo, rotations = {}, _Rotations()
+    memo = {}
 
     def phi(word):  # the k^0 coefficient; a word of value 0 has none
-        return sum(_free_word_moment(rotations[word], gaussian, memo, rotations)[:1])
+        return sum(_free_word_moment(_a_first(word), gaussian, memo)[:1])
 
     return [[sum(phi("".join(w) + "bb" * s)
                  for w in itertools.product(("ab", "ba"), repeat=2 * n))

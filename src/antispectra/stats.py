@@ -188,6 +188,9 @@ class ExperimentPlan:
                            tuple(_integer("order", m, 0) for m in self.orders))
         if not self.sizes:
             raise ValueError("plan needs at least one size")
+        if len(set(self.sizes)) < len(self.sizes):
+            raise ValueError(f"invalid sizes: {self.sizes} repeats a size")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.trials is not None:
             object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         if self.dist not in DISTRIBUTIONS:

@@ -108,11 +108,16 @@ def test_criterion_01_goe_goe_moment_routes():
 
 def test_criterion_02_pte_pte_enumeration_vs_closed_form():
     start = time.perf_counter()
-    closed = {m: comb.moment_pte_pte(m, "closed_form") for m in range(1, 5)}
+    closed = {m: comb.moment_pte_pte(m, "closed_form") for m in range(1, 7)}
     enumerated = {m: comb.moment_pte_pte(m, "enumeration") for m in range(1, 5)}
+    # One-dimensional blocks: the GUE_1 loop equations, which share no
+    # arithmetic with the closed form (the enumeration does).
+    gue1 = {m: comb.moment_bce_bce(m).at(1) for m in range(1, 7)}
     elapsed = time.perf_counter() - start
     _criterion(2, [
-        ("paths agree for m<=4", closed == enumerated, enumerated[4]),
+        ("paths agree for m<=4", all(closed[m] == enumerated[m] for m in enumerated),
+         enumerated[4]),
+        ("bce-bce at k=1 equals the closed form for m<=6", closed == gue1, gue1[6]),
         ("first three values", [closed[m] for m in (1, 2, 3)] == [4, 144, 14400],
          (closed[1], closed[2], closed[3])),
         ("runtime under 60 s", elapsed < 60.0, f"{elapsed:.2f}s"),

@@ -108,6 +108,12 @@ def test_usage_errors_exit_two(capsys, argv):
     (("blip", "--pair", "goe-checker:2", "--n", "-4", "--trials", "2"), "invalid size: -4"),
     (("moments", "--pair", "goe-goe", "--m", "2", "--out", "/nonexistent/x.json"),
      "invalid --out '/nonexistent/x.json': no such directory"),
+    (("spectrum", "--pair", "goe-goe", "--n", "8", "--trials", "1", "--seed", "-1"),
+     "argument --seed: '-1' is not a non-negative integer"),
+    (("sample", "--ensemble", "goe", "--n", "3", "--seed", "1.5"),
+     "argument --seed: '1.5' is not a non-negative integer"),
+    (("convergence", "--pair", "goe-goe", "--n", "8,8,16,32", "--trials", "3"),
+     "invalid sizes: (8, 8, 16, 32) repeats a size"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -333,6 +339,16 @@ def test_sample_deterministic(capsys, tmp_path):
                              "--seed", "9", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_seed_takes_any_non_negative_integer(capsys):
+    # The benchmark passes 64-bit unsigned op seeds.
+    seed = 2**64 - 1
+    code, out, _ = run_cli(capsys, "sample", "--ensemble", "goe", "--n", "4",
+                           "--seed", str(seed))
+    assert code == 0
+    matrix = ensembles.sample_goe(4, ensembles.rng_stream(seed, 0))
+    np.testing.assert_array_equal(np.loadtxt(out.splitlines()[1:], delimiter=","), matrix)
 
 
 def test_spectrum_csv_and_summary(capsys, tmp_path):

@@ -1,8 +1,14 @@
 """Pair specs, experiment plans, trial runners, averaging, and convergence scans."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import antispectra
 from antispectra import combinatorics, stats
 from antispectra.ensembles import rng_stream, sample_goe
 from antispectra.matops import anticommutator, eigenvalues
@@ -82,11 +88,51 @@ def test_plan_validation():
         stats.ExperimentPlan("goe-checker:5", (10,), outputs=("blips",), weight_order=1.5)
     with pytest.raises(ValueError, match="invalid size: 16.9 is not an integer"):
         stats.moment_variance_scan("goe-goe", 2, (16.9, 24.2, 32.7), 3)
+    # Results are keyed by size, so a repeated size would be sampled twice
+    # and kept once.
+    with pytest.raises(ValueError, match=r"invalid sizes: \(8, 8\) repeats a size"):
+        stats.ExperimentPlan("goe-goe", (8, 8), trials=2)
+    with pytest.raises(ValueError, match=r"invalid sizes: \(8, 8, 16, 32\) repeats a size"):
+        stats.moment_variance_scan("goe-goe", 2, (8, 8, 16, 32), 3)
+    with pytest.raises(ValueError, match="invalid seed: 1.5 is not an integer"):
+        stats.ExperimentPlan("goe-goe", (8,), seed=1.5)
+    with pytest.raises(ValueError, match="invalid seed: -1 must be >= 0"):
+        stats.ExperimentPlan("goe-goe", (8,), seed=-1)
+    # The benchmark's op seeds are 64-bit unsigned.
+    assert stats.ExperimentPlan("goe-goe", (8,), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     # NumPy integers pass, as Python ints.
     plan = stats.ExperimentPlan("goe-goe", (np.int64(10),), trials=np.int32(2),
                                 orders=(np.int64(2),), weight_order=np.int64(3))
     values = (*plan.sizes, plan.trials, *plan.orders, plan.weight_order)
     assert values == (10, 2, 2, 3) and {type(v) for v in values} == {int}
+
+
+_ONE_TRIAL = """
+import sys
+from antispectra import stats
+plan = stats.ExperimentPlan("goe-goe", (300,), trials=1, seed=7, outputs=("spectra",))
+sys.stdout.buffer.write(stats.run_trials(plan).spectra[300][0].tobytes())
+"""
+
+
+def _one_trial_spectrum(blas_threads):
+    """One goe-goe trial at N = 300 in a fresh process with that many BLAS threads."""
+    src = str(Path(antispectra.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _ONE_TRIAL], env=env,
+                         capture_output=True, check=True)
+    return np.frombuffer(run.stdout, dtype=np.float64)
+
+
+def test_trials_are_bit_reproducible_at_a_fixed_blas_thread_count():
+    # Same seed and thread count: the same bits.  Another thread count may
+    # sum the GEMM and the eigensolve in another order (about 1e-14 relative
+    # at N = 300), but no more.
+    first, again, two = (_one_trial_spectrum(t) for t in (1, 1, 2))
+    assert first.size == 300
+    assert first.tobytes() == again.tobytes()
+    assert np.max(np.abs(first - two)) <= 1e-12 * np.max(np.abs(first))
 
 
 def test_benchmark_calls_run_one_trial_at_a_time(monkeypatch):
