@@ -60,23 +60,26 @@ def _check_dims(N, k=None):
 def _symmetric_fill(rng, N, dist="standard-normal", diagonal=1.0):
     """N x N symmetric draw: the strict upper triangle, mirrored, then the diagonal.
 
-    The mask i < j takes the draws in row-major order, the order of
-    np.triu_indices(N, 1), without building two index arrays.  The mirror
-    is matops._add_transpose, in place, so no second N x N array is made.
-    The diagonal draws, times ``diagonal``, come last.
+    Each row's strict upper triangle is drawn straight into that row, so
+    the draws land in row-major order, the order of np.triu_indices(N, 1).
+    Draws made in pieces equal one whole draw, so the matrix is bit for bit
+    the one a single draw of N(N-1)/2 values gives, without that draw or an
+    N x N mask.  The mirror is matops._add_transpose, in place, so no second
+    N x N array is made.  The diagonal draws, times ``diagonal``, come last.
     """
-    i = np.arange(N)
     a = np.zeros((N, N))
-    a[i[:, None] < i[None, :]] = _draw(rng, dist, N * (N - 1) // 2)
+    for i in range(N - 1):
+        a[i, i + 1:] = _draw(rng, dist, N - 1 - i)
     _add_transpose(a)
     a[np.diag_indices(N)] = _draw(rng, dist, N) * diagonal
     return a
 
 
-def _same_residue(N, k):
-    """Boolean mask of the positions with i = j (mod k)."""
-    r = np.arange(N) % k
-    return r[:, None] == r[None, :]
+def _pin_residues(a, k, w):
+    """Set the entries of a with i = j (mod k) to w, one strided slice per residue."""
+    for r in range(k):
+        a[r::k, r::k] = w
+    return a
 
 
 def sample_goe(N, seed=None):
@@ -116,7 +119,8 @@ def sample_bce(N, k, seed=None, dist="standard-normal"):
     Free blocks are B_0 (symmetric) and B_1..B_{floor(n/2)} where
     n = N/k; the rest are forced by B_{n-i} = B_i^T.  When n is even the
     middle block B_{n/2} equals its own transpose, so it is drawn
-    symmetric as well.
+    symmetric as well.  The blocks are copied straight into the one N x N
+    result, so besides it the call holds only the N k floats of the blocks.
     """
     _check_dims(N, k)
     n = N // k
@@ -130,19 +134,27 @@ def sample_bce(N, k, seed=None, dist="standard-normal"):
             blocks[i] = _draw(rng, dist, (k, k))
     for i in range(n // 2 + 1, n):
         blocks[i] = blocks[n - i].T
-    # Block row r, column c is B_{(c - r) mod n}: gather [r, c, a, b], then
-    # interleave to rows r*k + a and columns c*k + b (C order even at k = 1).
-    index = (np.arange(n) - np.arange(n)[:, None]) % n
-    gathered = np.stack(blocks)[index].transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(gathered.reshape(N, N))
+    # Block row r, column c is B_{(c - r) mod n}: block row 0 is B_0..B_{n-1}
+    # side by side, and block row r is block row 0 rotated right by r blocks.
+    a = np.empty((N, N))
+    top = a[:k]
+    for c, block in enumerate(blocks):
+        top[:, c * k:(c + 1) * k] = block
+    for r in range(1, n):
+        lo = r * k
+        a[lo:lo + k, lo:] = top[:, :N - lo]
+        a[lo:lo + k, :lo] = top[:, N - lo:]
+    return a
 
 
 def sample_checkerboard(N, k, w=1.0, seed=None, dist="standard-normal"):
-    """Symmetric iid draw with entries pinned to w where i = j (mod k)."""
+    """Symmetric iid draw with entries pinned to w where i = j (mod k).
+
+    The pinned entries are set by k strided slice assignments, so beyond
+    the matrix the call holds what _symmetric_fill does and no N x N mask.
+    """
     _check_dims(N, k)
-    a = _symmetric_fill(_as_generator(seed), N, dist)
-    a[_same_residue(N, k)] = w
-    return a
+    return _pin_residues(_symmetric_fill(_as_generator(seed), N, dist), k, w)
 
 
 @dataclass(frozen=True)
@@ -234,7 +246,7 @@ def mean_matrix(N, k):
     Rank k; its nonzero eigenvalues are k copies of N/k.
     """
     _check_dims(N, k)
-    return _same_residue(N, k).astype(float)
+    return _pin_residues(np.zeros((N, N)), k, 1.0)
 
 
 def dump_matrix(f, M, kind):

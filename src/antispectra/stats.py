@@ -233,8 +233,10 @@ def run_trials(plan, threads=1):
     sized_specs = [pair.specs(N, plan.dist) for N in plan.sizes]
     aggregate = TrialAggregate(plan, {}, {}, {})
     for ni, (N, specs) in enumerate(zip(plan.sizes, sized_specs)):
-        # The sampled matrices are temporaries of the argument list, freed before
-        # the solver copies its input, so they add nothing to the solve's peak.
+        # anticommutator writes C into the first factor's storage, and the
+        # argument list, the only holder of B, is freed as it returns.  So a
+        # trial holds at most two N x N arrays: A and B while they are sampled
+        # and multiplied, then C and the solver's copy.
         spectra = [
             eigenvalues(anticommutator(*[
                 sample_ensemble(spec, rng_stream(plan.seed, ni, t, si))

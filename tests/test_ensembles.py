@@ -210,6 +210,29 @@ def _reference_residue_mask(N, k):
     return (i[:, None] - i[None, :]) % k == 0
 
 
+def _mask_and_single_draw(rng, N, dist, diagonal):
+    """The samplers' previous fill: one draw of the whole strict upper
+    triangle, placed through an N x N mask of i < j, then mirrored."""
+    i = np.arange(N)
+    a = np.zeros((N, N))
+    a[i[:, None] < i[None, :]] = ensembles._draw(rng, dist, N * (N - 1) // 2)
+    a = a + a.T
+    a[np.diag_indices(N)] = ensembles._draw(rng, dist, N) * diagonal
+    return a
+
+
+@pytest.mark.parametrize("N", [1, 2, 129, 300])
+@pytest.mark.parametrize("dist", ensembles.DISTRIBUTIONS)
+def test_row_wise_fill_matches_one_masked_draw(N, dist):
+    # Row-by-row draws are the single draw cut into pieces; the stream must
+    # also end where the single draw left it.
+    want_rng, got_rng = ensembles.rng_stream(8, N), ensembles.rng_stream(8, N)
+    want = _mask_and_single_draw(want_rng, N, dist, 1.5)
+    got = ensembles._symmetric_fill(got_rng, N, dist, 1.5)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_rng.random(4), want_rng.random(4))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 17, 2024])
 @pytest.mark.parametrize("N", [1, 2, 7, 60])
 def test_goe_matches_index_construction(seed, N):

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from antispectra import matops
-from antispectra.ensembles import sample_checkerboard, sample_goe, sample_pte
+from antispectra.ensembles import sample_bce, sample_checkerboard, sample_goe, sample_pte
 
 
 def test_anticommutator_matches_definition():
     A = sample_goe(40, seed=1)
     B = sample_pte(40, seed=2)
+    want = A @ B + B @ A  # before the call, which consumes A
     C = matops.anticommutator(A, B)
-    np.testing.assert_allclose(C, A @ B + B @ A, atol=1e-10)
+    np.testing.assert_allclose(C, want, atol=1e-10)
     np.testing.assert_array_equal(C, C.T)
 
 
@@ -31,8 +32,8 @@ def _second_factor(kind, N):
 def test_anticommutator_is_both_products(N, kind):
     A = sample_goe(N, seed=N)
     B = _second_factor(kind, N)
-    C = matops.anticommutator(A, B)
     both = A @ B + B @ A
+    C = matops.anticommutator(A, B)
     assert np.max(np.abs(C - both)) <= 1e-12 * np.max(np.abs(both))
     np.testing.assert_array_equal(C, C.T)
 
@@ -108,22 +109,45 @@ def _peak_over_matrix(call, N):
 
 
 def test_anticommutator_holds_one_new_matrix():
-    # The product AB plus one band; S + S.T on top of AB would make it 2.
+    # One band, 128 rows and an eighth of A at this N (0.125 matrices): AB is
+    # written into A's storage band by band; a whole AB would make it 1.
     N = 1024
     A = sample_goe(N, seed=1)
     B = sample_goe(N, seed=2)
-    assert _peak_over_matrix(lambda: matops.anticommutator(A, B), N) < 1.5
+    assert _peak_over_matrix(lambda: matops.anticommutator(A, B), N) < 0.2
     # Three factors: the running sum, the next product and its intermediate;
     # keeping the previous product alive while the next is built makes it 4.
+    A = sample_goe(N, seed=1)
     C = sample_goe(N, seed=3)
     assert _peak_over_matrix(lambda: matops.anticommutator(A, B, C), N) < 3.5
 
 
+def test_anticommutator_writes_into_its_first_factor():
+    # The result is the first factor's storage; the second is read, never
+    # written, also when it shares the first factor's storage.
+    A = sample_goe(300, seed=5)
+    B = sample_checkerboard(300, 5, seed=6)
+    want, kept = A @ B + B @ A, B.copy()
+    C = matops.anticommutator(A, B)
+    assert C is A
+    assert np.max(np.abs(C - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_array_equal(B, kept)
+    want = 2 * (B @ B)
+    C = matops.anticommutator(B, B)
+    assert np.max(np.abs(C - want)) <= 1e-12 * np.max(np.abs(want))
+    # An integer first factor is not truncated: the result is a new float array.
+    ints = np.arange(9).reshape(3, 3)
+    ints = ints + ints.T
+    np.testing.assert_array_equal(matops.anticommutator(ints, ints), 2.0 * (ints @ ints))
+
+
 def test_symmetric_sampler_mirrors_in_place():
-    # The matrix, the half-size draws and the boolean mask (1.625 matrices);
-    # a copy of the transpose would add another whole matrix.
+    # The matrix and one band of the mirror (1.125 matrices); one draw of
+    # the whole triangle would add 0.5, a boolean mask 0.125, and a copy of
+    # the transpose another whole matrix.
     N = 1024
-    assert _peak_over_matrix(lambda: sample_goe(N, seed=3), N) < 1.8
+    assert _peak_over_matrix(lambda: sample_goe(N, seed=3), N) < 1.2
+    assert _peak_over_matrix(lambda: sample_checkerboard(N, 4, seed=3), N) < 1.2
 
 
 def test_pte_sampler_builds_one_matrix():
@@ -131,6 +155,14 @@ def test_pte_sampler_builds_one_matrix():
     # index matrices of an N x N gather would make it 3.125.
     N = 1024
     assert _peak_over_matrix(lambda: sample_pte(N, seed=3), N) < 1.2
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_bce_sampler_builds_one_matrix(k):
+    # The result and the free k x k blocks; gathering every block row into
+    # an (n, n, k, k) array and copying it out would make it 2.
+    N = 1000
+    assert _peak_over_matrix(lambda: sample_bce(N, k, seed=3), N) < 1.1
 
 
 def test_eigenvalues_sorted_and_complete():

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,35 @@ def test_benchmark_calls_run_one_trial_at_a_time(monkeypatch):
             stats.run_trials(plan, threads=threads)
         with pytest.raises(ValueError, match=f"invalid threads: {threads}"):
             stats.averaged_blip_measure(blip_plan, threads=threads)
+
+
+@pytest.mark.parametrize("pair", ["goe-goe", "goe-checker:5", "goe-bce:5"])
+def test_a_trial_holds_two_matrices(pair, monkeypatch):
+    # A trial's tracemalloc peak is A and B plus one band (2.128 matrices at
+    # N = 1000): C is written into A.  An AB beside A and B makes it 3.1.
+    # LAPACK's copy of C is its own malloc, which tracemalloc does not see,
+    # so the solve is judged by what is alive as it starts: C alone, once B
+    # is freed.
+    N = 1000
+    plan = stats.ExperimentPlan(pair, (N,), trials=1, seed=4, outputs=("spectra",))
+    # A small trial first, so that the modules a first trial imports (numpy.random
+    # on first use, 0.1 matrices at this N) are not counted.
+    stats.run_trials(replace(plan, sizes=(10,)))
+    at_solve = []
+
+    def solve(C):
+        at_solve.append(tracemalloc.get_traced_memory()[0])
+        return eigenvalues(C)
+
+    monkeypatch.setattr(stats, "eigenvalues", solve)
+    tracemalloc.start()
+    try:
+        stats.run_trials(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * N * N) < 2.2
+    assert at_solve[0] / (8 * N * N) < 1.1
 
 
 def test_run_trials_matches_manual_sampling():

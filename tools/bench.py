@@ -14,7 +14,9 @@ imports the package from the checkout's src/:
 - "layers": at each N in SIZES, every sampler kind, `matops.anticommutator`
   on a goe-checker:5 pair and `matops.eigenvalues` on the result are timed
   (median of REPEAT calls), and each call's `tracemalloc` peak is taken
-  once, in bytes and in N x N float64 matrices.
+  once, in bytes and in N x N float64 matrices.  `anticommutator` consumes
+  its first factor, so each call gets a fresh copy, made untimed and
+  untraced.
 - "run_trials_rss": `stats.run_trials` runs RSS_TRIALS trials of each pair
   in RSS_PAIRS at each N in RSS_SIZES, one process each, and reports the
   process's `ru_maxrss` above what importing the package took.
@@ -90,16 +92,23 @@ def measure_tables():
     return report
 
 
-def _layer(call):
-    """Median seconds of REPEAT calls, then one call's tracemalloc peak in bytes."""
+def _layer(call, args):
+    """Median seconds of REPEAT calls, then one call's tracemalloc peak in bytes.
+
+    args() gives each call its arguments.  It runs outside the timed call and
+    the traced window, so a call that consumes an argument gets a fresh one
+    at no cost to its numbers.
+    """
     seconds = []
     for _ in range(REPEAT):
+        given = args()
         start = time.perf_counter()
-        call()
+        call(*given)
         seconds.append(time.perf_counter() - start)
+    given = args()
     tracemalloc.start()
     try:
-        call()
+        call(*given)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,16 +124,18 @@ def measure_layers():
     for N in SIZES:
         specs = {kind: EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None)
                  for kind in KINDS}
-        calls = {f"sample {kind}": (lambda spec=spec: sample_ensemble(spec, 1))
+        # (call, args): anticommutator consumes its first factor, so each of
+        # its calls gets a fresh copy of A.
+        calls = {f"sample {kind}": (sample_ensemble, lambda spec=spec: (spec, 1))
                  for kind, spec in specs.items()}
         A = sample_ensemble(specs["goe"], 2)
         B = sample_ensemble(specs["checkerboard"], 3)
-        calls["anticommutator"] = lambda: anticommutator(A, B)
-        C = anticommutator(A, B)
-        calls["eigenvalues"] = lambda: eigenvalues(C)
+        calls["anticommutator"] = (anticommutator, lambda: (A.copy(), B))
+        C = anticommutator(A.copy(), B)
+        calls["eigenvalues"] = (eigenvalues, lambda: (C,))
         rows = {}
-        for name, call in calls.items():
-            seconds, peak = _layer(call)
+        for name, (call, args) in calls.items():
+            seconds, peak = _layer(call, args)
             rows[name] = {"seconds": round(seconds, 5), "peak_bytes": peak,
                           "peak_matrices": round(peak / (8 * N * N), 3)}
         report[str(N)] = rows
