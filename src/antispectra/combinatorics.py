@@ -8,13 +8,12 @@ coefficients stay exact.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 ENUMERATION_LIMITS = {
-    "configurations": 16,  # pairs, i.e. word length 32
     "goe-goe": 5,
     "pte-pte": 4,
     "goe-pte": 4,
-    "goe-bce": 8,
     "bce-bce": 6,
 }
 
@@ -41,7 +40,7 @@ def catalan(m):
 
 
 # ---------------------------------------------------------------------------
-# configurations and pairings
+# configurations
 
 
 def _configuration_classes(n):
@@ -56,8 +55,6 @@ def _configuration_classes(n):
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > ENUMERATION_LIMITS["configurations"]:
-        raise ValueError(f"budget exceeded: n={n} configurations not enumerable")
     lyndon = [-1]  # 0 stands for 'ab', 1 for 'ba'
     while lyndon:
         lyndon[-1] += 1
@@ -67,27 +64,6 @@ def _configuration_classes(n):
         lyndon = (lyndon * (n // period + 1))[:n]
         while lyndon and lyndon[-1] == 1:
             lyndon.pop()
-
-
-def _pairings(positions):
-    """Yield every perfect matching of the positions as a list of pairs.
-
-    Depth first: the leftmost unmatched position is tried against each
-    later candidate.  Odd inputs yield nothing.
-    """
-    positions = list(positions)
-    if not positions:
-        yield []
-        return
-    if len(positions) % 2:
-        return
-    first = positions[0]
-    rest = positions[1:]
-    for t, partner in enumerate(rest):
-        remaining = rest[:t] + rest[t + 1:]
-        for tail in _pairings(remaining):
-            tail.append((first, partner))
-            yield tail
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +158,57 @@ def _free_moment_sum(m, eps):
 
 
 # ---------------------------------------------------------------------------
-# {GOE, GOE}
+# the sigma recurrence
 
 
-def _f_g_tables(m_max):
-    """The interlinked sequences behind the limiting even moments.
+def sigma_table(n_max, s_max, row=None):
+    """sigma[n][s] = phi((sb + bs)^(2n) b^(2s)), n <= n_max and s <= s_max, as a
+    tuple of rows, for s semicircular and free from an even b (one whose odd
+    moments are 0) with phi(b^(2s)) = row[s].
 
-    f(0) = f(1) = g(1) = 1 and for m > 1
-      g(m) = 2 f(m-1) + sum over x1, x2 >= 0 with x1 + x2 <= m-2 of
-             (1 + [x1>0]) (1 + [x2>0]) f(x1) f(x2) g(m-1-x1-x2),
-      f(m) = g(m) + 2 sum_{j=1}^{m-1} g(j) f(m-j).
+    row needs n_max + s_max + 1 entries, and defaults to (2s-1)!!, a standard
+    Gaussian b.  The table uses only + and * on them, so the entries may be
+    ints, or LaurentMoments when b's moments are polynomials in 1/k^2.
+
+    Row 0 is row.  For n >= 1, write X = sb + bs and pair the s of the first
+    factor of X^(2n) b^(2s); a trace starting bs is rotated to start s, which
+    leaves b^(2s+1) at the end.  phi(s y) sums phi(y1) phi(y2) over the
+    splittings y = y1 s y2 (the non-crossing pairings of s, free from b), so
+    b enters only through the moments of the b's in each face: row 0.  With
+    the partner s in factor 2k, 2k - 2 whole factors lie between them:
+      first sb, partner bs:  phi(b X^(2k-2) b) phi(X^(2n-2k) b^(2s))
+                             = sigma[k-1][1] sigma[n-k][s];
+      first bs, partner sb:  phi(X^(2k-2)) phi(b X^(2n-2k) b^(2s+1))
+                             = sigma[k-1][0] sigma[n-k][s+1].
+    A partner of the same kind as the first factor, or one in an odd-numbered
+    factor, leaves an odd count of b's or of s's in y1, whose phi is 0 since
+    b and s are even.  So row n sums sigma[k-1][1] sigma[n-k][s]
+    + sigma[k-1][0] sigma[n-k][s+1] over k = 1..n.
     """
-    f = {0: 1, 1: 1}
-    g = {1: 1}
-    for m in range(2, m_max + 1):
-        acc = 2 * f[m - 1]
-        for x1 in range(0, m - 1):
-            for x2 in range(0, m - 1 - x1):
-                weight = (2 if x1 else 1) * (2 if x2 else 1)
-                acc += weight * f[x1] * f[x2] * g[m - 1 - x1 - x2]
-        g[m] = acc
-        f[m] = g[m] + 2 * sum(g[j] * f[m - j] for j in range(1, m))
-    return f, g
+    if n_max < 0 or s_max < 0:
+        raise ValueError("table bounds must be nonnegative")
+    # Row n consumes entries at column s+1 from earlier rows, so build the
+    # scratch table s_max + n_max columns wide and trim at the end.
+    wide = s_max + n_max
+    if row is None:
+        row = [double_factorial(2 * s - 1) for s in range(wide + 1)]
+    if len(row) <= wide:
+        raise ValueError(f"row needs {wide + 1} entries, got {len(row)}")
+    rows = [list(row[: wide + 1])]
+    for n in range(1, n_max + 1):
+        next_row = []
+        for s in range(0, wide - n + 1):
+            acc = 0
+            for k in range(1, n + 1):
+                acc += (rows[k - 1][1] * rows[n - k][s]
+                        + rows[k - 1][0] * rows[n - k][s + 1])
+            next_row.append(acc)
+        rows.append(next_row)
+    return tuple(tuple(row[: s_max + 1]) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# {GOE, GOE}
 
 
 def _moment_goe_goe_explicit(m):
@@ -244,9 +249,10 @@ def schroeder_numbers(order):
 def moment_goe_goe(m, method="recurrence"):
     """Limiting expected 2m-th moment of the two-GOE anticommutator.
 
-    All four methods return the same integer.  'enumeration' is capped at
-    m <= 5 and recounts it as phi((sb + bs)^(2m)) for free semicirculars s
-    and b, by the word recursion with b's moments the Catalan numbers.
+    All four methods return the same integer, phi((sb + bs)^(2m)) for free
+    semicirculars s and b.  'recurrence' is sigma_table's column 0 with b's
+    moments the Catalan numbers; 'enumeration' is capped at m <= 5 and
+    recounts it by the word recursion on the same row.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -255,8 +261,7 @@ def moment_goe_goe(m, method="recurrence"):
         semicircle = [[catalan(n)] for n in range(m + 1)]
         return _free_moment_sum(m, semicircle)[0]
     if method == "recurrence":
-        f, _ = _f_g_tables(m)
-        return 2 * f[m]
+        return sigma_table(m, 0, [catalan(n) for n in range(m + 1)])[m][0]
     if method == "explicit":
         return _moment_goe_goe_explicit(m)
     if method == "series":
@@ -272,8 +277,9 @@ def moment_pte_pte(m, method="closed_form"):
     """Limiting 2m-th moment when both factors are palindromic Toeplitz.
 
     Closed form 2^(2m) ((2m-1)!!)^2; enumeration multiplies the matching
-    counts of the two letter classes per configuration (every
-    type-respecting pairing contributes 1 in this ensemble pair).
+    counts (c-1)!! of the two letter classes, c letters each, per
+    configuration (every type-respecting pairing contributes 1 in this
+    ensemble pair).
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -281,43 +287,14 @@ def moment_pte_pte(m, method="closed_form"):
         return 2 ** (2 * m) * double_factorial(2 * m - 1) ** 2
     if method == "enumeration":
         _check_limit("pte-pte", m)
-        walked = {}  # set size -> number of its pairings
-        total = 0
-        for word, size in _configuration_classes(2 * m):
-            ways = size
-            for count in (word.count("a"), word.count("b")):
-                if count not in walked:
-                    walked[count] = sum(1 for _ in _pairings(range(count)))
-                ways *= walked[count]
-            total += ways
-        return total
+        return sum(size * double_factorial(word.count("a") - 1)
+                   * double_factorial(word.count("b") - 1)
+                   for word, size in _configuration_classes(2 * m))
     raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
 # {GOE, PTE}
-
-
-def sigma_table(n_max, s_max):
-    """Mixed-pair counts sigma[n][s], n <= n_max and s <= s_max, as a tuple of rows:
-    row 0 is (2s-1)!!, and row n sums sigma[k-1][1] sigma[n-k][s]
-    + sigma[k-1][0] sigma[n-k][s+1] over k = 1..n."""
-    if n_max < 0 or s_max < 0:
-        raise ValueError("table bounds must be nonnegative")
-    # Row n consumes entries at column s+1 from earlier rows, so build the
-    # scratch table s_max + n_max columns wide and trim at the end.
-    wide = s_max + n_max
-    rows = [[1] + [double_factorial(2 * s - 1) for s in range(1, wide + 1)]]
-    for n in range(1, n_max + 1):
-        row = []
-        for s in range(0, wide - n + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                acc += (rows[k - 1][1] * rows[n - k][s]
-                        + rows[k - 1][0] * rows[n - k][s + 1])
-            row.append(acc)
-        rows.append(row)
-    return tuple(tuple(row[: s_max + 1]) for row in rows)
 
 
 def moment_goe_pte(m, method="recurrence"):
@@ -362,6 +339,26 @@ class LaurentMoment:
     """
 
     coeffs: tuple
+
+    def __add__(self, other):
+        if not isinstance(other, LaurentMoment):
+            return NotImplemented
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return LaurentMoment(tuple(a + c for a, c in pairs))
+
+    def __radd__(self, other):
+        # 0 + x is x, so a sum may start from the integer 0.
+        return self if other == 0 else NotImplemented
+
+    def __mul__(self, other):
+        """The product in k, a convolution of the coefficients."""
+        if not isinstance(other, LaurentMoment):
+            return NotImplemented
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for g, a in enumerate(self.coeffs):
+            for h, c in enumerate(other.coeffs):
+                out[g + h] += a * c
+        return LaurentMoment(tuple(out))
 
     def at(self, k):
         """Evaluate at block size k; exact Fraction for integer k."""
@@ -448,11 +445,13 @@ def moment_goe_bce(m):
 
     It equals phi((sb + bs)^(2m)), with s semicircular and free from b and
     phi(b^(2n)) = sum_g eps_g(n) k^(-2g), eps_g(n) the Harer-Zagier numbers
-    (Harer-Zagier 1986; Nica-Speicher 2006, Lecture 22), summed by
-    _free_moment_sum.
+    (Harer-Zagier 1986; Nica-Speicher 2006, Lecture 22): sigma_table's
+    column 0 on those rows.
     """
-    _check_limit("goe-bce", m)
-    return LaurentMoment(tuple(_free_moment_sum(m, _harer_zagier(m))))
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    row = [LaurentMoment(tuple(eps)) for eps in _harer_zagier(m)]
+    return sigma_table(m, 0, row)[m][0]
 
 
 def moment_bce_bce(m):
@@ -533,8 +532,7 @@ def bulk_moment_checker(m, k, j=None):
         raise ValueError(f"need m >= 1, got {m}")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    f, _ = _f_g_tables(m)
-    out = 2 * Fraction(k - 1, k) ** m * f[m]
+    out = Fraction(k - 1, k) ** m * moment_goe_goe(m)
     if j is not None:
         if j < 2:
             raise ValueError(f"need j >= 2, got {j}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antispectra import cli, ensembles, stats
+from antispectra import cli, combinatorics, ensembles, stats
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +114,7 @@ def test_usage_errors_exit_two(capsys, argv):
      "argument --seed: '1.5' is not a non-negative integer"),
     (("convergence", "--pair", "goe-goe", "--n", "8,8,16,32", "--trials", "3"),
      "invalid sizes: (8, 8, 16, 32) repeats a size"),
+    (("genus", "--pair", "goe-bce", "--m", "0"), "need m >= 1, got 0"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)
@@ -306,16 +307,21 @@ def test_genus_payload(capsys):
 
 
 def test_genus_enumeration_limits(capsys):
-    # bce-bce reaches m = 6 and goe-bce m = 8; one past each is refused.
+    # bce-bce reaches m = 6 and one past it is refused; goe-bce has no limit.
     code, out, _ = run_cli(capsys, "genus", "--pair", "bce-bce", "--m", "5")
     assert code == 0
     assert json.loads(out)["symbolic"] == (
         "4066 + 521880*k^-2 + 19317738*k^-4 + 214110380*k^-6"
         " + 550074096*k^-8 + 130429440*k^-10")
-    for pair, m in (("bce-bce", 7), ("goe-bce", 9)):
-        code, _, err = run_cli(capsys, "genus", "--pair", pair, "--m", str(m))
-        assert code == 2
-        assert "budget exceeded" in err
+    code, _, err = run_cli(capsys, "genus", "--pair", "bce-bce", "--m", "7")
+    assert code == 2
+    assert "budget exceeded" in err
+    # goe-bce at m = 9 collapses to goe-pte at k = 1 and to goe-goe as k -> oo.
+    code, out, _ = run_cli(capsys, "genus", "--pair", "goe-bce", "--m", "9", "--k", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == combinatorics.moment_goe_pte(9)
+    assert payload["symbolic"].split(" + ")[0] == str(combinatorics.moment_goe_goe(9, "explicit"))
 
 
 def test_sample_writes_loadable_matrix(capsys, tmp_path):

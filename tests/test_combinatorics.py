@@ -178,6 +178,21 @@ def test_goe_goe_moments_exact(m, expected):
     assert comb.moment_goe_goe(m, "series") == expected
 
 
+def test_sigma_table_on_the_catalan_row_is_goe_goe():
+    # sigma_table's column 0 with b semicircular, against two routes that
+    # share no code with it.
+    row = [comb.catalan(n) for n in range(21)]
+    table = comb.sigma_table(20, 0, row)
+    for m in range(1, 21):
+        assert table[m][0] == comb.moment_goe_goe(m, "explicit"), m
+        assert table[m][0] == comb.moment_goe_goe(m, "series"), m
+
+
+def test_sigma_table_rejects_a_short_row():
+    with pytest.raises(ValueError, match="row needs 6 entries, got 5"):
+        comb.sigma_table(3, 2, [1, 1, 2, 5, 14])
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_goe_goe_enumeration_route_agrees(m):
     assert (comb.moment_goe_goe(m, "enumeration")
@@ -259,6 +274,32 @@ def test_goe_bce_laurent_coefficients(m, coeffs):
 @pytest.mark.parametrize("m,coeffs", sorted(BCE_BCE_COEFFS.items()))
 def test_bce_bce_laurent_coefficients(m, coeffs):
     assert comb.moment_bce_bce(m).coeffs == coeffs
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_goe_bce_equals_the_free_word_route(m):
+    # sigma_table on the Harer-Zagier rows against the word recursion on the
+    # same rows: the two routes share only b's moments.
+    assert comb.moment_goe_bce(m).coeffs == tuple(
+        comb._free_moment_sum(m, comb._harer_zagier(m)))
+
+
+def test_laurent_moment_sum_and_product():
+    x, y = comb.LaurentMoment((2, 3)), comb.LaurentMoment((1, 0, 5))
+    assert 0 + x == x
+    assert sum([x, y]) == comb.LaurentMoment((3, 3, 5))
+    assert x + y == y + x == comb.LaurentMoment((3, 3, 5))
+    assert x * y == y * x == comb.LaurentMoment((2, 3, 10, 15))
+    assert x * comb.LaurentMoment((1,)) == x
+    assert (x * y).at(2) == x.at(2) * y.at(2)
+    with pytest.raises(TypeError):
+        x + 1
+    # sigma_table runs on them for any row of b-moments, here a made-up one,
+    # and agrees with the word recursion on the same row.
+    eps = [[1], [1, 2], [3, 0, 1], [2, 5], [7, 1, 1, 4]]
+    table = comb.sigma_table(4, 0, [comb.LaurentMoment(tuple(e)) for e in eps])
+    for m in range(1, 5):
+        assert table[m][0].coeffs == tuple(comb._free_moment_sum(m, eps)), m
 
 
 def test_bce_bce_fourth_moment_golden():
@@ -415,7 +456,7 @@ def test_goe_bce_agrees_with_pairing_by_pairing_tally(m):
 
 def test_laurent_reductions_and_evaluation():
     # one-dimensional blocks collapse each pair onto its Toeplitz analogue
-    for m in range(1, comb.ENUMERATION_LIMITS["goe-bce"] + 1):
+    for m in range(1, 21):
         assert comb.moment_goe_bce(m).at(1) == comb.moment_goe_pte(m)
     for m in range(1, comb.ENUMERATION_LIMITS["bce-bce"] + 1):
         assert comb.moment_bce_bce(m).at(1) == comb.moment_pte_pte(m)
@@ -428,8 +469,8 @@ def test_laurent_reductions_and_evaluation():
 
 
 def test_laurent_constant_term_is_goe_goe_limit():
-    for m in range(1, comb.ENUMERATION_LIMITS["goe-bce"] + 1):
-        assert comb.moment_goe_bce(m).coeffs[0] == comb.moment_goe_goe(m)
+    for m in range(1, 21):
+        assert comb.moment_goe_bce(m).coeffs[0] == comb.moment_goe_goe(m, "explicit")
     for m in range(1, comb.ENUMERATION_LIMITS["bce-bce"] + 1):
         assert comb.moment_bce_bce(m).coeffs[0] == comb.moment_goe_goe(m)
 
