@@ -1,8 +1,8 @@
-"""Exact limiting moments via pairing enumeration, recurrences, and closed forms.
+"""Exact limiting moments via word recursions, recurrences, and closed forms.
 
-Positions are 0-based throughout, and a pairing is a list of index pairs.
-All counting is done in Python integers, so nothing overflows and the genus
-coefficients stay exact.
+Every table is exact: a moment is a Python int, a Fraction, or a
+LaurentMoment, a polynomial in 1/k^2 with int coefficients.  Words are
+strings over 'a' and 'b', and positions are 0-based.
 """
 
 import math
@@ -92,18 +92,19 @@ def _a_first(word):
     return word[start:] + word[:start] if start > 0 else word
 
 
-def _free_word_moment(word, eps, memo):
-    """phi(word) for a semicircular s free from b, phi(b^(2n)) = sum_g eps[n][g] k^(-2g).
+def _free_word_moment(word, row, memo):
+    """phi(word) for a semicircular s free from an even b with phi(b^(2n)) = row[n].
 
     word is over the letters 'a' (for s) and 'b', with an even count of
-    each, and starts with an a or holds none; the value is a list of
-    coefficients of k^0, k^-2, ...  phi(s u) sums phi(u1) phi(u2) over the
-    splittings u = u1 s u2 (the non-crossing pairings of s).  A splitting
-    that leaves an odd count of either letter in u1 contributes 0 and is
-    skipped, and so is u2 when phi(u1) is 0.  By traciality each part is
-    rotated to start at its first a (_a_first): any fixed rotation can
-    stand for its class, so the memo, which belongs to one call, is keyed
-    by that cheap rotation, not the least one.
+    each, and starts with an a or holds none.  Only + and * touch the row's
+    ints, Fractions or LaurentMoments, and a zero is always the int 0.
+    phi(s u) sums phi(u1) phi(u2) over the splittings u = u1 s u2 (the
+    non-crossing pairings of s).  A splitting that leaves an odd count of
+    either letter in u1 is skipped, and so is u2 when phi(u1) is 0, and the
+    product when phi(u2) is 0.  By traciality each part is rotated to start
+    at its first a (_a_first): any fixed rotation can stand for its class,
+    so the memo, which belongs to one call, is keyed by that cheap
+    rotation, not the least one.
 
     Zero words are skipped whole by a parity.  phi(word) sums, over the
     non-crossing pairings of the a's, the product over the faces of
@@ -117,58 +118,51 @@ def _free_word_moment(word, eps, memo):
     class words at m = 4, 2,048 of 4,116 at m = 8).
     """
     if not word.startswith("a"):
-        return eps[len(word) // 2]
+        return row[len(word) // 2]
     if word in memo:
         return memo[word]
     u = word[1:]
-    out = []
+    out = 0
     before = 0  # the a's in u[:j]
     # No split at all when the odd-numbered gaps hold an odd count of b's.
     j = -1 if sum(map(len, word.split("a")[1::2])) % 2 else u.find("a")
     while j >= 0:
         if j % 2 == 0 and before % 2 == 0:
-            p = _free_word_moment(_a_first(u[:j]), eps, memo)
-            q = _free_word_moment(_a_first(u[j + 1:]), eps, memo) if p else []
-            out += [0] * (len(p) + len(q) - 1 - len(out))
-            for g, a in enumerate(p):
-                for h, c in enumerate(q):
-                    out[g + h] += a * c
+            p = _free_word_moment(_a_first(u[:j]), row, memo)
+            q = _free_word_moment(_a_first(u[j + 1:]), row, memo) if p else 0
+            if q:
+                out += p * q
         before += 1
         j = u.find("a", j + 1)
     memo[word] = out
     return out
 
 
-def _free_moment_sum(m, eps):
-    """phi((sb + bs)^(2m)) as coefficients of k^0, k^-2, ..., for s semicircular
-    and free from b with phi(b^(2n)) = sum_g eps[n][g] k^(-2g).
+def _free_moment_sum(m, row):
+    """phi((sb + bs)^(2m)) for s semicircular and free from an even b with
+    phi(b^(2n)) = row[n], in the row's type (or the int 0).
 
     Sums _free_word_moment over the words of the anticommutator's expansion,
     a standing for s, one word per rotation class weighted by its size; the
     memo lives for this one call.
     """
     memo = {}
-    total = []
-    for word, size in _configuration_classes(2 * m):
-        value = _free_word_moment(_a_first(word), eps, memo)
-        total += [0] * (len(value) - len(total))
-        for g, c in enumerate(value):
-            total[g] += size * c
-    return total
+    return sum(size * _free_word_moment(_a_first(word), row, memo)
+               for word, size in _configuration_classes(2 * m))
 
 
 # ---------------------------------------------------------------------------
 # the sigma recurrence
 
 
-def sigma_table(n_max, s_max, row=None):
+def sigma_table(n_max, s_max, row):
     """sigma[n][s] = phi((sb + bs)^(2n) b^(2s)), n <= n_max and s <= s_max, as a
     tuple of rows, for s semicircular and free from an even b (one whose odd
     moments are 0) with phi(b^(2s)) = row[s].
 
-    row needs n_max + s_max + 1 entries, and defaults to (2s-1)!!, a standard
-    Gaussian b.  The table uses only + and * on them, so the entries may be
-    ints, or LaurentMoments when b's moments are polynomials in 1/k^2.
+    row needs n_max + s_max + 1 entries.  The table uses only + and * on
+    them, so the entries may be ints, Fractions, or LaurentMoments when b's
+    moments are polynomials in 1/k^2.
 
     Row 0 is row.  For n >= 1, write X = sb + bs and pair the s of the first
     factor of X^(2n) b^(2s); a trace starting bs is rotated to start s, which
@@ -190,8 +184,6 @@ def sigma_table(n_max, s_max, row=None):
     # Row n consumes entries at column s+1 from earlier rows, so build the
     # scratch table s_max + n_max columns wide and trim at the end.
     wide = s_max + n_max
-    if row is None:
-        row = [double_factorial(2 * s - 1) for s in range(wide + 1)]
     if len(row) <= wide:
         raise ValueError(f"row needs {wide + 1} entries, got {len(row)}")
     rows = [list(row[: wide + 1])]
@@ -256,12 +248,12 @@ def moment_goe_goe(m, method="recurrence"):
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    semicircle = [catalan(n) for n in range(m + 1)]
     if method == "enumeration":
         _check_limit("goe-goe", m)
-        semicircle = [[catalan(n)] for n in range(m + 1)]
-        return _free_moment_sum(m, semicircle)[0]
+        return _free_moment_sum(m, semicircle)
     if method == "recurrence":
-        return sigma_table(m, 0, [catalan(n) for n in range(m + 1)])[m][0]
+        return sigma_table(m, 0, semicircle)[m][0]
     if method == "explicit":
         return _moment_goe_goe_explicit(m)
     if method == "series":
@@ -306,12 +298,12 @@ def moment_goe_pte(m, method="recurrence"):
     recursion with b's moments (2n-1)!!."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    gaussian = [double_factorial(2 * n - 1) for n in range(m + 1)]
     if method == "recurrence":
-        return sigma_table(m, 0)[m][0]
+        return sigma_table(m, 0, gaussian)[m][0]
     if method == "enumeration":
         _check_limit("goe-pte", m)
-        gaussian = [[double_factorial(2 * n - 1)] for n in range(m + 1)]
-        return _free_moment_sum(m, gaussian)[0]
+        return _free_moment_sum(m, gaussian)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -342,23 +334,26 @@ class LaurentMoment:
 
     def __add__(self, other):
         if not isinstance(other, LaurentMoment):
-            return NotImplemented
+            # x + 0 is x, so a sum may start from, or meet, the int zero.
+            return self if other == 0 else NotImplemented
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         return LaurentMoment(tuple(a + c for a, c in pairs))
 
-    def __radd__(self, other):
-        # 0 + x is x, so a sum may start from the integer 0.
-        return self if other == 0 else NotImplemented
+    __radd__ = __add__
 
     def __mul__(self, other):
-        """The product in k, a convolution of the coefficients."""
-        if not isinstance(other, LaurentMoment):
+        """The product in k, a convolution of the coefficients; an int is a constant."""
+        if isinstance(other, int):
+            other = LaurentMoment((other,))
+        elif not isinstance(other, LaurentMoment):
             return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for g, a in enumerate(self.coeffs):
             for h, c in enumerate(other.coeffs):
                 out[g + h] += a * c
         return LaurentMoment(tuple(out))
+
+    __rmul__ = __mul__
 
     def at(self, k):
         """Evaluate at block size k; exact Fraction for integer k."""
@@ -420,10 +415,11 @@ def _gaussian_trace_moment(words, twisted, memo, rotations):
 
 
 def _harer_zagier(n_max):
-    """eps[n][g]: gluings of a 2n-gon into a genus-g surface (Harer-Zagier 1986).
+    """E[tr G^(2n)] = sum_g eps_g(n) k^(-2g), n <= n_max, as LaurentMoments.
 
-    (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2),
-    so E[tr G^(2n)] = sum_g eps_g(n) k^(-2g) for G a GUE_k with E|g_ij|^2 = 1/k.
+    G is a GUE_k with E|g_ij|^2 = 1/k, and eps_g(n) counts the gluings of a
+    2n-gon into a genus-g surface (Harer-Zagier 1986):
+    (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2).
     """
     eps = [[1]]
     for n in range(1, n_max + 1):
@@ -434,7 +430,7 @@ def _harer_zagier(n_max):
                 acc += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[n - 2][g - 1]
             row.append(acc // (n + 1))
         eps.append(row)
-    return eps
+    return [LaurentMoment(tuple(coeffs)) for coeffs in eps]
 
 
 def moment_goe_bce(m):
@@ -450,8 +446,7 @@ def moment_goe_bce(m):
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    row = [LaurentMoment(tuple(eps)) for eps in _harer_zagier(m)]
-    return sigma_table(m, 0, row)[m][0]
+    return sigma_table(m, 0, _harer_zagier(m))[m][0]
 
 
 def moment_bce_bce(m):

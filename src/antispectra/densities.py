@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import (_a_first, _free_word_moment, double_factorial,
-                            moment_pte_pte, sigma_table)
+from .combinatorics import (_a_first, _free_word_moment, _harer_zagier, catalan,
+                            double_factorial, moment_pte_pte, sigma_table)
 
 #: Edge of the support of the two-GOE limiting density.
 SUPPORT_GOE_GOE = math.sqrt((11 + 5 * math.sqrt(5)) / 2)
@@ -102,17 +102,12 @@ def mgf_pte_pte_series(z, terms=20):
     return total
 
 
-def _free_sigma(n_max, s_max):
+def _free_sigma(n_max, s_max, row):
     """sigma[n][s], n <= n_max, s <= s_max, by its definition: the sum of phi(w b^(2s))
-    over the 2^(2n) words w of (sb + bs)^(2n), s semicircular and free from a standard
-    Gaussian b, by the free word recursion, which shares no code with sigma_table."""
-    gaussian = [[double_factorial(2 * i - 1)] for i in range(n_max + s_max + 1)]
+    over the 2^(2n) words w of (sb + bs)^(2n), for sigma_table's b and row, by the free
+    word recursion, which shares no code with sigma_table."""
     memo = {}
-
-    def phi(word):  # the k^0 coefficient; a word of value 0 has none
-        return sum(_free_word_moment(_a_first(word), gaussian, memo)[:1])
-
-    return [[sum(phi("".join(w) + "bb" * s)
+    return [[sum(_free_word_moment(_a_first("".join(w) + "bb" * s), row, memo)
                  for w in itertools.product(("ab", "ba"), repeat=2 * n))
              for s in range(s_max + 1)]
             for n in range(n_max + 1)]
@@ -121,16 +116,23 @@ def _free_sigma(n_max, s_max):
 def check_sigma_pde(n_max, s_max):
     """Largest coefficientwise residual, a Fraction, of the generating
     function F(z,w) = sum sigma_{n,s} z^n w^s / s! in the equation
-    F = (1-2w)^(-1/2) + z (dF/dw(z,0) F + F(z,0) dF/dw), with sigma_table on
-    the left and _free_sigma's counts on the right.  The arithmetic is exact,
-    so any nonzero residual means the table and the definition disagree.
+    F = B(w) + z (dF/dw(z,0) F + F(z,0) dF/dw), B(w) = sum_s phi(b^(2s)) w^s / s!
+    being b's exponential moment series, with sigma_table on the left and
+    _free_sigma's counts on the right.  b is Gaussian ((2s-1)!!), semicircular
+    (Catalan) and GUE_2 (Harer-Zagier at k = 2, as Fractions) in turn.  The
+    arithmetic is exact, so any nonzero residual means the table and the
+    definition disagree.
     """
-    sig, free = sigma_table(n_max, s_max), _free_sigma(n_max - 1, s_max + 1)
+    wide = range(n_max + s_max + 1)
+    rows = ([double_factorial(2 * i - 1) for i in wide], [catalan(i) for i in wide],
+            [moment.at(2) for moment in _harer_zagier(n_max + s_max)])
     residual = Fraction(0)
-    for n, s in itertools.product(range(n_max + 1), range(s_max + 1)):
-        rhs = sum(free[k - 1][1] * free[n - k][s] + free[k - 1][0] * free[n - k][s + 1]
-                  for k in range(1, n + 1)) if n else double_factorial(2 * s - 1)
-        residual = max(residual, abs(Fraction(sig[n][s] - rhs, math.factorial(s))))
+    for row in rows:
+        sig, free = sigma_table(n_max, s_max, row), _free_sigma(n_max - 1, s_max + 1, row)
+        for n, s in itertools.product(range(n_max + 1), range(s_max + 1)):
+            rhs = sum(free[k - 1][1] * free[n - k][s] + free[k - 1][0] * free[n - k][s + 1]
+                      for k in range(1, n + 1)) if n else row[s]
+            residual = max(residual, abs(Fraction(sig[n][s] - rhs, math.factorial(s))))
     return residual
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import combinatorics
 from .blips import (BlipReport, band_scales, blip_measure_goe_checker,
-                    blip_measure_largest)
+                    blip_measure_largest, default_blip_order)
 from .ensembles import DISTRIBUTIONS, EnsembleSpec, rng_stream, sample_ensemble
 from .matops import anticommutator, eigenvalues
 from .spectra import empirical_moments
@@ -228,6 +228,9 @@ def run_trials(plan, threads=1):
     pair = parse_pair(plan.pair)
     if "blips" in plan.outputs:
         pair.blip_regime()
+        if plan.weight_order is None:
+            for N in plan.sizes:
+                default_blip_order(N)
     # Every size's specs are built before the first trial, so a bad later
     # size fails before the earlier sizes have sampled.
     sized_specs = [pair.specs(N, plan.dist) for N in plan.sizes]

@@ -125,7 +125,7 @@ def test_criterion_02_pte_pte_enumeration_vs_closed_form():
 
 
 def test_criterion_03_goe_pte_table_bounds_and_functional_equation():
-    table = comb.sigma_table(3, 0)
+    table = comb.sigma_table(3, 0, [comb.double_factorial(2 * s - 1) for s in range(4)])
     enum_ok = all(comb.moment_goe_pte(m, "enumeration") == table[m][0]
                   for m in range(1, 4))
     bounds_ok = True

@@ -91,39 +91,33 @@ def test_configuration_classes_partition_the_words(n):
     assert len({word for word, _ in classes}) == len(classes)
 
 
-def _brute_force_sum(value, m):
-    """Sum of value(word), a {power: coefficient} dict, over all 2^(2m) words."""
-    total = {}
-    for pieces in itertools.product(("ab", "ba"), repeat=2 * m):
-        for e, c in value("".join(pieces)).items():
-            total[e] = total.get(e, 0) + c
-    return total
+def _every_word(m):
+    """The 2^(2m) words of the anticommutator's expansion, none skipped by rotation."""
+    return ("".join(pieces) for pieces in itertools.product(("ab", "ba"), repeat=2 * m))
+
+
+_B_ROWS = {
+    "catalan": [comb.catalan(n) for n in range(7)],
+    "double-factorial": [comb.double_factorial(2 * n - 1) for n in range(7)],
+    "harer-zagier": comb._harer_zagier(6),
+}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_class_sums_equal_the_sum_over_every_word(m):
     # The Catalan, (2n-1)!! and Harer-Zagier rows of goe-goe, goe-pte and goe-bce.
-    rows = ([[comb.catalan(n)] for n in range(m + 1)],
-            [[comb.double_factorial(2 * n - 1)] for n in range(m + 1)],
-            comb._harer_zagier(m))
-    for eps in rows:
+    for row in _B_ROWS.values():
         memo = {}
-        words = _brute_force_sum(
-            lambda w: dict(enumerate(comb._free_word_moment(comb._a_first(w), eps, memo))),
-            m)
-        assert comb._free_moment_sum(m, eps) == [words[g] for g in range(len(words))]
+        assert comb._free_moment_sum(m, row) == sum(
+            comb._free_word_moment(comb._a_first(w), row, memo) for w in _every_word(m))
     memo, rotations = {}, comb._Rotations()
-    words = _brute_force_sum(
-        lambda w: comb._gaussian_trace_moment((rotations[w],), False, memo, rotations), m)
-    assert comb.moment_bce_bce(m).coeffs == tuple(words[1 - 2 * g]
-                                                  for g in range(len(words)))
-
-
-_B_ROWS = {
-    "catalan": [[comb.catalan(n)] for n in range(7)],
-    "double-factorial": [[comb.double_factorial(2 * n - 1)] for n in range(7)],
-    "harer-zagier": comb._harer_zagier(6),
-}
+    total = {}
+    for w in _every_word(m):
+        for e, c in comb._gaussian_trace_moment((rotations[w],), False, memo,
+                                                rotations).items():
+            total[e] = total.get(e, 0) + c
+    assert comb.moment_bce_bce(m).coeffs == tuple(total[1 - 2 * g]
+                                                  for g in range(len(total)))
 
 
 def _noncrossing_letter_pairings(word):
@@ -141,26 +135,30 @@ def _noncrossing_letter_pairings(word):
     return count(0, len(word))
 
 
-@pytest.mark.parametrize("row", sorted(_B_ROWS))
-def test_free_word_moment_is_the_same_from_every_rotation(row):
+@pytest.mark.parametrize("law", sorted(_B_ROWS))
+def test_free_word_moment_is_the_same_from_every_rotation(law):
     # Every word on {a, b} of length <= 12 with an even count of each letter.
     # phi is tracial, so each rotation, keyed by its a-first rotation, gives
     # one value; the memo is shared, so a wrong key reaches later words.
     # With b semicircular too, the value is a count of letter pairings.
-    eps, memo = _B_ROWS[row], {}
+    # A value is an int, or a LaurentMoment with a nonzero last coefficient:
+    # a zero is always the int 0, so equal values compare equal.
+    row, memo = _B_ROWS[law], {}
     for n in range(0, 13, 2):
         for letters in itertools.product("ab", repeat=n):
             word = "".join(letters)
             if word.count("a") % 2:
                 continue
-            values = {tuple(comb._free_word_moment(comb._a_first(word[i:] + word[:i]),
-                                                   eps, memo))
-                      for i in range(max(n, 1))}
-            # A zero may be held as [] or as [0, ...].
-            values = {v if any(v) else () for v in values}
-            assert len(values) == 1, word
-            if row == "catalan":
-                assert sum(values.pop()) == _noncrossing_letter_pairings(word), word
+            values = [comb._free_word_moment(comb._a_first(word[i:] + word[:i]), row, memo)
+                      for i in range(max(n, 1))]
+            for value in values:
+                if isinstance(value, comb.LaurentMoment):
+                    assert value.coeffs[-1], word
+                else:
+                    assert type(value) is int, word
+            assert all(value == values[0] for value in values), word
+            if law == "catalan":
+                assert values[0] == _noncrossing_letter_pairings(word), word
 
 
 def test_a_first_rotates_to_the_first_a():
@@ -225,7 +223,7 @@ GOE_PTE_EVEN_MOMENTS = [2, 12, 104, 1096, 13152, 174336]
 def test_goe_pte_moments_and_table():
     for m, expected in enumerate(GOE_PTE_EVEN_MOMENTS, start=1):
         assert comb.moment_goe_pte(m, "recurrence") == expected
-    table = comb.sigma_table(6, 3)
+    table = comb.sigma_table(6, 3, [comb.double_factorial(2 * s - 1) for s in range(10)])
     assert [table[n][0] for n in range(1, 7)] == GOE_PTE_EVEN_MOMENTS
     assert [table[0][s] for s in range(4)] == [1, 1, 3, 15]
 
@@ -280,8 +278,7 @@ def test_bce_bce_laurent_coefficients(m, coeffs):
 def test_goe_bce_equals_the_free_word_route(m):
     # sigma_table on the Harer-Zagier rows against the word recursion on the
     # same rows: the two routes share only b's moments.
-    assert comb.moment_goe_bce(m).coeffs == tuple(
-        comb._free_moment_sum(m, comb._harer_zagier(m)))
+    assert comb.moment_goe_bce(m) == comb._free_moment_sum(m, comb._harer_zagier(m))
 
 
 def test_laurent_moment_sum_and_product():
@@ -291,15 +288,17 @@ def test_laurent_moment_sum_and_product():
     assert x + y == y + x == comb.LaurentMoment((3, 3, 5))
     assert x * y == y * x == comb.LaurentMoment((2, 3, 10, 15))
     assert x * comb.LaurentMoment((1,)) == x
+    assert 3 * x == x * 3 == x + x + x
     assert (x * y).at(2) == x.at(2) * y.at(2)
     with pytest.raises(TypeError):
         x + 1
     # sigma_table runs on them for any row of b-moments, here a made-up one,
     # and agrees with the word recursion on the same row.
-    eps = [[1], [1, 2], [3, 0, 1], [2, 5], [7, 1, 1, 4]]
-    table = comb.sigma_table(4, 0, [comb.LaurentMoment(tuple(e)) for e in eps])
+    row = [comb.LaurentMoment(coeffs)
+           for coeffs in ((1,), (1, 2), (3, 0, 1), (2, 5), (7, 1, 1, 4))]
+    table = comb.sigma_table(4, 0, row)
     for m in range(1, 5):
-        assert table[m][0].coeffs == tuple(comb._free_moment_sum(m, eps)), m
+        assert table[m][0] == comb._free_moment_sum(m, row), m
 
 
 def test_bce_bce_fourth_moment_golden():

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, special
 
 from antispectra import densities, matops
-from antispectra.combinatorics import moment_goe_goe, moment_pte_pte
+from antispectra.combinatorics import double_factorial, moment_goe_goe, moment_pte_pte
 from antispectra.ensembles import rng_stream, sample_goe, sample_pte
 
 
@@ -140,8 +140,9 @@ def test_sigma_functional_equation_residual_is_zero():
 
 
 def test_sigma_table_matches_its_free_word_definition():
-    table = densities.sigma_table(5, 4)
-    assert densities._free_sigma(5, 4) == [list(row) for row in table]
+    gaussian = [double_factorial(2 * s - 1) for s in range(10)]
+    table = densities.sigma_table(5, 4, gaussian)
+    assert densities._free_sigma(5, 4, gaussian) == [list(row) for row in table]
 
 
 def test_tabulate_density_handles_singular_grid_points():

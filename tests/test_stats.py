@@ -214,6 +214,18 @@ def test_run_trials_outputs_follow_plan():
     assert result.moments[40].mean(2) > 0
 
 
+def test_blip_run_rejects_a_size_below_three_before_sampling(monkeypatch):
+    # The default weight order needs N >= 3; a later size must fail before
+    # the first size samples.
+    def no_sampling(spec, rng):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
+    plan = stats.ExperimentPlan("goe-checker:2", (10, 2), trials=3, outputs=("blips",))
+    with pytest.raises(ValueError, match="N=2 must be >= 3"):
+        stats.run_trials(plan)
+
+
 def test_run_trials_blip_output():
     plan = stats.ExperimentPlan("goe-checker:5", (250,), trials=3, seed=2,
                                 outputs=("blips",), orders=(1, 2))
