@@ -83,8 +83,9 @@ def _cmd_spectrum(args):
 def _cmd_moments(args):
     pair = stats.parse_pair(args.pair)
     method = args.method or pair.methods[0]
-    value = float(pair.moment(args.m, method))
-    return None, {"pair": args.pair, "m": args.m, "method": method, "value": value}
+    value = pair.moment(args.m, method)
+    return None, {"pair": args.pair, "m": args.m, "method": method, "value": float(value),
+                  "exact": str(value)}
 
 
 def _cmd_genus(args):

@@ -6,9 +6,9 @@ strings over 'a' and 'b', and positions are 0-based.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 ENUMERATION_LIMITS = {
     "goe-goe": 5,
@@ -60,7 +60,7 @@ def _configuration_classes(n):
         lyndon[-1] += 1
         period = len(lyndon)
         if n % period == 0:
-            yield "".join(("ab", "ba")[x] for x in lyndon) * (n // period), period
+            yield "".join([("ab", "ba")[x] for x in lyndon]) * (n // period), period
         lyndon = (lyndon * (n // period + 1))[:n]
         while lyndon and lyndon[-1] == 1:
             lyndon.pop()
@@ -97,44 +97,58 @@ def _free_word_moment(word, row, memo):
 
     word is over the letters 'a' (for s) and 'b', with an even count of
     each, and starts with an a or holds none.  Only + and * touch the row's
-    ints, Fractions or LaurentMoments, and a zero is always the int 0.
-    phi(s u) sums phi(u1) phi(u2) over the splittings u = u1 s u2 (the
-    non-crossing pairings of s).  A splitting that leaves an odd count of
-    either letter in u1 is skipped, and so is u2 when phi(u1) is 0, and the
-    product when phi(u2) is 0.  By traciality each part is rotated to start
-    at its first a (_a_first): any fixed rotation can stand for its class,
-    so the memo, which belongs to one call, is keyed by that cheap
-    rotation, not the least one.
-
-    Zero words are skipped whole by a parity.  phi(word) sums, over the
-    non-crossing pairings of the a's, the product over the faces of
-    phi(b^r), r the b's in the face, and b's odd moments are 0.  Number
-    the gaps between consecutive a's cyclically.  An innermost arc encloses
-    one gap, its own face, which a nonzero term needs even; removing the arc
-    drops that gap and merges the two beside it, which are two apart.
-    Neither step changes the parity of the b's in the odd-numbered gaps,
-    and the last arc leaves those b's as one face.  A word whose
-    odd-numbered gaps hold an odd count of b's is therefore 0 (16 of the 36
-    class words at m = 4, 2,048 of 4,116 at m = 8).
+    ints, Fractions or LaurentMoments, and a zero is always the int 0.  A
+    word with an a is handed to _free_gap_moment as its b-gap tuple g, g[i]
+    the count of b's after its i-th a (the last gap runs to the word's end,
+    which by traciality is the gap before the first a).  memo belongs to one
+    call and is keyed by those tuples.
     """
     if not word.startswith("a"):
         return row[len(word) // 2]
-    if word in memo:
-        return memo[word]
-    u = word[1:]
+    return _free_gap_moment(tuple(map(len, word[1:].split("a"))), row, memo)
+
+
+def _free_gap_moment(g, row, memo):
+    """phi of the word a b^g[0] a b^g[1] ... a b^g[-1], as _free_word_moment.
+
+    phi(s u) sums phi(u1) phi(u2) over the splittings u = u1 s u2 (the
+    non-crossing pairings of s).  Pairing the first a with the j-th leaves
+        u1 = b^g[0] a ... a b^g[j-1],  gaps g[1:j-1] + (g[j-1] + g[0],),
+        u2 = b^g[j] a ... a b^g[-1],   gaps g[j+1:-1] + (g[-1] + g[j],),
+    each rotated to start at its first a, or row[g[0] / 2] and row[g[-1] / 2]
+    when the part holds no a (j = 1, j = len(g) - 1).  A splitting that
+    leaves an odd count of either letter in u1 (j even, or an odd count of
+    b's in g[:j]) is skipped, and so is u2 when phi(u1) is 0, and the
+    product when phi(u2) is 0.
+
+    Zero words are skipped whole by a parity.  phi(word) sums, over the
+    non-crossing pairings of the a's, the product over the faces of
+    phi(b^r), r the b's in the face, and b's odd moments are 0.  An
+    innermost arc encloses one gap, its own face, which a nonzero term needs
+    even; removing the arc drops that gap and merges the two beside it,
+    which are two apart.  Neither step changes the parity of sum(g[::2]),
+    and the last arc leaves those b's as one face.  A word with sum(g[::2])
+    odd is therefore 0 (16 of the 36 class words at m = 4, 2,048 of 4,116
+    at m = 8).
+    """
+    if g in memo:
+        return memo[g]
     out = 0
-    before = 0  # the a's in u[:j]
-    # No split at all when the odd-numbered gaps hold an odd count of b's.
-    j = -1 if sum(map(len, word.split("a")[1::2])) % 2 else u.find("a")
-    while j >= 0:
-        if j % 2 == 0 and before % 2 == 0:
-            p = _free_word_moment(_a_first(u[:j]), row, memo)
-            q = _free_word_moment(_a_first(u[j + 1:]), row, memo) if p else 0
-            if q:
-                out += p * q
-        before += 1
-        j = u.find("a", j + 1)
-    memo[word] = out
+    n, first, last = len(g), g[0], g[-1]
+    if sum(g[::2]) % 2 == 0:
+        before = 0  # the b's in g[:j]
+        for j in range(1, n, 2):
+            before += g[j - 1]
+            if before % 2 == 0:
+                p = (row[first // 2] if j == 1 else
+                     _free_gap_moment(g[1:j - 1] + (g[j - 1] + first,), row, memo))
+                if p:
+                    q = (row[last // 2] if j == n - 1 else
+                         _free_gap_moment(g[j + 1:-1] + (last + g[j],), row, memo))
+                    if q:
+                        out += p * q
+            before += g[j]
+    memo[g] = out
     return out
 
 
@@ -327,31 +341,58 @@ class LaurentMoment:
     """Moment as integer coefficients of k^0, k^-2, k^-4, ...
 
     coeffs[g] counts the pairings whose cycle defect is exactly 2g; the
-    constant term is the k -> infinity limit.
+    constant term is the k -> infinity limit.  Trailing zero coefficients
+    are trimmed at construction (one coefficient is kept), so equal
+    polynomials compare equal, and a sum or product that is the zero
+    polynomial is the int 0.
     """
 
     coeffs: tuple
+
+    def __post_init__(self):
+        coeffs = self.coeffs
+        while len(coeffs) > 1 and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        if coeffs is not self.coeffs:
+            object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _trimmed(cls, coeffs):
+        """The LaurentMoment of coeffs, whose last entry is not 0, built without
+        __init__: the sums and products of the tables make many of them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
     def __add__(self, other):
         if not isinstance(other, LaurentMoment):
             # x + 0 is x, so a sum may start from, or meet, the int zero.
             return self if other == 0 else NotImplemented
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return LaurentMoment(tuple(a + c for a, c in pairs))
+        longer, shorter = self.coeffs, other.coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = tuple(map(operator.add, longer, shorter)) + longer[len(shorter):]
+        if out[-1]:
+            return self._trimmed(out)
+        return LaurentMoment(out) if any(out) else 0
 
     __radd__ = __add__
 
     def __mul__(self, other):
         """The product in k, a convolution of the coefficients; an int is a constant."""
         if isinstance(other, int):
-            other = LaurentMoment((other,))
-        elif not isinstance(other, LaurentMoment):
+            out = tuple(other * a for a in self.coeffs)
+        elif isinstance(other, LaurentMoment):
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for g, a in enumerate(self.coeffs):
+                for gh, c in enumerate(other.coeffs, g):
+                    out[gh] += a * c
+            out = tuple(out)
+        else:
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for g, a in enumerate(self.coeffs):
-            for h, c in enumerate(other.coeffs):
-                out[g + h] += a * c
-        return LaurentMoment(tuple(out))
+        # Both factors are trimmed, so the product's last coefficient, the
+        # product of theirs, is 0 only when one factor is the zero polynomial.
+        return self._trimmed(out) if out[-1] else 0
 
     __rmul__ = __mul__
 

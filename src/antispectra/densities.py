@@ -17,6 +17,9 @@ SUPPORT_GOE_GOE = math.sqrt((11 + 5 * math.sqrt(5)) / 2)
 #: Offset below which the density formula is 0/0; see density_goe_goe.
 _ZERO_OFFSET = 1e-6
 
+#: The K0 trapezoid rule: nodes past the origin, nodes per block, points per chunk.
+_K0_NODES, _K0_BLOCK, _K0_CHUNK = 99, 16, 4096
+
 
 @dataclass
 class DensityCurve:
@@ -26,9 +29,8 @@ class DensityCurve:
     density: np.ndarray
 
     def write_csv(self, f):
-        f.write("x,density\n")
-        for xi, di in zip(self.x, self.density):
-            f.write(f"{xi:.17g},{di:.17g}\n")
+        rows = np.column_stack((self.x, self.density))
+        f.write("x,density\n" + ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def density_goe_goe(x):
@@ -52,6 +54,35 @@ def density_goe_goe(x):
     return float(dens) if scalar else dens
 
 
+def _k0_node_sum(z, h):
+    """Sum over the nodes k = 1..99 of exp(-2 z sinh^2(k h / 2)), for 1-D z and h.
+
+    The terms are added one at a time in k order, as density_pte_pte's rule
+    adds them (a pairwise np.sum would round differently).  They are
+    evaluated _K0_BLOCK values of k at a time on chunks of at most _K0_CHUNK
+    points, and a chunk stops after the first block whose last term is below
+    2^-54 times the running sum at each point with z >= 1e-8.  The terms
+    fall in k, so every later term is then under half an ulp of the sum and
+    adding it would change no bit.  Points with z < 1e-8 take
+    density_pte_pte's log branch, so their sums are not waited on.
+    """
+    minus_2z, half_h = -2 * z, h / 2
+    total = np.empty_like(z)
+    for start in range(0, z.size, _K0_CHUNK):
+        part = slice(start, start + _K0_CHUNK)
+        log_branch = z[part] < 1e-8
+        acc = 0.0
+        for first in range(1, _K0_NODES + 1, _K0_BLOCK):
+            k = np.arange(first, min(first + _K0_BLOCK, _K0_NODES + 1))[:, None]
+            terms = np.exp(minus_2z[part] * np.sinh(k * half_h[part]) ** 2)
+            for term in terms:
+                acc = acc + term
+            if np.all((terms[-1] < 2.0 ** -54 * acc) | log_branch):
+                break
+        total[part] = acc
+    return total
+
+
 def density_pte_pte(x):
     """Limiting spectral density for two palindromic Toeplitz factors.
 
@@ -65,6 +96,13 @@ def density_pte_pte(x):
     Against K0 at 30 digits the relative error stays under 1e-15.  Accepts
     scalars or arrays.  The origin is a (log-)singular point and is
     rejected; integrate across it instead.
+
+    The nodes are summed in k order, 16 at a time on chunks of at most 4096
+    points, and a chunk stops after the first block of 16 whose terms are
+    too small to change any bit of its sums (_k0_node_sum): 48 nodes on a
+    400-point grid over [-4, 4], 64 when a point lies within 1e-3 of the
+    origin.  The result is bit for bit the full 99-node sum, and the chunks
+    keep the working memory a few copies of the grid.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x == 0):
@@ -73,8 +111,7 @@ def density_pte_pte(x):
     # finite result and gives the limit 0 at x = +-inf.
     z = np.minimum(np.abs(x) / 2, 800.0)
     h = 0.25 / np.sqrt(np.maximum(z, 1.0))
-    total = 0.5 + sum(np.exp(-2 * z * np.sinh(k * h / 2) ** 2)
-                      for k in range(1, 100))
+    total = 0.5 + _k0_node_sum(z.ravel(), h.ravel()).reshape(x.shape)
     k0 = np.where(z < 1e-8, np.log(4) - np.log(np.abs(x)) - np.euler_gamma,
                   np.exp(-z) * h * total)
     dens = k0 / (2 * np.pi)

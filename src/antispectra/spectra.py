@@ -23,9 +23,9 @@ class Histogram:
     clipped_mass: float
 
     def write_csv(self, f):
-        f.write("bin_left,bin_right,density\n")
-        for lo, hi, d in zip(self.edges[:-1], self.edges[1:], self.density):
-            f.write(f"{lo:.17g},{hi:.17g},{d:.17g}\n")
+        rows = np.column_stack((self.edges[:-1], self.edges[1:], self.density))
+        f.write("bin_left,bin_right,density\n"
+                + ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 @dataclass

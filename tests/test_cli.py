@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,20 @@ def test_moment_values(capsys, pair, m, expected):
     payload = json.loads(out)
     np.testing.assert_allclose(payload["value"], expected, rtol=1e-12)
     assert payload["pair"] == pair and payload["m"] == m
+
+
+@pytest.mark.parametrize("pair,m,exact", [
+    ("goe-goe", 30, "40571315482976830134555494010"),
+    ("goe-checker:5", 3, "4224/125"),
+])
+def test_moments_payload_keeps_the_exact_value(capsys, pair, m, exact):
+    # The float loses digits past 2^53 (4.057131548297683e+28 at goe-goe m = 30);
+    # "exact" is the table's int or Fraction as text.
+    code, out, _ = run_cli(capsys, "moments", "--pair", pair, "--m", str(m))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] == exact
+    assert payload["value"] == float(Fraction(exact))
 
 
 def test_moment_methods_agree(capsys):

@@ -281,6 +281,18 @@ def test_goe_bce_equals_the_free_word_route(m):
     assert comb.moment_goe_bce(m) == comb._free_moment_sum(m, comb._harer_zagier(m))
 
 
+def test_laurent_moment_equal_polynomials_compare_equal():
+    L = comb.LaurentMoment
+    # Trailing zeros are trimmed at construction, and one coefficient is kept.
+    assert L((1, 0, 0)).coeffs == (1,) and L((0, 0)).coeffs == (0,)
+    assert L((1,)) + L((0, 1)) + L((0, -1)) == L((1,))
+    assert hash(L((3, 2, 0))) == hash(L((3, 2)))
+    # A sum or product that is the zero polynomial is the int 0.
+    for zero in (L((2, 3)) * 0, 0 * L((2, 3)), L((2, 3)) + L((-2, -3)),
+                 L((2, 3)) * L((0,))):
+        assert zero == 0 and type(zero) is int
+
+
 def test_laurent_moment_sum_and_product():
     x, y = comb.LaurentMoment((2, 3)), comb.LaurentMoment((1, 0, 5))
     assert 0 + x == x

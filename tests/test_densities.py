@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,41 @@ def test_density_pte_pte_matches_bessel_form():
     values = densities.density_pte_pte(np.array(xs))
     assert values.shape == (len(xs),)
     np.testing.assert_array_equal(values, [densities.density_pte_pte(x) for x in xs])
+
+
+def _density_pte_pte_all_nodes(x):
+    """density_pte_pte's rule with every one of its 99 nodes, added one at a time."""
+    x = np.asarray(x, dtype=float)
+    z = np.minimum(np.abs(x) / 2, 800.0)
+    h = 0.25 / np.sqrt(np.maximum(z, 1.0))
+    total = 0.5 + sum(np.exp(-2 * z * np.sinh(k * h / 2) ** 2) for k in range(1, 100))
+    k0 = np.where(z < 1e-8, np.log(4) - np.log(np.abs(x)) - np.euler_gamma,
+                  np.exp(-z) * h * total)
+    return k0 / (2 * np.pi)
+
+
+def test_density_pte_pte_stops_only_where_no_node_changes_a_bit():
+    # The blocked sum that stops early gives the full 99-node sum to the bit.
+    for x in (1e-12, 1e-9, 0.25, 1.0, 2.0, 40.0, 1e3, math.inf, -math.inf):
+        assert densities.density_pte_pte(x) == float(_density_pte_pte_all_nodes(x))
+    grids = (np.linspace(-4, 4, 400),
+             np.geomspace(1e-12, 1e5, 3 * densities._K0_CHUNK + 5),  # more than one chunk
+             np.geomspace(1e-3, 30, 600).reshape(20, 30))
+    for grid in grids:
+        values = densities.density_pte_pte(grid)
+        assert values.shape == grid.shape
+        np.testing.assert_array_equal(values, _density_pte_pte_all_nodes(grid))
+
+
+def test_density_pte_pte_memory_stays_a_few_grids():
+    grid = np.linspace(1e-3, 40, 10**6)
+    tracemalloc.start()
+    try:
+        densities.density_pte_pte(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.nbytes
 
 
 def test_density_pte_pte_vanishes_at_infinity():
@@ -163,3 +199,12 @@ def test_density_curve_csv():
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "x,density"
     assert len(lines) == 6
+
+
+def test_density_curve_csv_bytes_are_each_value_at_17_digits():
+    x = np.array([-3.5, -1e-300, 0.0, 2.0, 1 / 3, 7e22])
+    density = np.array([0.1, 5e-324, 3.0, -0.0, 123456789.0, 2.5e-17])
+    buffer = io.StringIO()
+    densities.DensityCurve(x=x, density=density).write_csv(buffer)
+    rows = "".join(f"{xi:.17g},{di:.17g}\n" for xi, di in zip(x, density))
+    assert buffer.getvalue() == "x,density\n" + rows

@@ -78,6 +78,17 @@ def test_write_csv_format():
     assert lo == hist.edges[0] and hi == hist.edges[1] and d == hist.density[0]
 
 
+def test_write_csv_bytes_are_each_value_at_17_digits():
+    edges = np.array([-3.5, -1e-300, 0.0, 2.0, 1 / 3, 7e22])
+    density = np.array([0.1, 5e-324, 3.0, -0.0, 123456789.0])
+    hist = sp.Histogram(edges=edges, density=density, p=1.0, trials=1, clipped_mass=0.0)
+    buffer = io.StringIO()
+    hist.write_csv(buffer)
+    rows = "".join(f"{lo:.17g},{hi:.17g},{d:.17g}\n"
+                   for lo, hi, d in zip(edges[:-1], edges[1:], density))
+    assert buffer.getvalue() == "bin_left,bin_right,density\n" + rows
+
+
 def test_empirical_moments_against_direct_sums():
     N = 30
     data = _fake_spectra(8, N, seed=3)

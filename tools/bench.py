@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Write a BENCH record: exact-table reach, per-layer trial time and memory, trial RSS.
+"""Write a BENCH record: exact-table reach, CLI command time, per-layer trial time and
+memory, trial RSS.
 
     python3 tools/bench.py --out BENCH.json [--baseline DIR]
 
-A checkout's record has three parts, each measured in a fresh process that
+A checkout's record has four parts, each measured in a fresh process that
 imports the package from the checkout's src/:
 
 - "tables": each exact table (the enumeration routes of goe-goe, pte-pte
@@ -11,6 +12,9 @@ imports the package from the checkout's src/:
   m = 1, 2, ... until it raises its enumeration-budget error or the median
   of REPEAT calls exceeds BUDGET_S seconds.  The largest m timed within the
   budget is reported with what stopped the walk.
+- "commands": each of COMMANDS runs in process through `cli.main`, its
+  standard output captured, REPEAT times after one untimed call; the median
+  seconds is reported.
 - "layers": at each N in SIZES, every sampler kind, `matops.anticommutator`
   on a goe-checker:5 pair and `matops.eigenvalues` on the result are timed
   (median of REPEAT calls), and each call's `tracemalloc` peak is taken
@@ -23,12 +27,15 @@ imports the package from the checkout's src/:
 
 Each record also holds the checkout's commit and a digest of its package
 source.  The checkout this file sits in is "after"; with --baseline DIR, a
-checkout of another commit, DIR is measured first as "before".  Both sit
-beside the machine they ran on and its BLAS.
+checkout of another commit, DIR is "before", and each part runs on "before"
+and then on "after" before the next part starts.  Both sit beside the
+machine they ran on and its BLAS.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -56,6 +63,14 @@ TABLES = (
     ("goe-pte enumeration", "moment_goe_pte", ("enumeration",)),
     ("goe-bce genus", "moment_goe_bce", ()),
     ("bce-bce genus", "moment_bce_bce", ()),
+)
+
+# CLI commands timed by measure_commands
+COMMANDS = (
+    ("density", "--which", "goe-goe", "--grid=-4:4:400"),
+    ("density", "--which", "pte-pte", "--grid=-4:4:400"),
+    ("moments", "--pair", "goe-goe", "--m", "5", "--method", "enumeration"),
+    ("moments", "--pair", "goe-pte", "--m", "4", "--method", "enumeration"),
 )
 
 
@@ -89,6 +104,24 @@ def measure_tables():
                 largest = m
             m += 1
         report[name] = {"seconds": seconds, "largest_m": largest, "stopped_by": stopped}
+    return report
+
+
+def measure_commands():
+    """Per command in COMMANDS: median seconds of REPEAT in-process `cli.main` calls."""
+    from antispectra import cli
+
+    report = {}
+    for argv in COMMANDS:
+        seconds = []
+        for _ in range(REPEAT + 1):  # the first call warms up and is not counted
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                code = cli.main(list(argv))
+                seconds.append(time.perf_counter() - start)
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+        report[" ".join(argv)] = round(statistics.median(seconds[1:]), 6)
     return report
 
 
@@ -170,7 +203,7 @@ def run_on(root, *args):
 
 
 def tree_record(root):
-    """The commit and source digest of the checkout at root, and its three parts."""
+    """The commit and source digest of the checkout at root."""
     src = Path(root).resolve() / "src"
     digest = hashlib.sha256()
     for path in sorted((src / "antispectra").glob("*.py")):
@@ -183,11 +216,25 @@ def tree_record(root):
         "git_commit": git.stdout.strip() or None,
         "src_changed_since_commit": bool(status.stdout.strip()),
         "src_sha256": digest.hexdigest(),
-        "tables": run_on(root, "--tables"),
-        "layers": run_on(root, "--layers"),
-        "run_trials_rss": [run_on(root, "--rss", pair, str(N))
-                           for pair in RSS_PAIRS for N in RSS_SIZES],
     }
+
+
+def tree_records(roots):
+    """Per side of roots (side name -> checkout): tree_record and the four parts.
+
+    Each part, and each RSS run, is measured on every side before the next
+    one starts, so a shift in the machine's speed during the run falls on
+    both sides of a part alike rather than on one side's whole record.
+    """
+    records = {side: dict(tree_record(root), run_trials_rss=[]) for side, root in roots.items()}
+    for part in ("tables", "commands", "layers"):
+        for side, root in roots.items():
+            records[side][part] = run_on(root, f"--{part}")
+    for pair in RSS_PAIRS:
+        for N in RSS_SIZES:
+            for side, root in roots.items():
+                records[side]["run_trials_rss"].append(run_on(root, "--rss", pair, str(N)))
+    return records
 
 
 def machine():
@@ -222,11 +269,13 @@ def main(argv=None):
     parser.add_argument("--baseline", help="checkout of the commit to compare against")
     # Child processes: measure one part of the package on PYTHONPATH, print it as JSON.
     parser.add_argument("--tables", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--commands", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--rss", nargs=2, metavar=("PAIR", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.tables or args.layers or args.rss:
-        part = (measure_tables() if args.tables else measure_layers() if args.layers
+    if args.tables or args.commands or args.layers or args.rss:
+        part = (measure_tables() if args.tables else measure_commands() if args.commands
+                else measure_layers() if args.layers
                 else trial_rss(args.rss[0], int(args.rss[1])))
         print(json.dumps(part))
         return 0
@@ -234,9 +283,8 @@ def main(argv=None):
         parser.error("--out is required")
     record = {"budget_s": BUDGET_S, "repeat": REPEAT, "sizes": SIZES, "k": K,
               "machine": machine()}
-    if args.baseline:
-        record["before"] = tree_record(args.baseline)
-    record["after"] = tree_record(ROOT)
+    roots = {"before": args.baseline} if args.baseline else {}
+    record.update(tree_records({**roots, "after": ROOT}))
     text = json.dumps(record, indent=2) + "\n"
     Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
