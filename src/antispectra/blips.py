@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import _Rotations, _gaussian_trace_moment, double_factorial
+from .combinatorics import (_Rotations, _gaussian_trace_moment, check_moduli,
+                            double_factorial)
 from .densities import SUPPORT_GOE_GOE
 
 
@@ -36,10 +37,7 @@ def weight_f(n):
 
 def band_scales(k, j):
     """Scale factors (w1, w2, w3) of the intermediary and largest regimes."""
-    if k < 2 or j < 2:
-        raise ValueError(f"invalid dimension: k={k}, j={j} must be >= 2")
-    if math.gcd(k, j) != 1:
-        raise ValueError(f"invalid dimension: k={k} and j={j} must be coprime")
+    check_moduli(k, j)
     w1 = math.sqrt(1.0 - 1.0 / j) / k
     w2 = math.sqrt(1.0 - 1.0 / k) / j
     w3 = 2.0 / (k * j)
@@ -85,42 +83,33 @@ class BlipReport:
 def regime_classify(eigs, N, k, j=None):
     """Count eigenvalues per regime using geometric-mean thresholds.
 
-    Thresholds sit at the geometric means of adjacent regime scales, each
-    scale carrying its leading constant: the bulk edge is the support radius
-    of the limiting bulk law times the entry standard deviations, the blip
-    scales are N^(3/2) / k (or w_s N^(3/2)), and the largest scale is
-    2 N^2 / (k j).
+    The scales ascend: the bulk edge, then each regime's scale with its
+    leading constant.  The bulk edge is the support radius of the limiting
+    bulk law times the entry standard deviations; the blip scale is
+    N^(3/2) / k, and for two checkerboards the intermediary scales are
+    w_s N^(3/2), in increasing order, and the largest 2 N^2 / (k j).
+    Thresholds sit at the geometric means of adjacent scales, and each
+    regime counts its positive and negative eigenvalues; the last regime
+    has no outer threshold.
     """
+    check_moduli(k, j)
     eigs = np.asarray(eigs, dtype=float)
+    j_factor = 1.0 if j is None else 1.0 - 1.0 / j
+    bulk_edge = SUPPORT_GOE_GOE * math.sqrt((1.0 - 1.0 / k) * j_factor) * N
     if j is None:
-        bulk_edge = SUPPORT_GOE_GOE * math.sqrt(1.0 - 1.0 / k) * N
-        blip_scale = N**1.5 / k
-        thr = math.sqrt(bulk_edge * blip_scale)
-        return {
-            "bulk": int(np.count_nonzero(np.abs(eigs) <= thr)),
-            "pos_blip": int(np.count_nonzero(eigs > thr)),
-            "neg_blip": int(np.count_nonzero(eigs < -thr)),
-        }
-    w1, w2, w3 = band_scales(k, j)
-    bulk_edge = SUPPORT_GOE_GOE * math.sqrt((1.0 - 1.0 / k) * (1.0 - 1.0 / j)) * N
-    scale_1 = w1 * N**1.5
-    scale_2 = w2 * N**1.5
-    top_scale = w3 * N**2
-    (inner, inner_tag), (outer, outer_tag) = sorted(
-        [(scale_1, "inter_1"), (scale_2, "inter_2")]
-    )
-    t1 = math.sqrt(bulk_edge * inner)
-    t2 = math.sqrt(inner * outer)
-    t3 = math.sqrt(outer * top_scale)
-    counts = {
-        "bulk": int(np.count_nonzero(np.abs(eigs) <= t1)),
-        f"pos_{inner_tag}": int(np.count_nonzero((eigs > t1) & (eigs <= t2))),
-        f"neg_{inner_tag}": int(np.count_nonzero((eigs < -t1) & (eigs >= -t2))),
-        f"pos_{outer_tag}": int(np.count_nonzero((eigs > t2) & (eigs <= t3))),
-        f"neg_{outer_tag}": int(np.count_nonzero((eigs < -t2) & (eigs >= -t3))),
-        "largest": int(np.count_nonzero(eigs > t3)),
-        "neg_largest": int(np.count_nonzero(eigs < -t3)),
-    }
+        regimes = [("blip", N**1.5 / k)]
+    else:
+        w1, w2, w3 = band_scales(k, j)
+        regimes = sorted([("inter_1", w1 * N**1.5), ("inter_2", w2 * N**1.5)],
+                         key=lambda regime: regime[1])
+        regimes.append(("largest", w3 * N**2))
+    scales = [bulk_edge] + [scale for _, scale in regimes]
+    thresholds = [math.sqrt(a * b) for a, b in zip(scales, scales[1:])] + [math.inf]
+    counts = {"bulk": int(np.count_nonzero(np.abs(eigs) <= thresholds[0]))}
+    for (tag, _), lo, hi in zip(regimes, thresholds, thresholds[1:]):
+        counts["largest" if tag == "largest" else f"pos_{tag}"] = int(
+            np.count_nonzero((eigs > lo) & (eigs <= hi)))
+        counts[f"neg_{tag}"] = int(np.count_nonzero((eigs < -lo) & (eigs >= -hi)))
     return counts
 
 
@@ -264,5 +253,5 @@ def theory_largest_blip_moment(m, k, j):
     """
     if m < 0:
         raise ValueError(f"invalid order: m={m} must be >= 0")
-    band_scales(k, j)
+    check_moduli(k, j)
     return float(_theory_largest_exact(m, k, j))

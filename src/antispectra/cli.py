@@ -113,7 +113,6 @@ def _cmd_blip(args):
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("blips",), orders=orders, dist=args.dist,
-        weight_order=args.weight_n,
     )
     report = stats.averaged_blip_measure(plan)
     return None, {**report.as_dict(), "trials": plan.trials_for(args.n)}
@@ -225,7 +224,6 @@ def _build_parser():
     p = sub.add_parser("blip", help="averaged weighted blip measure")
     p.add_argument("--pair", required=True)
     p.add_argument("--m", default="0,1,2", help="comma-separated orders")
-    p.add_argument("--weight-n", type=int)
     _add_trials(p, None)
     p.set_defaults(func=_cmd_blip)
 

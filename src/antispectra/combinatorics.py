@@ -560,19 +560,26 @@ def moment_ell_anticommutator(m, ell):
     return lfact * f[(0, m)]
 
 
+def check_moduli(k, j=None):
+    """Reject checkerboard moduli outside the theory: k >= 2 and, for a second
+    checkerboard, j >= 2 coprime to k."""
+    if j is None:
+        if k < 2:
+            raise ValueError(f"invalid dimension: k={k} must be >= 2")
+    elif k < 2 or j < 2:
+        raise ValueError(f"invalid dimension: k={k}, j={j} must be >= 2")
+    elif math.gcd(k, j) != 1:
+        raise ValueError(f"invalid dimension: k={k} and j={j} must be coprime")
+
+
 def bulk_moment_checker(m, k, j=None):
     """Bulk 2m-th moment when one or both factors carry a mod-k weight
     structure: the two-GOE value damped by (1 - 1/k) (and (1 - 1/j)) per
     moment order.  Exact rational."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    check_moduli(k, j)
     out = Fraction(k - 1, k) ** m * moment_goe_goe(m)
     if j is not None:
-        if j < 2:
-            raise ValueError(f"need j >= 2, got {j}")
-        if math.gcd(k, j) != 1:
-            raise ValueError(f"need gcd(k, j) = 1, got k={k}, j={j}")
         out *= Fraction(j - 1, j) ** m
     return out

@@ -30,12 +30,13 @@ class Histogram:
 
 @dataclass
 class MomentReport:
-    """Empirical normalized moments with standard errors."""
+    """Empirical normalized moments with standard errors, and the per-trial values."""
 
     pair: str
     N: int
     trials: int
     moments: list = field(default_factory=list)  # entries (m, mean, stderr)
+    values: dict = field(default_factory=dict)  # order -> array of per-trial values
 
     def as_dict(self):
         return {
@@ -106,20 +107,22 @@ def empirical_moments(spectra, orders, N, pair=""):
     """Trial means of sum(lambda^m)/N^(m+1) with standard errors.
 
     The standard error is the sample standard deviation over trials
-    divided by sqrt(trials); a single trial reports stderr 0.
+    divided by sqrt(trials); a single trial reports stderr 0.  The report
+    keeps each order's per-trial values.
     """
     spectra = list(spectra)
     orders = list(orders)
     if not orders:
         raise ValueError("no moment orders given")
     rows = []
+    values = {}
     for m in orders:
-        per_trial = np.array([np.sum(np.asarray(s) ** m) / N ** (m + 1)
-                              for s in spectra])
+        per_trial = values[m] = np.array([np.sum(np.asarray(s) ** m) / N ** (m + 1)
+                                          for s in spectra])
         mean = float(per_trial.mean())
         if len(per_trial) > 1:
             stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial)))
         else:
             stderr = 0.0
         rows.append((m, mean, stderr))
-    return MomentReport(pair=pair, N=N, trials=len(spectra), moments=rows)
+    return MomentReport(pair=pair, N=N, trials=len(spectra), moments=rows, values=values)

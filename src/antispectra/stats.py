@@ -8,8 +8,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import combinatorics
-from .blips import (BlipReport, band_scales, blip_measure_goe_checker,
-                    blip_measure_largest, default_blip_order)
+from .blips import (BlipReport, blip_measure_goe_checker, blip_measure_largest,
+                    default_blip_order)
 from .ensembles import DISTRIBUTIONS, EnsembleSpec, rng_stream, sample_ensemble
 from .matops import anticommutator, eigenvalues
 from .spectra import empirical_moments
@@ -88,31 +88,31 @@ class Pair:
             raise ValueError(f"unknown method {method!r} for pair {self.spec!r}")
         if method == "genus":
             return genus_expansion(self.name, m).at(self.params[0])
+        if method == "bulk":
+            self._check_moduli()
         compute = getattr(combinatorics, PAIRS[self.name].moment)
         return compute(m, *self.params) if self.params else compute(m, method)
 
-    def blip_regime(self):
-        """The pair's blip regime, its parameters checked.
+    def _check_moduli(self):
+        """combinatorics.check_moduli on the pair's parameters, its message naming the spec."""
+        try:
+            combinatorics.check_moduli(*self.params)
+        except ValueError as exc:
+            raise ValueError(f"pair {self.spec!r}: {exc}") from None
 
-        k must be at least 2, and for two checkerboards j too, coprime to k.
-        """
+    def blip_regime(self):
+        """The pair's blip regime, its moduli checked by combinatorics.check_moduli."""
         regime = PAIRS[self.name].regime
         if regime is None:
             raise ValueError(f"blip regimes need a checkerboard pair, got {self.spec!r}")
-        if regime == "largest":
-            try:
-                band_scales(*self.params)
-            except ValueError as exc:
-                raise ValueError(f"pair {self.spec!r}: {exc}") from None
-        elif self.params[0] < 2:
-            raise ValueError(f"pair {self.spec!r}: blips need k >= 2")
+        self._check_moduli()
         return regime
 
-    def blip_report(self, eigs, N, n=None, orders=(0, 1, 2)):
+    def blip_report(self, eigs, N, orders=(0, 1, 2)):
         """The weighted blip measure of one spectrum in the pair's regime."""
         if self.blip_regime() == "blip":
-            return blip_measure_goe_checker(eigs, N, *self.params, n=n, orders=orders)
-        return blip_measure_largest(eigs, N, *self.params, n=n, orders=orders)
+            return blip_measure_goe_checker(eigs, N, *self.params, orders=orders)
+        return blip_measure_largest(eigs, N, *self.params, orders=orders)
 
 
 def parse_pair(text):
@@ -178,7 +178,6 @@ class ExperimentPlan:
     outputs: tuple = ("spectra", "moments")
     orders: tuple = (1, 2, 3, 4)
     dist: str = "standard-normal"
-    weight_order: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "sizes",
@@ -195,9 +194,6 @@ class ExperimentPlan:
             object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution tag {self.dist!r}")
-        if self.weight_order is not None:
-            object.__setattr__(self, "weight_order",
-                               _integer("weight_order", self.weight_order, 1))
         for out in self.outputs:
             if out not in ("spectra", "moments", "blips"):
                 raise ValueError(f"unknown output {out!r}")
@@ -228,9 +224,8 @@ def run_trials(plan, threads=1):
     pair = parse_pair(plan.pair)
     if "blips" in plan.outputs:
         pair.blip_regime()
-        if plan.weight_order is None:
-            for N in plan.sizes:
-                default_blip_order(N)
+        for N in plan.sizes:
+            default_blip_order(N)
     # Every size's specs are built before the first trial, so a bad later
     # size fails before the earlier sizes have sampled.
     sized_specs = [pair.specs(N, plan.dist) for N in plan.sizes]
@@ -256,7 +251,7 @@ def run_trials(plan, threads=1):
         if "blips" in plan.outputs:
             orders = tuple(sorted(set((0,) + plan.orders)))
             aggregate.blips[N] = [
-                pair.blip_report(eigs, N, n=plan.weight_order, orders=orders)
+                pair.blip_report(eigs, N, orders=orders)
                 for eigs in spectra
             ]
     return aggregate
@@ -325,9 +320,12 @@ def _loglog_slope(sizes, values):
 def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal"):
     """Variance and fourth central moment of the m-th moment across sizes.
 
-    Fits ordinary least-squares lines to (log N, log fourth central moment)
-    and (log N, log variance); needs at least three distinct sizes for a
-    slope to mean anything, and at least two trials per size for a spread.
+    The statistic is empirical_moments' per-trial value.  Fits ordinary
+    least-squares lines to (log N, log fourth central moment) and
+    (log N, log variance); needs at least three distinct sizes for a slope
+    to mean anything, and at least two trials per size for a spread.  A
+    size whose variance or fourth central moment is 0 has no logarithm, so
+    it raises ArithmeticError naming that N.
     """
     if m < 1:
         raise ValueError(f"invalid m: {m} must be >= 1")
@@ -335,16 +333,18 @@ def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal")
         raise ValueError("need at least 3 distinct sizes for a slope")
     if trials < 2:
         raise ValueError(f"invalid trials: {trials} must be >= 2 to measure a variance")
-    plan = ExperimentPlan(pair, sizes, trials=trials, seed=seed, outputs=("spectra",),
-                          dist=dist)
+    plan = ExperimentPlan(pair, sizes, trials=trials, seed=seed, outputs=("moments",),
+                          orders=(m,), dist=dist)
     aggregate = run_trials(plan)
     rows = []
     for N in plan.sizes:
-        values = np.array(
-            [float(np.sum(eigs**m)) / N ** (m + 1) for eigs in aggregate.spectra[N]]
-        )
+        values = aggregate.moments[N].values[m]
         var = float(np.var(values, ddof=1))
         central4 = float(np.mean((values - values.mean()) ** 4))
+        if var == 0 or central4 == 0:
+            raise ArithmeticError(
+                f"moment {m} does not vary across the {len(values)} trials at N={N} "
+                f"(variance {var}, fourth central moment {central4}): no log-log slope")
         rows.append((N, len(values), var, central4))
     slope = _loglog_slope(plan.sizes, [row[3] for row in rows])
     var_slope = _loglog_slope(plan.sizes, [row[2] for row in rows])

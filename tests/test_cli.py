@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antispectra import cli, combinatorics, ensembles, stats
+from antispectra import blips, cli, combinatorics, ensembles, stats
 
 
 def run_cli(capsys, *argv):
@@ -97,8 +97,9 @@ def test_usage_errors_exit_two(capsys, argv):
     (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "1000"),
      "--norm-exp"),
     (("spectrum", "--pair", "goe-goe", "--n", "300", "--bins", "0"), "--bins"),
-    (("blip", "--pair", "goe-checker:2", "--n", "20", "--trials", "2", "--weight-n", "0"),
-     "invalid weight_order: 0"),
+    # The blip weight order is always default_blip_order(N).
+    (("blip", "--pair", "goe-checker:2", "--n", "20", "--trials", "2", "--weight-n", "2"),
+     "unrecognized arguments: --weight-n 2"),
     # Trials run one at a time: the trial commands take no --threads.
     (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--threads", "-3"),
      "unrecognized arguments: --threads -3"),
@@ -130,11 +131,12 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("regimes", "--pair", "checker-checker:2,4"), "must be coprime"),
     (("regimes", "--pair", "goe-bce:2"), "need a checkerboard pair"),
     (("spectrum", "--pair", "goe-bce:-3"), "'goe-bce:-3'"),
-    (("regimes", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
-    (("blip", "--pair", "goe-checker:1"), "'goe-checker:1': blips need k >= 2"),
+    (("regimes", "--pair", "goe-checker:1"), "'goe-checker:1': invalid dimension: k=1"),
+    (("blip", "--pair", "goe-checker:1"), "'goe-checker:1': invalid dimension: k=1"),
     (("spectrum", "--pair", "goe-goe", "--norm-exp", "nan"), "--norm-exp"),
     (("spectrum", "--pair", "goe-goe", "--bins", "0"), "--bins"),
-    (("blip", "--pair", "goe-checker:2", "--weight-n", "0"), "invalid weight_order"),
+    (("blip", "--pair", "checker-checker:3,1"),
+     "'checker-checker:3,1': invalid dimension: k=3, j=1 must be >= 2"),
     (("spectrum", "--pair", "goe-goe", "--threads", "0"), "unrecognized arguments"),
     (("spectrum", "--pair", "goe-goe", "--n", "-4", "--norm-exp", "0.5"), "invalid size: -4"),
     (("regimes", "--pair", "goe-checker:2", "--n", "0"), "invalid size: 0"),
@@ -152,6 +154,30 @@ def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     code, _, err = run_cli(capsys, argv[0], "--n", "16", "--trials", "2", *argv[1:])
     assert code == 2
     assert message in err
+
+
+_EIGS = np.zeros(20)
+
+
+@pytest.mark.parametrize("spec,message,direct", [
+    ("goe-checker:1", "invalid dimension: k=1 must be >= 2",
+     (lambda: combinatorics.bulk_moment_checker(1, 1),
+      lambda: blips.regime_classify(_EIGS, 20, 1))),
+    ("checker-checker:2,4", "invalid dimension: k=2 and j=4 must be coprime",
+     (lambda: combinatorics.bulk_moment_checker(1, 2, 4),
+      lambda: blips.band_scales(2, 4),
+      lambda: blips.regime_classify(_EIGS, 20, 2, 4))),
+], ids=["k", "coprime"])
+def test_one_moduli_check(capsys, spec, message, direct):
+    """Every checkerboard command and function rejects bad moduli with one message."""
+    for argv in (("moments", "--m", "1"), ("blip", "--n", "20", "--trials", "2"),
+                 ("regimes", "--n", "20", "--trials", "2")):
+        code, out, err = run_cli(capsys, argv[0], "--pair", spec, *argv[1:])
+        assert (code, out, err) == (2, "", f"error: pair {spec!r}: {message}\n"), argv
+    for call in direct:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class _ReadRecorder(argparse.Namespace):
@@ -448,6 +474,15 @@ def test_convergence_payload(capsys):
     payload = json.loads(out)
     assert payload["slope"] < 0
     assert [row["N"] for row in payload["rows"]] == [24, 48, 96]
+
+
+def test_convergence_without_spread_is_a_numerical_failure(capsys):
+    # Every N = 2 Rademacher PTE trial has the same spectrum, so that size's
+    # variance is 0 and its log has no slope: no NaN may reach the JSON.
+    code, out, err = run_cli(capsys, "convergence", "--pair", "pte-pte", "--n", "2,4,6",
+                             "--trials", "2", "--dist", "rademacher")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: ") and "at N=2 " in err
 
 
 def test_convergence_rejects_single_trial(capsys):

@@ -86,8 +86,6 @@ def test_plan_validation():
         stats.ExperimentPlan("goe-goe", (10,), orders=(2, -1))
     with pytest.raises(ValueError, match="invalid trials: 2.5 is not an integer"):
         stats.ExperimentPlan("goe-goe", (10,), trials=2.5)
-    with pytest.raises(ValueError, match="invalid weight_order: 1.5 is not an integer"):
-        stats.ExperimentPlan("goe-checker:5", (10,), outputs=("blips",), weight_order=1.5)
     with pytest.raises(ValueError, match="invalid size: 16.9 is not an integer"):
         stats.moment_variance_scan("goe-goe", 2, (16.9, 24.2, 32.7), 3)
     # Results are keyed by size, so a repeated size would be sampled twice
@@ -104,9 +102,9 @@ def test_plan_validation():
     assert stats.ExperimentPlan("goe-goe", (8,), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     # NumPy integers pass, as Python ints.
     plan = stats.ExperimentPlan("goe-goe", (np.int64(10),), trials=np.int32(2),
-                                orders=(np.int64(2),), weight_order=np.int64(3))
-    values = (*plan.sizes, plan.trials, *plan.orders, plan.weight_order)
-    assert values == (10, 2, 2, 3) and {type(v) for v in values} == {int}
+                                orders=(np.int64(2),))
+    values = (*plan.sizes, plan.trials, *plan.orders)
+    assert values == (10, 2, 2) and {type(v) for v in values} == {int}
 
 
 _ONE_TRIAL = """

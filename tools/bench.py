@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Write a BENCH record: exact-table reach, CLI command time, per-layer trial time and
-memory, trial RSS.
+"""Write a BENCH record: exact-table time or reach, CLI command time, per-layer trial time
+and memory, trial RSS.
 
     python3 tools/bench.py --out BENCH.json [--baseline DIR]
 
@@ -8,10 +8,13 @@ A checkout's record has four parts, each measured in a fresh process that
 imports the package from the checkout's src/:
 
 - "tables": each exact table (the enumeration routes of goe-goe, pte-pte
-  and goe-pte, and the goe-bce and bce-bce genus tables) is timed at
-  m = 1, 2, ... until it raises its enumeration-budget error or the median
-  of REPEAT calls exceeds BUDGET_S seconds.  The largest m timed within the
-  budget is reported with what stopped the walk.
+  and goe-pte, and the goe-bce and bce-bce genus tables) gets one of two
+  measures.  A table with an `ENUMERATION_LIMITS` entry (goe-goe, pte-pte,
+  goe-pte, bce-bce) is timed at its limit m only, the median of REPEAT
+  calls: its reach would be that limit whatever the speed.  A table without
+  one (goe-bce) is timed at m = 1, 2, ... until the median of REPEAT calls
+  exceeds BUDGET_S seconds, and the largest m timed within the budget is
+  its reach.
 - "commands": each of COMMANDS runs in process through `cli.main`, its
   standard output captured, REPEAT times after one untimed call; the median
   seconds is reported.
@@ -74,36 +77,36 @@ COMMANDS = (
 )
 
 
+def _table_seconds(compute, m, extra):
+    """Median seconds of REPEAT calls compute(m, *extra), stopping after a call over budget."""
+    calls = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        compute(m, *extra)
+        calls.append(time.perf_counter() - start)
+        if calls[-1] > BUDGET_S:
+            break
+    return round(statistics.median(calls), 6)
+
+
 def measure_tables():
-    """Per table: median seconds per call at each m, the largest m within budget, the stop."""
+    """Per table: the median seconds at its enumeration limit, or, with no limit,
+    the median seconds at each m and the largest m within budget."""
     from antispectra import combinatorics
 
     report = {}
     for name, attr, extra in TABLES:
         compute = getattr(combinatorics, attr)
-        seconds, largest, stopped = {}, 0, None
-        m = 1
-        while stopped is None:
-            calls = []
-            try:
-                for _ in range(REPEAT):
-                    start = time.perf_counter()
-                    compute(m, *extra)
-                    calls.append(time.perf_counter() - start)
-                    if calls[-1] > BUDGET_S:
-                        break
-            except ValueError as exc:
-                if "budget exceeded" not in str(exc):
-                    raise
-                stopped = "enumeration limit"
-                break
-            seconds[str(m)] = round(statistics.median(calls), 6)
-            if seconds[str(m)] > BUDGET_S:
-                stopped = "time budget"
-            else:
-                largest = m
+        limit = combinatorics.ENUMERATION_LIMITS.get(name.split()[0])
+        if limit is not None:
+            report[name] = {"measure": "time at the enumeration limit", "m": limit,
+                            "seconds": _table_seconds(compute, limit, extra)}
+            continue
+        seconds, m = {}, 0
+        while not seconds or seconds[str(m)] <= BUDGET_S:
             m += 1
-        report[name] = {"seconds": seconds, "largest_m": largest, "stopped_by": stopped}
+            seconds[str(m)] = _table_seconds(compute, m, extra)
+        report[name] = {"measure": "reach", "seconds": seconds, "largest_m": m - 1}
     return report
 
 
