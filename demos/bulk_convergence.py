@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from antispectra import densities, stats
-from antispectra.spectra import empirical_histogram
+from antispectra.spectra import empirical_histogram, write_csv
 
 
 def moment_table(pair, sizes, trials, seed):
@@ -31,15 +31,12 @@ def moment_table(pair, sizes, trials, seed):
     return result
 
 
-def histogram_csv(pair, result, path):
-    sizes = result.plan.sizes
-    hist = empirical_histogram(result.spectra[sizes[-1]], p=1.0, bins=80)
+def histogram_csv(pair, spectra, path):
+    hist = empirical_histogram(spectra, p=1.0, bins=80)
     centers = (hist.edges[:-1] + hist.edges[1:]) / 2
     curve = densities.tabulate_density(pair, centers)
     with open(path, "w") as f:
-        f.write("x,empirical,limit\n")
-        for x, e, c in zip(centers, hist.density, curve.density):
-            f.write(f"{x:.17g},{e:.17g},{c:.17g}\n")
+        write_csv(f, "x,empirical,limit", centers, hist.density, curve.density)
     l1 = float(np.sum(np.abs(hist.density - curve.density) * np.diff(hist.edges)))
     print(f"wrote {path} (L1 distance to the limit curve: {l1:.4f})")
 
@@ -58,7 +55,7 @@ def main():
     sizes = tuple(int(s) for s in args.sizes.split(","))
     result = moment_table(args.pair, sizes, args.trials, args.seed)
     if args.csv:
-        histogram_csv(args.pair, result, args.csv)
+        histogram_csv(args.pair, result.spectra[sizes[-1]], args.csv)
 
 
 if __name__ == "__main__":

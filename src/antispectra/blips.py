@@ -58,14 +58,11 @@ class BlipReport:
     n: int
     locations: np.ndarray
     weights: np.ndarray
-    moments: list
+    moments: dict  # order -> weighted moment
     counts: dict
 
     def moment(self, m):
-        for order, value in self.moments:
-            if order == m:
-                return value
-        raise KeyError(f"moment of order {m} not computed")
+        return self.moments[m]
 
     def as_dict(self):
         return {
@@ -74,7 +71,7 @@ class BlipReport:
             "k": self.k,
             "j": self.j,
             "n": self.n,
-            "moments": [{"m": m, "value": v} for m, v in self.moments],
+            "moments": [{"m": m, "value": v} for m, v in self.moments.items()],
             "moments_valid": self.counts["outside_bump"] == 0,
             "counts": dict(self.counts),
         }
@@ -135,7 +132,7 @@ def _weighted_report(regime, eigs, N, k, j, n, orders, x, locations, share):
     if n is None:
         n = default_blip_order(N)
     weights = weight_f(n)(x)
-    moments = [(m, float(np.sum(weights * locations**m)) / share) for m in orders]
+    moments = {m: float(np.sum(weights * locations**m)) / share for m in orders}
     counts = regime_classify(eigs, N, k, j)
     counts["outside_bump"] = _outside_bump(x)
     return BlipReport(regime, N, k, j, n, locations, weights, moments, counts)

@@ -11,7 +11,8 @@ import tempfile
 import numpy as np
 
 from . import blips, densities, stats
-from .ensembles import dump_matrix, parse_ensemble, rng_stream, sample_ensemble
+from .ensembles import (check_memory, dump_matrix, parse_ensemble, rng_stream,
+                        sample_ensemble)
 from .spectra import check_norm_exp, empirical_histogram
 
 
@@ -67,6 +68,8 @@ def _cmd_spectrum(args):
     )
     if args.bins < 1:
         raise ValueError(f"invalid --bins {args.bins}: must be >= 1")
+    # The histogram holds its counts, edges and densities: 24 bytes a bin.
+    check_memory(f"invalid --bins {args.bins}: its histogram", 24 * args.bins)
     try:
         check_norm_exp(args.norm_exp, args.n)
     except ValueError as exc:
@@ -271,6 +274,9 @@ def main(argv=None):
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ import numpy as np
 
 from .combinatorics import (_a_first, _free_word_moment, _harer_zagier, catalan,
                             double_factorial, moment_pte_pte, sigma_table)
+from .spectra import write_csv
 
 #: Edge of the support of the two-GOE limiting density.
 SUPPORT_GOE_GOE = math.sqrt((11 + 5 * math.sqrt(5)) / 2)
@@ -29,8 +30,7 @@ class DensityCurve:
     density: np.ndarray
 
     def write_csv(self, f):
-        rows = np.column_stack((self.x, self.density))
-        f.write("x,density\n" + ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        write_csv(f, "x,density", self.x, self.density)
 
 
 def density_goe_goe(x):

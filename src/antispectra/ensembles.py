@@ -6,6 +6,7 @@ the same seed twice reproduces the same matrix bit for bit.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,20 @@ def _draw(rng, dist, size):
     raise ValueError(f"unknown distribution tag {dist!r}")
 
 
+def check_memory(what, nbytes):
+    """Reject what, whose arrays need nbytes, when that exceeds the machine's
+    physical memory: no allocation could meet it, so none is tried."""
+    total = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+             if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", {}) else math.inf)
+    if nbytes > total:
+        raise ValueError(f"{what} needs {nbytes / 2**30:.4g} GiB, more than the "
+                         f"{total / 2**30:.4g} GiB of memory")
+
+
 def _check_dims(N, k=None):
     if N < 1:
         raise ValueError(f"invalid dimension: N={N} must be positive")
+    check_memory(f"invalid dimension: N={N}: an N x N matrix", 8 * int(N) ** 2)
     if k is not None:
         if k < 1:
             raise ValueError(f"invalid dimension: k={k} must be positive")
@@ -88,6 +100,12 @@ def sample_goe(N, seed=None):
     return _symmetric_fill(_as_generator(seed), N, diagonal=np.sqrt(2.0))
 
 
+def _check_pte_dims(N):
+    if N % 2:
+        raise ValueError(f"invalid dimension: palindromic Toeplitz needs even N, got {N}")
+    _check_dims(N)
+
+
 def sample_pte(N, seed=None, dist="standard-normal"):
     """Palindromic Toeplitz draw from b_0..b_{N/2-1} iid with variance 1.
 
@@ -95,9 +113,7 @@ def sample_pte(N, seed=None, dist="standard-normal"):
     b_{N-1-d} otherwise, which makes the first row a palindrome.  N must
     be even.  The rows are windows of one strided view, copied once.
     """
-    if N % 2:
-        raise ValueError(f"invalid dimension: palindromic Toeplitz needs even N, got {N}")
-    _check_dims(N)
+    _check_pte_dims(N)
     rng = _as_generator(seed)
     b = _draw(rng, dist, N // 2)
     row = np.concatenate([b, b[::-1]])
@@ -182,11 +198,9 @@ class EnsembleSpec:
             raise ValueError(f"{self.kind} entries are Gaussian, not {self.dist!r}")
         if not math.isfinite(self.w):
             raise ValueError(f"invalid weight: w={self.w} must be finite")
-        if self.kind == "pte" and self.N % 2:
-            raise ValueError(
-                f"invalid dimension: palindromic Toeplitz needs even N, got {self.N}"
-            )
-        if self.kind in ("bce", "checkerboard"):
+        if self.kind == "pte":
+            _check_pte_dims(self.N)
+        elif self.kind in ("bce", "checkerboard"):
             if self.k is None:
                 raise ValueError(f"{self.kind} needs a block parameter k")
             _check_dims(self.N, self.k)

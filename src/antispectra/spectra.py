@@ -1,9 +1,19 @@
 """Empirical spectral measures: pooled histograms and moment estimates."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+
+def write_csv(f, header, *columns):
+    """Write a header line, then one line per row of the columns, each value at %.17g.
+
+    The whole table is formatted with one % on the .tolist() values.
+    """
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    f.write(header + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 @dataclass
@@ -18,48 +28,44 @@ class Histogram:
 
     edges: np.ndarray
     density: np.ndarray
-    p: float
-    trials: int
     clipped_mass: float
 
     def write_csv(self, f):
-        rows = np.column_stack((self.edges[:-1], self.edges[1:], self.density))
-        f.write("bin_left,bin_right,density\n"
-                + ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        write_csv(f, "bin_left,bin_right,density", self.edges[:-1], self.edges[1:],
+                  self.density)
 
 
 @dataclass
 class MomentReport:
-    """Empirical normalized moments with standard errors, and the per-trial values."""
+    """Normalized moments: values maps each order, in the order asked, to its per-trial
+    sum(lambda^m)/N^(m+1); the trial count, means and standard errors are read off it."""
 
     pair: str
     N: int
-    trials: int
-    moments: list = field(default_factory=list)  # entries (m, mean, stderr)
-    values: dict = field(default_factory=dict)  # order -> array of per-trial values
+    values: dict
+
+    @property
+    def trials(self):
+        return len(next(iter(self.values.values())))
+
+    def mean(self, m):
+        return float(self.values[m].mean())
+
+    def stderr(self, m):
+        """The sample standard deviation over trials over sqrt(trials); 0 for one trial."""
+        per_trial = self.values[m]
+        if len(per_trial) < 2:
+            return 0.0
+        return float(per_trial.std(ddof=1) / np.sqrt(len(per_trial)))
 
     def as_dict(self):
         return {
             "pair": self.pair,
             "N": self.N,
             "trials": self.trials,
-            "moments": [
-                {"m": int(m), "mean": mean, "stderr": stderr}
-                for m, mean, stderr in self.moments
-            ],
+            "moments": [{"m": int(m), "mean": self.mean(m), "stderr": self.stderr(m)}
+                        for m in self.values],
         }
-
-    def mean(self, m):
-        for order, mean, _ in self.moments:
-            if order == m:
-                return mean
-        raise KeyError(f"order {m} not in report")
-
-    def stderr(self, m):
-        for order, _, stderr in self.moments:
-            if order == m:
-                return stderr
-        raise KeyError(f"order {m} not in report")
 
 
 def check_norm_exp(p, n):
@@ -99,30 +105,17 @@ def empirical_histogram(spectra, p=1.0, bins=80, range=None):
         raise ValueError("all mass falls outside the requested range")
     density = counts / (kept * np.diff(edges))
     clipped = 1.0 - kept / scaled.size
-    return Histogram(edges=edges, density=density, p=p,
-                     trials=len(spectra), clipped_mass=clipped)
+    return Histogram(edges=edges, density=density, clipped_mass=clipped)
 
 
 def empirical_moments(spectra, orders, N, pair=""):
-    """Trial means of sum(lambda^m)/N^(m+1) with standard errors.
+    """The per-trial sum(lambda^m)/N^(m+1) of each order, as a MomentReport.
 
-    The standard error is the sample standard deviation over trials
-    divided by sqrt(trials); a single trial reports stderr 0.  The report
-    keeps each order's per-trial values.
+    A repeated order is computed once and gives one entry.
     """
     spectra = list(spectra)
-    orders = list(orders)
-    if not orders:
+    values = {m: np.array([np.sum(np.asarray(s) ** m) / N ** (m + 1) for s in spectra])
+              for m in dict.fromkeys(orders)}
+    if not values:
         raise ValueError("no moment orders given")
-    rows = []
-    values = {}
-    for m in orders:
-        per_trial = values[m] = np.array([np.sum(np.asarray(s) ** m) / N ** (m + 1)
-                                          for s in spectra])
-        mean = float(per_trial.mean())
-        if len(per_trial) > 1:
-            stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial)))
-        else:
-            stderr = 0.0
-        rows.append((m, mean, stderr))
-    return MomentReport(pair=pair, N=N, trials=len(spectra), moments=rows, values=values)
+    return MomentReport(pair=pair, N=N, values=values)

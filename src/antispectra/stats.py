@@ -208,7 +208,6 @@ class ExperimentPlan:
 class TrialAggregate:
     """Everything a plan produced, keyed by matrix size."""
 
-    plan: ExperimentPlan
     spectra: dict
     moments: dict
     blips: dict
@@ -229,7 +228,7 @@ def run_trials(plan, threads=1):
     # Every size's specs are built before the first trial, so a bad later
     # size fails before the earlier sizes have sampled.
     sized_specs = [pair.specs(N, plan.dist) for N in plan.sizes]
-    aggregate = TrialAggregate(plan, {}, {}, {})
+    aggregate = TrialAggregate({}, {}, {})
     for ni, (N, specs) in enumerate(zip(plan.sizes, sized_specs)):
         # anticommutator writes C into the first factor's storage, and the
         # argument list, the only holder of B, is freed as it returns.  So a
@@ -274,10 +273,7 @@ def averaged_blip_measure(plan, threads=1):
     first = reports[0]
     locations = np.concatenate([r.locations for r in reports])
     weights = np.concatenate([r.weights for r in reports]) / g
-    moments = [
-        (m, float(np.mean([r.moment(m) for r in reports])))
-        for m, _ in first.moments
-    ]
+    moments = {m: float(np.mean([r.moments[m] for r in reports])) for m in first.moments}
     counts = {
         key: float(np.mean([r.counts[key] for r in reports])) for key in first.counts
     }
@@ -296,21 +292,14 @@ class ConvergenceReport:
 
     pair: str
     m: int
-    rows: list
+    rows: list  # (N, trials, var, central4) per size
     slope: float
     var_slope: float
 
     def as_dict(self):
-        return {
-            "pair": self.pair,
-            "m": self.m,
-            "rows": [
-                {"N": N, "trials": trials, "var": var, "central4": central4}
-                for N, trials, var, central4 in self.rows
-            ],
-            "slope": self.slope,
-            "var_slope": self.var_slope,
-        }
+        rows = [dict(zip(("N", "trials", "var", "central4"), row)) for row in self.rows]
+        return {"pair": self.pair, "m": self.m, "rows": rows, "slope": self.slope,
+                "var_slope": self.var_slope}
 
 
 def _loglog_slope(sizes, values):

@@ -146,6 +146,23 @@ def test_report_accessors():
         report.moment(7)
 
 
+def test_report_moments_are_keyed_by_order():
+    report = blips.blip_measure_goe_checker(np.zeros(10), 10, 5, orders=(2, 0, 1))
+    assert list(report.moments) == [2, 0, 1]
+    assert report.moment(0) == report.moments[0]
+    assert [entry["m"] for entry in report.as_dict()["moments"]] == [2, 0, 1]
+
+
+@pytest.mark.parametrize("theory", [
+    lambda m: blips.theory_blip_moment_goe_checker(m, 5),
+    lambda m: blips.theory_largest_blip_moment(m, 3, 5),
+], ids=["goe_checker", "largest"])
+def test_theory_moments_reject_a_negative_order(theory):
+    with pytest.raises(ValueError) as info:
+        theory(-1)
+    assert str(info.value) == "invalid order: m=-1 must be >= 0"
+
+
 @pytest.mark.parametrize("k,m", [(2, 4), (3, 4), (3, 6), (4, 4)])
 def test_goe_trace_exact_agrees_with_monte_carlo(k, m):
     # GOE with diagonal variance 2, the normalisation of sample_goe

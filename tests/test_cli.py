@@ -156,6 +156,51 @@ def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("blip", "--pair", "goe-checker:5", "--n", "60", "--m", "1,x"),
+     "invalid order list '1,x'"),
+    (("convergence", "--pair", "goe-goe", "--n", "0,5,10"), "invalid size list '0,5,10'"),
+    (("density", "--which", "goe-goe", "--grid=a:b:3"), "invalid grid 'a:b:3'"),
+    (("genus", "--pair", "bce-bce", "--m", "0"), "need m >= 1, got 0"),
+], ids=["order_list", "size_list", "grid", "genus_limit"])
+def test_input_errors_are_one_exact_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+_MEMORY = r"needs \S+ GiB, more than the \S+ GiB of memory\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("spectrum", "--pair", "goe-goe", "--n", "4", "--trials", "1",
+      "--bins", "1125899906842624"), "invalid --bins 1125899906842624: its histogram "),
+    (("spectrum", "--pair", "goe-goe", "--n", "4", "--trials", "1",
+      "--bins", "1152921504606846976"), "invalid --bins 1152921504606846976: its histogram "),
+    (("sample", "--ensemble", "goe", "--n", "67108864"),
+     "ensemble 'goe': invalid dimension: N=67108864: an N x N matrix "),
+    (("spectrum", "--pair", "goe-goe", "--n", "67108864", "--trials", "1"),
+     "invalid dimension: N=67108864: an N x N matrix "),
+], ids=["bins_2^50", "bins_2^60", "sample", "spectrum_n"])
+def test_inputs_larger_than_memory_fail_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on an input larger than memory")
+
+    for module, name in ((stats, "sample_ensemble"), (cli, "sample_ensemble"),
+                         (cli, "empirical_histogram")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch("error: " + re.escape(message) + _MEMORY, err), err
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhaust(matrix):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(stats, "eigenvalues", exhaust)
+    assert run_cli(capsys, "spectrum", "--pair", "goe-goe", "--n", "20", "--trials", "1") == (
+        2, "", "error: out of memory: Unable to allocate 7.45 GiB for an array\n")
+
+
 _EIGS = np.zeros(20)
 
 

@@ -249,6 +249,30 @@ def test_moment_method_validation():
         comb.moment_goe_goe(9, "enumeration")  # beyond the enumeration budget
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: list(comb._configuration_classes(0)), "need n >= 1, got 0"),
+    (lambda: comb.sigma_table(-1, 0, [1, 1]), "table bounds must be nonnegative"),
+    (lambda: comb.schroeder_numbers(-1), "order must be nonnegative"),
+    (lambda: comb.moment_pte_pte(0), "need m >= 1, got 0"),
+    (lambda: comb.moment_goe_pte(0), "need m >= 1, got 0"),
+    (lambda: comb.moment_bounds_goe_pte(0), "need m >= 1, got 0"),
+    # m is judged before the moduli.
+    (lambda: comb.bulk_moment_checker(0, 1), "need m >= 1, got 0"),
+    (lambda: comb.moment_pte_pte(1, "bogus"), "unknown method 'bogus'"),
+    (lambda: comb.moment_goe_pte(1, "bogus"), "unknown method 'bogus'"),
+], ids=["configuration_classes", "sigma_table", "schroeder", "pte_pte_m", "goe_pte_m",
+        "bounds_m", "checker_m", "pte_pte_method", "goe_pte_method"])
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_laurent_moment_times_a_fraction_is_a_type_error():
+    with pytest.raises(TypeError):
+        comb.LaurentMoment((1, 2)) * Fraction(1, 2)
+
+
 GOE_BCE_COEFFS = {1: (2,), 2: (10, 2), 3: (66, 38), 4: (498, 544, 54),
                   5: (4066, 7000, 2086),
                   6: (34970, 85392, 50154, 3820),

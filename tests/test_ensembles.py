@@ -142,6 +142,40 @@ def test_spec_validation(kind, N, k, message):
         ensembles.EnsembleSpec(kind, N, k)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"kind": "bce", "N": 12}, "bce needs a block parameter k"),
+    ({"kind": "pte", "N": 4, "dist": "cauchy"}, "unknown distribution tag 'cauchy'"),
+])
+def test_spec_errors_are_exact(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        ensembles.EnsembleSpec(**kwargs)
+    assert str(info.value) == message
+
+
+def test_one_even_size_rule_for_pte():
+    message = "invalid dimension: palindromic Toeplitz needs even N, got 5"
+    for call in (lambda: ensembles.EnsembleSpec("pte", 5), lambda: ensembles.sample_pte(5)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ensembles.sample_goe(2**26),
+    lambda: ensembles.EnsembleSpec("checkerboard", 2**26, 4),
+    lambda: ensembles.mean_matrix(2**26, 4),
+], ids=["sample_goe", "spec", "mean_matrix"])
+def test_a_matrix_larger_than_memory_is_rejected_before_allocation(monkeypatch, call):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated a matrix")
+
+    monkeypatch.setattr(ensembles.np, "zeros", no_allocation)
+    with pytest.raises(ValueError, match=r"^invalid dimension: N=67108864: an N x N "
+                                         r"matrix needs \S+ GiB, more than the \S+ GiB "
+                                         r"of memory$"):
+        call()
+
+
 @pytest.mark.parametrize("text,kind,k,w", [
     ("goe", "goe", None, 1.0),
     ("pte", "pte", None, 1.0),

@@ -3,6 +3,7 @@
 import io
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ def test_histogram_has_unit_area():
     hist = sp.empirical_histogram(_fake_spectra(5, 200), p=1.0, bins=40)
     area = np.sum(hist.density * np.diff(hist.edges))
     np.testing.assert_allclose(area, 1.0, rtol=1e-12)
-    assert hist.trials == 5
     assert hist.clipped_mass == 0.0
 
 
@@ -81,7 +81,7 @@ def test_write_csv_format():
 def test_write_csv_bytes_are_each_value_at_17_digits():
     edges = np.array([-3.5, -1e-300, 0.0, 2.0, 1 / 3, 7e22])
     density = np.array([0.1, 5e-324, 3.0, -0.0, 123456789.0])
-    hist = sp.Histogram(edges=edges, density=density, p=1.0, trials=1, clipped_mass=0.0)
+    hist = sp.Histogram(edges=edges, density=density, clipped_mass=0.0)
     buffer = io.StringIO()
     hist.write_csv(buffer)
     rows = "".join(f"{lo:.17g},{hi:.17g},{d:.17g}\n"
@@ -100,6 +100,17 @@ def test_empirical_moments_against_direct_sums():
             report.stderr(m), per_trial.std(ddof=1) / np.sqrt(8), rtol=1e-12
         )
     assert report.trials == 8 and report.N == N and report.pair == "test"
+
+
+def test_moment_report_holds_only_the_per_trial_values():
+    data = _fake_spectra(4, 12, seed=5)
+    report = sp.empirical_moments(data, (3, 1, 3), 12, pair="p")
+    assert [f.name for f in fields(report)] == ["pair", "N", "values"]
+    # A repeated order is computed once and gives one entry, in first-asked order.
+    assert list(report.values) == [3, 1]
+    assert [entry["m"] for entry in report.as_dict()["moments"]] == [3, 1]
+    assert report.trials == 4
+    assert report.as_dict() == sp.empirical_moments(data, (3, 1), 12, pair="p").as_dict()
 
 
 def test_single_trial_stderr_is_zero():

@@ -4,39 +4,42 @@ and memory, trial RSS.
 
     python3 tools/bench.py --out BENCH.json [--baseline DIR]
 
-A checkout's record has four parts, each measured in a fresh process that
-imports the package from the checkout's src/:
+Each side (the checkout this file sits in is "after"; with --baseline DIR, a
+checkout of another commit, DIR is "before") gets one worker process that
+imports the package from the checkout's src/ and times one call per
+request.  Every timed row is REPEAT calls per side, the sides' calls
+alternating (before, after, after, before, ...), and each side reports the
+median of its calls.  The machine's speed can shift within seconds, so
+alternating single calls lets a shift fall on both sides alike.  The record
+has four parts:
 
 - "tables": each exact table (the enumeration routes of goe-goe, pte-pte
   and goe-pte, and the goe-bce and bce-bce genus tables) gets one of two
   measures.  A table with an `ENUMERATION_LIMITS` entry (goe-goe, pte-pte,
-  goe-pte, bce-bce) is timed at its limit m only, the median of REPEAT
-  calls: its reach would be that limit whatever the speed.  A table without
-  one (goe-bce) is timed at m = 1, 2, ... until the median of REPEAT calls
-  exceeds BUDGET_S seconds, and the largest m timed within the budget is
-  its reach.
+  goe-pte, bce-bce) is timed at its limit m only: its reach would be that
+  limit whatever the speed.  A table without one (goe-bce) is timed at
+  m = 1, 2, ... until its median exceeds BUDGET_S seconds, and the largest
+  m timed within the budget is its reach.
 - "commands": each of COMMANDS runs in process through `cli.main`, its
-  standard output captured, REPEAT times after one untimed call; the median
-  seconds is reported.
+  standard output captured, after one untimed call.
 - "layers": at each N in SIZES, every sampler kind, `matops.anticommutator`
-  on a goe-checker:5 pair and `matops.eigenvalues` on the result are timed
-  (median of REPEAT calls), and each call's `tracemalloc` peak is taken
-  once, in bytes and in N x N float64 matrices.  `anticommutator` consumes
-  its first factor, so each call gets a fresh copy, made untimed and
-  untraced.
+  on a goe-checker:5 pair and `matops.eigenvalues` on the result are timed,
+  and each call's `tracemalloc` peak is taken once, in bytes and in N x N
+  float64 matrices.  `anticommutator` consumes its first factor, so each
+  call gets a fresh copy, made untimed and untraced.
 - "run_trials_rss": `stats.run_trials` runs RSS_TRIALS trials of each pair
-  in RSS_PAIRS at each N in RSS_SIZES, one process each, and reports the
-  process's `ru_maxrss` above what importing the package took.
+  in RSS_PAIRS at each N in RSS_SIZES in a fresh process, and reports the
+  process's `ru_maxrss` above what importing the package took; each side
+  runs REPEAT such processes, alternating as above, and each number is the
+  median of its REPEAT values.
 
 Each record also holds the checkout's commit and a digest of its package
-source.  The checkout this file sits in is "after"; with --baseline DIR, a
-checkout of another commit, DIR is "before", and each part runs on "before"
-and then on "after" before the next part starts.  Both sit beside the
-machine they ran on and its BLAS.
+source.  Both sides sit beside the machine they ran on and its BLAS.
 """
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -52,7 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET_S = 2.0  # seconds per exact-table call
-REPEAT = 3  # timed calls per table and m, or per layer and N; their median counts
+REPEAT = 3  # timed calls per row and side, or RSS processes per side; their median counts
 SIZES = (1000, 1500, 3000)
 K = 5  # block and modulus parameter of bce and checkerboard
 RSS_PAIRS = ("goe-goe", "goe-checker:5")
@@ -77,105 +80,182 @@ COMMANDS = (
 )
 
 
-def _table_seconds(compute, m, extra):
-    """Median seconds of REPEAT calls compute(m, *extra), stopping after a call over budget."""
-    calls = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        compute(m, *extra)
-        calls.append(time.perf_counter() - start)
-        if calls[-1] > BUDGET_S:
-            break
-    return round(statistics.median(calls), 6)
-
-
-def measure_tables():
-    """Per table: the median seconds at its enumeration limit, or, with no limit,
-    the median seconds at each m and the largest m within budget."""
+def enumeration_limit(table):
+    """The table's ENUMERATION_LIMITS entry, None if it has none."""
     from antispectra import combinatorics
 
-    report = {}
-    for name, attr, extra in TABLES:
-        compute = getattr(combinatorics, attr)
-        limit = combinatorics.ENUMERATION_LIMITS.get(name.split()[0])
-        if limit is not None:
-            report[name] = {"measure": "time at the enumeration limit", "m": limit,
-                            "seconds": _table_seconds(compute, limit, extra)}
-            continue
-        seconds, m = {}, 0
-        while not seconds or seconds[str(m)] <= BUDGET_S:
-            m += 1
-            seconds[str(m)] = _table_seconds(compute, m, extra)
-        report[name] = {"measure": "reach", "seconds": seconds, "largest_m": m - 1}
-    return report
+    return combinatorics.ENUMERATION_LIMITS.get(table)
 
 
-def measure_commands():
-    """Per command in COMMANDS: median seconds of REPEAT in-process `cli.main` calls."""
+def time_table(attr, m, extra):
+    """Seconds of one call combinatorics.<attr>(m, *extra)."""
+    from antispectra import combinatorics
+
+    start = time.perf_counter()
+    getattr(combinatorics, attr)(m, *extra)
+    return time.perf_counter() - start
+
+
+def time_command(argv):
+    """Seconds of one in-process `cli.main` call, its standard output captured."""
     from antispectra import cli
 
-    report = {}
-    for argv in COMMANDS:
-        seconds = []
-        for _ in range(REPEAT + 1):  # the first call warms up and is not counted
-            with contextlib.redirect_stdout(io.StringIO()):
-                start = time.perf_counter()
-                code = cli.main(list(argv))
-                seconds.append(time.perf_counter() - start)
-            if code != 0:
-                raise RuntimeError(f"{' '.join(argv)} exited {code}")
-        report[" ".join(argv)] = round(statistics.median(seconds[1:]), 6)
-    return report
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main(list(argv))
+        seconds = time.perf_counter() - start
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return seconds
 
 
-def _layer(call, args):
-    """Median seconds of REPEAT calls, then one call's tracemalloc peak in bytes.
+@functools.lru_cache(maxsize=1)
+def layer_calls(N):
+    """(call, args) per layer at N, the arrays of the last N only kept.
 
     args() gives each call its arguments.  It runs outside the timed call and
-    the traced window, so a call that consumes an argument gets a fresh one
-    at no cost to its numbers.
+    the traced window, so a call that consumes an argument (anticommutator
+    its first factor) gets a fresh one at no cost to its numbers.
     """
-    seconds = []
-    for _ in range(REPEAT):
-        given = args()
-        start = time.perf_counter()
-        call(*given)
-        seconds.append(time.perf_counter() - start)
+    from antispectra.ensembles import EnsembleSpec, KINDS, sample_ensemble
+    from antispectra.matops import anticommutator, eigenvalues
+
+    specs = {kind: EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None)
+             for kind in KINDS}
+    calls = {f"sample {kind}": (sample_ensemble, lambda spec=spec: (spec, 1))
+             for kind, spec in specs.items()}
+    A = sample_ensemble(specs["goe"], 2)
+    B = sample_ensemble(specs["checkerboard"], 3)
+    calls["anticommutator"] = (anticommutator, lambda: (A.copy(), B))
+    C = anticommutator(A.copy(), B)
+    calls["eigenvalues"] = (eigenvalues, lambda: (C,))
+    return calls
+
+
+def time_layer(N, name):
+    """Seconds of one call of the layer."""
+    call, args = layer_calls(N)[name]
+    given = args()
+    start = time.perf_counter()
+    call(*given)
+    return time.perf_counter() - start
+
+
+def layer_peak(N, name):
+    """The tracemalloc peak of one call of the layer, in bytes."""
+    call, args = layer_calls(N)[name]
     given = args()
     tracemalloc.start()
     try:
         call(*given)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(seconds), peak
 
 
-def measure_layers():
-    """Per N, per layer: median seconds, tracemalloc peak, and that peak over 8N^2."""
-    from antispectra.ensembles import EnsembleSpec, KINDS, sample_ensemble
-    from antispectra.matops import anticommutator, eigenvalues
+#: What a worker answers: each request is a JSON list, its kind first.
+REQUESTS = {
+    "limit": enumeration_limit,
+    "table": time_table,
+    "command": time_command,
+    "layers": lambda N: list(layer_calls(N)),
+    "layer": time_layer,
+    "peak": layer_peak,
+}
 
-    report = {}
+
+def serve():
+    """Answer each request line on standard input with one JSON line."""
+    for line in sys.stdin:
+        kind, *args = json.loads(line)
+        print(json.dumps(REQUESTS[kind](*args)), flush=True)
+
+
+class Worker:
+    """A process serving REQUESTS with the package from root's src/."""
+
+    def __init__(self, root):
+        env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+        self.process = subprocess.Popen([sys.executable, __file__, "--serve"], env=env,
+                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                        text=True)
+
+    def __call__(self, *request):
+        self.process.stdin.write(json.dumps(request) + "\n")
+        self.process.stdin.flush()
+        answer = self.process.stdout.readline()
+        if not answer:
+            raise RuntimeError(f"worker exited with {self.process.wait()} on {request}")
+        return json.loads(answer)
+
+    def close(self):
+        self.process.stdin.close()
+        self.process.wait()
+
+
+def alternating(sides):
+    """The sides REPEAT times over, their order reversed every other time."""
+    for rep in range(REPEAT):
+        yield from sides if rep % 2 == 0 else sides[::-1]
+
+
+def paired(workers, *request):
+    """Per side: the median seconds of REPEAT calls of request, the sides alternating."""
+    seconds = {side: [] for side in workers}
+    for side in alternating(list(workers)):
+        seconds[side].append(workers[side](*request))
+    return {side: statistics.median(calls) for side, calls in seconds.items()}
+
+
+def measure_tables(workers):
+    """Per side, per table: the median seconds at the side's enumeration limit, or,
+    with no limit, the median seconds at each m and the largest m within budget."""
+    report = {side: {} for side in workers}
+    for name, attr, extra in TABLES:
+        limits = {side: worker("limit", name.split()[0]) for side, worker in workers.items()}
+        for limit in dict.fromkeys(limits.values()):
+            group = {side: workers[side] for side in workers if limits[side] == limit}
+            if limit is not None:
+                for side, seconds in paired(group, "table", attr, limit, extra).items():
+                    report[side][name] = {"measure": "time at the enumeration limit",
+                                          "m": limit, "seconds": round(seconds, 6)}
+                continue
+            for side in group:
+                report[side][name] = {"measure": "reach", "seconds": {}}
+            m = 0
+            while group:
+                m += 1
+                for side, seconds in paired(group, "table", attr, m, extra).items():
+                    report[side][name]["seconds"][str(m)] = round(seconds, 6)
+                    if seconds > BUDGET_S:
+                        report[side][name]["largest_m"] = m - 1
+                        del group[side]
+    return report
+
+
+def measure_commands(workers):
+    """Per side, per command in COMMANDS: the median seconds after one untimed call."""
+    report = {side: {} for side in workers}
+    for argv in COMMANDS:
+        for worker in workers.values():
+            worker("command", argv)
+        for side, seconds in paired(workers, "command", argv).items():
+            report[side][" ".join(argv)] = round(seconds, 6)
+    return report
+
+
+def measure_layers(workers):
+    """Per side, per N, per layer: median seconds, tracemalloc peak, and that peak over 8N^2."""
+    report = {side: {} for side in workers}
     for N in SIZES:
-        specs = {kind: EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None)
-                 for kind in KINDS}
-        # (call, args): anticommutator consumes its first factor, so each of
-        # its calls gets a fresh copy of A.
-        calls = {f"sample {kind}": (sample_ensemble, lambda spec=spec: (spec, 1))
-                 for kind, spec in specs.items()}
-        A = sample_ensemble(specs["goe"], 2)
-        B = sample_ensemble(specs["checkerboard"], 3)
-        calls["anticommutator"] = (anticommutator, lambda: (A.copy(), B))
-        C = anticommutator(A.copy(), B)
-        calls["eigenvalues"] = (eigenvalues, lambda: (C,))
-        rows = {}
-        for name, (call, args) in calls.items():
-            seconds, peak = _layer(call, args)
-            rows[name] = {"seconds": round(seconds, 5), "peak_bytes": peak,
-                          "peak_matrices": round(peak / (8 * N * N), 3)}
-        report[str(N)] = rows
-        del A, B, C
+        names = next(iter(workers.values()))("layers", N)
+        for name in names:
+            seconds = paired(workers, "layer", N, name)
+            for side, worker in workers.items():
+                peak = worker("peak", N, name)
+                report[side].setdefault(str(N), {})[name] = {
+                    "seconds": round(seconds[side], 5), "peak_bytes": peak,
+                    "peak_matrices": round(peak / (8 * N * N), 3)}
     return report
 
 
@@ -195,6 +275,23 @@ def trial_rss(pair, N):
     return {"pair": pair, "N": N, "trials": RSS_TRIALS, "seconds": round(seconds, 3),
             "import_mib": round(imported / 2**20, 1), "above_import_mib": round(above / 2**20, 1),
             "above_import_matrices": round(above / (8 * N * N), 3)}
+
+
+def measure_rss(roots):
+    """Per side: trial_rss of each pair and N, each number the median of REPEAT
+    fresh processes per side, the sides alternating."""
+    report = {side: [] for side in roots}
+    for pair in RSS_PAIRS:
+        for N in RSS_SIZES:
+            runs = {side: [] for side in roots}
+            for side in alternating(list(roots)):
+                runs[side].append(run_on(roots[side], "--rss", pair, str(N)))
+            for side, side_runs in runs.items():
+                report[side].append({
+                    key: statistics.median(run[key] for run in side_runs)
+                    if isinstance(value, (int, float)) else value
+                    for key, value in side_runs[0].items()})
+    return report
 
 
 def run_on(root, *args):
@@ -223,20 +320,19 @@ def tree_record(root):
 
 
 def tree_records(roots):
-    """Per side of roots (side name -> checkout): tree_record and the four parts.
-
-    Each part, and each RSS run, is measured on every side before the next
-    one starts, so a shift in the machine's speed during the run falls on
-    both sides of a part alike rather than on one side's whole record.
-    """
+    """Per side of roots (side name -> checkout): tree_record and the four parts."""
     records = {side: dict(tree_record(root), run_trials_rss=[]) for side, root in roots.items()}
-    for part in ("tables", "commands", "layers"):
-        for side, root in roots.items():
-            records[side][part] = run_on(root, f"--{part}")
-    for pair in RSS_PAIRS:
-        for N in RSS_SIZES:
-            for side, root in roots.items():
-                records[side]["run_trials_rss"].append(run_on(root, "--rss", pair, str(N)))
+    workers = {side: Worker(root) for side, root in roots.items()}
+    try:
+        for part, measure in (("tables", measure_tables), ("commands", measure_commands),
+                              ("layers", measure_layers)):
+            for side, record in measure(workers).items():
+                records[side][part] = record
+    finally:
+        for worker in workers.values():
+            worker.close()
+    for side, runs in measure_rss(roots).items():
+        records[side]["run_trials_rss"] = runs
     return records
 
 
@@ -270,17 +366,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--baseline", help="checkout of the commit to compare against")
-    # Child processes: measure one part of the package on PYTHONPATH, print it as JSON.
-    parser.add_argument("--tables", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--commands", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    # Child processes: serve timing requests, or measure one RSS run, with the
+    # package on PYTHONPATH.
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--rss", nargs=2, metavar=("PAIR", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.tables or args.commands or args.layers or args.rss:
-        part = (measure_tables() if args.tables else measure_commands() if args.commands
-                else measure_layers() if args.layers
-                else trial_rss(args.rss[0], int(args.rss[1])))
-        print(json.dumps(part))
+    if args.serve:
+        serve()
+        return 0
+    if args.rss:
+        print(json.dumps(trial_rss(args.rss[0], int(args.rss[1]))))
         return 0
     if not args.out:
         parser.error("--out is required")
