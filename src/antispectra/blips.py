@@ -121,16 +121,15 @@ def _outside_bump(x):
     return int(np.count_nonzero((x > 2.0) | (x < 1.0 - math.sqrt(2.0))))
 
 
-def _weighted_report(regime, eigs, N, k, j, n, orders, x, locations, share):
+def _weighted_report(regime, eigs, N, k, j, orders, x, locations, share):
     """The blip report of one spectrum from its weight arguments and locations.
 
-    Each eigenvalue carries weight f^(2n)(x) at its location, n defaulting
-    to default_blip_order(N); the m-th moment is the weighted power sum
+    Each eigenvalue carries weight f^(2n)(x) at its location, n being
+    default_blip_order(N); the m-th moment is the weighted power sum
     divided by share, the number of eigenvalues the regime holds.  counts
     adds outside_bump to the regime counts.
     """
-    if n is None:
-        n = default_blip_order(N)
+    n = default_blip_order(N)
     weights = weight_f(n)(x)
     moments = {m: float(np.sum(weights * locations**m)) / share for m in orders}
     counts = regime_classify(eigs, N, k, j)
@@ -138,12 +137,12 @@ def _weighted_report(regime, eigs, N, k, j, n, orders, x, locations, share):
     return BlipReport(regime, N, k, j, n, locations, weights, moments, counts)
 
 
-def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
+def blip_measure_goe_checker(eigs, N, k, orders=(0, 1, 2)):
     """Weighted empirical measure of the blip regime of a GOE/checkerboard pair.
 
-    Each eigenvalue carries weight f^(2n)(k^2 lambda^2 / N^3) at location
-    (lambda^2 - N^3/k^2) / N^(5/2); the m-th weighted moment is the weighted
-    power sum divided by 2k.
+    Each eigenvalue carries weight f^(2n)(k^2 lambda^2 / N^3), with
+    n = default_blip_order(N), at location (lambda^2 - N^3/k^2) / N^(5/2);
+    the m-th weighted moment is the weighted power sum divided by 2k.
 
     As N grows, the k positive and the k negative blips each take locations
     distributed as the eigenvalues of (sqrt(5)/k^2) GOE_k, so the moments
@@ -160,22 +159,22 @@ def blip_measure_goe_checker(eigs, N, k, n=None, orders=(0, 1, 2)):
     eigs = np.asarray(eigs, dtype=float)
     x = k**2 * eigs**2 / N**3
     locations = (eigs**2 - N**3 / k**2) / N**2.5
-    return _weighted_report("goe-checker-blip", eigs, N, k, None, n, orders,
+    return _weighted_report("goe-checker-blip", eigs, N, k, None, orders,
                             x, locations, 2 * k)
 
 
-def blip_measure_largest(eigs, N, k, j, n=None, orders=(0, 1, 2)):
+def blip_measure_largest(eigs, N, k, j, orders=(0, 1, 2)):
     """Weighted empirical measure of the largest blip of a two-checkerboard pair.
 
     Weight f^(2n)(j k lambda / (2 N^2)) at location (lambda - 2N^2/(jk)) / N,
-    with no prefactor (the regime holds a single eigenvalue).  At small N
-    the most negative eigenvalues have arguments below 1 - sqrt(2), so they
-    count in outside_bump.
+    n as above, with no prefactor (the regime holds a single eigenvalue).  At
+    small N the most negative eigenvalues have arguments below 1 - sqrt(2),
+    so they count in outside_bump.
     """
     eigs = np.asarray(eigs, dtype=float)
     x = j * k * eigs / (2.0 * N**2)
     locations = (eigs - 2.0 * N**2 / (j * k)) / N
-    return _weighted_report("largest-blip", eigs, N, k, j, n, orders,
+    return _weighted_report("largest-blip", eigs, N, k, j, orders,
                             x, locations, 1)
 
 

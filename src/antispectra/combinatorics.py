@@ -18,12 +18,13 @@ ENUMERATION_LIMITS = {
 }
 
 
-def _check_limit(name, m):
+def _check_order(m, table=None):
+    """Reject an order m below 1, or above the table's ENUMERATION_LIMITS entry."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if m > ENUMERATION_LIMITS[name]:
+    if table is not None and m > ENUMERATION_LIMITS[table]:
         raise ValueError(f"budget exceeded: enumeration limited to m <= "
-                         f"{ENUMERATION_LIMITS[name]}, got {m}")
+                         f"{ENUMERATION_LIMITS[table]}, got {m}")
 
 
 def double_factorial(n):
@@ -260,11 +261,10 @@ def moment_goe_goe(m, method="recurrence"):
     moments the Catalan numbers; 'enumeration' is capped at m <= 5 and
     recounts it by the word recursion on the same row.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_order(m)
     semicircle = [catalan(n) for n in range(m + 1)]
     if method == "enumeration":
-        _check_limit("goe-goe", m)
+        _check_order(m, "goe-goe")
         return _free_moment_sum(m, semicircle)
     if method == "recurrence":
         return sigma_table(m, 0, semicircle)[m][0]
@@ -287,12 +287,11 @@ def moment_pte_pte(m, method="closed_form"):
     configuration (every type-respecting pairing contributes 1 in this
     ensemble pair).
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_order(m)
     if method == "closed_form":
         return 2 ** (2 * m) * double_factorial(2 * m - 1) ** 2
     if method == "enumeration":
-        _check_limit("pte-pte", m)
+        _check_order(m, "pte-pte")
         return sum(size * double_factorial(word.count("a") - 1)
                    * double_factorial(word.count("b") - 1)
                    for word, size in _configuration_classes(2 * m))
@@ -310,13 +309,12 @@ def moment_goe_pte(m, method="recurrence"):
     sigma_{m,0}; enumeration recounts for m <= 4 as phi((sb + bs)^(2m)),
     s semicircular and free from a standard Gaussian b, by the word
     recursion with b's moments (2n-1)!!."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_order(m)
     gaussian = [double_factorial(2 * n - 1) for n in range(m + 1)]
     if method == "recurrence":
         return sigma_table(m, 0, gaussian)[m][0]
     if method == "enumeration":
-        _check_limit("goe-pte", m)
+        _check_order(m, "goe-pte")
         return _free_moment_sum(m, gaussian)
     raise ValueError(f"unknown method {method!r}")
 
@@ -324,8 +322,7 @@ def moment_goe_pte(m, method="recurrence"):
 def moment_bounds_goe_pte(m):
     """Bracket for the mixed 2m-th moment: grows faster than any power,
     slower than the factorial-type upper product."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_order(m)
     lower = sum(math.comb(m, i) * double_factorial(2 * i - 1)
                 for i in range(0, m + 1))
     upper = 4 ** m * double_factorial(2 * m - 1) * catalan(m)
@@ -397,10 +394,8 @@ class LaurentMoment:
     __rmul__ = __mul__
 
     def at(self, k):
-        """Evaluate at block size k; exact Fraction for integer k."""
-        if isinstance(k, int):
-            return sum(Fraction(c, k ** (2 * g)) for g, c in enumerate(self.coeffs))
-        return float(sum(c / k ** (2 * g) for g, c in enumerate(self.coeffs)))
+        """The exact Fraction at the integer block size k; a float k is a TypeError."""
+        return sum(Fraction(c, k ** (2 * g)) for g, c in enumerate(self.coeffs))
 
     def __str__(self):
         parts = [str(self.coeffs[0])]
@@ -485,8 +480,7 @@ def moment_goe_bce(m):
     (Harer-Zagier 1986; Nica-Speicher 2006, Lecture 22): sigma_table's
     column 0 on those rows.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_order(m)
     return sigma_table(m, 0, _harer_zagier(m))[m][0]
 
 
@@ -503,7 +497,7 @@ def moment_bce_bce(m):
     summed one word per rotation class weighted by its size.
     The coefficient of k^(1-2g) in the sum of E[Tr w] is coeffs[g].
     """
-    _check_limit("bce-bce", m)
+    _check_order(m, "bce-bce")
     memo, rotations = {}, _Rotations()
     total = {}
     for word, size in _configuration_classes(2 * m):
@@ -527,8 +521,7 @@ def moment_ell_anticommutator(m, ell):
     """
     if ell < 2:
         raise ValueError(f"need ell >= 2, got {ell}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_order(m)
     lfact = math.factorial(ell)
     f = {(0, 0): 1}
     for k in range(0, ell + 1):
@@ -576,8 +569,7 @@ def bulk_moment_checker(m, k, j=None):
     """Bulk 2m-th moment when one or both factors carry a mod-k weight
     structure: the two-GOE value damped by (1 - 1/k) (and (1 - 1/j)) per
     moment order.  Exact rational."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _check_order(m)
     check_moduli(k, j)
     out = Fraction(k - 1, k) ** m * moment_goe_goe(m)
     if j is not None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matops import _add_transpose
+from .spectra import write_csv
 
 DISTRIBUTIONS = ("standard-normal", "rademacher", "uniform-scaled")
 
@@ -24,8 +25,10 @@ def rng_stream(seed, *stream):
     """Counter-based generator for the stream keyed by ``stream`` integers.
 
     Distinct keys (e.g. per trial and per matrix slot) give statistically
-    independent streams under the same base seed.
+    independent streams under the same base seed, which None cannot be.
     """
+    if seed is None:
+        raise ValueError("invalid seed None: every stream needs an integer seed")
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -94,7 +97,7 @@ def _pin_residues(a, k, w):
     return a
 
 
-def sample_goe(N, seed=None):
+def sample_goe(N, seed):
     """N x N GOE draw: off-diagonal N(0,1) mirrored, diagonal N(0,2)."""
     _check_dims(N)
     return _symmetric_fill(_as_generator(seed), N, diagonal=np.sqrt(2.0))
@@ -106,7 +109,7 @@ def _check_pte_dims(N):
     _check_dims(N)
 
 
-def sample_pte(N, seed=None, dist="standard-normal"):
+def sample_pte(N, seed, dist="standard-normal"):
     """Palindromic Toeplitz draw from b_0..b_{N/2-1} iid with variance 1.
 
     The entry at (i, j) is b_d for d = |i-j| when d <= N/2 - 1 and
@@ -129,7 +132,7 @@ def _symmetric_block(rng, k, dist):
     return m
 
 
-def sample_bce(N, k, seed=None, dist="standard-normal"):
+def sample_bce(N, k, seed, dist="standard-normal"):
     """Block circulant draw built from k x k blocks B_0..B_{N/k-1}.
 
     Free blocks are B_0 (symmetric) and B_1..B_{floor(n/2)} where
@@ -163,7 +166,7 @@ def sample_bce(N, k, seed=None, dist="standard-normal"):
     return a
 
 
-def sample_checkerboard(N, k, w=1.0, seed=None, dist="standard-normal"):
+def sample_checkerboard(N, k, w, seed, dist="standard-normal"):
     """Symmetric iid draw with entries pinned to w where i = j (mod k).
 
     The pinned entries are set by k strided slice assignments, so beyond
@@ -241,7 +244,7 @@ def parse_ensemble(text, N, dist="standard-normal"):
         raise ValueError(f"ensemble {text!r}: {exc}") from None
 
 
-def sample_ensemble(spec, seed=None):
+def sample_ensemble(spec, seed):
     """Draw one matrix described by an EnsembleSpec."""
     if spec.kind == "goe":
         return sample_goe(spec.N, seed)
@@ -265,6 +268,4 @@ def mean_matrix(N, k):
 
 def dump_matrix(f, M, kind):
     """Write a matrix as CSV, one row per line, 17 significant digits."""
-    N = M.shape[0]
-    np.savetxt(f, M, fmt="%.17g", delimiter=",",
-               header=f"symmetric N={N} kind={kind}", comments="# ")
+    write_csv(f, f"# symmetric N={len(M)} kind={kind}", *M.T)

@@ -20,10 +20,10 @@ def write_csv(f, header, *columns):
 class Histogram:
     """Unit-area histogram of pooled, rescaled eigenvalues.
 
-    Eigenvalues are divided by N^p before binning.  Mass falling outside
-    the bin range is excluded from the bins but reported as
-    ``clipped_mass`` (a fraction of all points), so a histogram of the
-    bulk stays clean even when outlier eigenvalues exist.
+    Eigenvalues are divided by N^p before binning.  Mass outside an explicit
+    bin range is left out of the bins and reported as ``clipped_mass``, a
+    fraction of all points.  No command passes a range, so the bins span the
+    outliers too and clipped_mass is always 0.0 (bulk only: ROADMAP item 3).
     """
 
     edges: np.ndarray

@@ -80,7 +80,7 @@ def test_blip_measure_matches_hand_computation():
     mus = np.array([-2.0, -0.5, 1.0, 2.5])
     lam = np.sqrt(N**3 / k**2 * (1 + 2 * mus / math.sqrt(N)))
     eigs = np.concatenate([np.linspace(-40, 40, 92), lam])
-    report = blips.blip_measure_goe_checker(eigs, N, k, n=2, orders=(0, 1, 2))
+    report = blips.blip_measure_goe_checker(eigs, N, k, orders=(0, 1, 2))
     poly = blips.weight_f(2)
     weights = poly(k**2 * eigs**2 / N**3)
     locs = (eigs**2 - N**3 / k**2) / N**2.5
@@ -100,8 +100,9 @@ def test_largest_measure_matches_hand_computation():
     offsets = np.array([-0.4, 0.2])
     lam = top + offsets * N
     eigs = np.concatenate([np.linspace(-500, 500, 298), lam])
-    report = blips.blip_measure_largest(eigs, N, k, j, n=1, orders=(0, 1))
-    poly = blips.weight_f(1)
+    report = blips.blip_measure_largest(eigs, N, k, j, orders=(0, 1))
+    assert blips.default_blip_order(N) == 2
+    poly = blips.weight_f(2)
     weights = poly(j * k * lam / (2 * N**2))
     locs = (lam - top) / N
     for m in (0, 1):
@@ -109,7 +110,7 @@ def test_largest_measure_matches_hand_computation():
         bulk_l = (np.linspace(-500, 500, 298) - top) / N
         oracle = np.sum(weights * locs**m) + np.sum(bulk_w * bulk_l**m)
         np.testing.assert_allclose(report.moment(m), oracle, rtol=1e-10)
-    assert report.regime == "largest-blip"
+    assert report.regime == "largest-blip" and report.n == 2
 
 
 @pytest.mark.parametrize("x,outside", [
@@ -119,8 +120,8 @@ def test_largest_measure_matches_hand_computation():
 def test_outside_bump_counts_arguments_past_two(x, outside):
     N, k, j = 60, 3, 5
     x = np.array(x)
-    checker = blips.blip_measure_goe_checker(np.sqrt(x * N**3) / k, N, k, n=2)
-    largest = blips.blip_measure_largest(x * 2 * N**2 / (j * k), N, k, j, n=2)
+    checker = blips.blip_measure_goe_checker(np.sqrt(x * N**3) / k, N, k)
+    largest = blips.blip_measure_largest(x * 2 * N**2 / (j * k), N, k, j)
     assert checker.counts["outside_bump"] == outside
     assert largest.counts["outside_bump"] == outside
 
@@ -130,7 +131,7 @@ def test_outside_bump_counts_arguments_below_one_minus_sqrt_two():
     # only the largest-blip argument j k lambda / (2 N^2) can be negative.
     N, k, j = 60, 3, 5
     x = np.array([-3.0, -0.42, -0.41, -0.1, 0.5, 2.5])
-    report = blips.blip_measure_largest(x * 2 * N**2 / (j * k), N, k, j, n=2)
+    report = blips.blip_measure_largest(x * 2 * N**2 / (j * k), N, k, j)
     assert report.counts["outside_bump"] == 3
     below, above = blips.weight_f(2)(np.array([-0.42, -0.41]))
     assert below > 1 > above

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antispectra import blips, cli, combinatorics, ensembles, stats
+from antispectra import blips, cli, combinatorics, densities, ensembles, stats
 
 
 def run_cli(capsys, *argv):
@@ -179,13 +179,16 @@ _MEMORY = r"needs \S+ GiB, more than the \S+ GiB of memory\n"
      "ensemble 'goe': invalid dimension: N=67108864: an N x N matrix "),
     (("spectrum", "--pair", "goe-goe", "--n", "67108864", "--trials", "1"),
      "invalid dimension: N=67108864: an N x N matrix "),
-], ids=["bins_2^50", "bins_2^60", "sample", "spectrum_n"])
+    (("density", "--which", "pte-pte", "--grid=-4:4:1125899906842624"),
+     "invalid grid '-4:4:1125899906842624': its table "),
+], ids=["bins_2^50", "bins_2^60", "sample", "spectrum_n", "grid_2^50"])
 def test_inputs_larger_than_memory_fail_before_any_work(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("worked on an input larger than memory")
 
     for module, name in ((stats, "sample_ensemble"), (cli, "sample_ensemble"),
-                         (cli, "empirical_histogram")):
+                         (cli, "empirical_histogram"), (cli.np, "linspace"),
+                         (densities, "tabulate_density")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -431,6 +434,21 @@ def test_sample_deterministic(capsys, tmp_path):
                              "--seed", "9", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("spec,N,dist", [
+    ("goe", 6, "standard-normal"),
+    ("bce:3", 6, "rademacher"),
+    ("checker:3:2.5", 9, "uniform-scaled"),
+])
+def test_sample_csv_bytes_are_each_entry_at_17_digits(capsys, spec, N, dist):
+    code, out, err = run_cli(capsys, "sample", "--ensemble", spec, "--n", str(N),
+                             "--dist", dist, "--seed", "5")
+    matrix = ensembles.sample_ensemble(ensembles.parse_ensemble(spec, N, dist),
+                                       ensembles.rng_stream(5, 0))
+    rows = [",".join(format(value, ".17g") for value in row) for row in matrix.tolist()]
+    assert (code, err) == (0, "")
+    assert out == "\n".join([f"# symmetric N={N} kind={spec}", *rows]) + "\n"
 
 
 def test_seed_takes_any_non_negative_integer(capsys):

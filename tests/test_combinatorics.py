@@ -500,7 +500,12 @@ def test_laurent_reductions_and_evaluation():
     assert isinstance(value, Fraction)
     assert comb.moment_goe_bce(3).at(2) == Fraction(151, 2)
     assert str(comb.moment_goe_bce(2)) == "10 + 2*k^-2"
-    assert isinstance(comb.moment_goe_bce(2).at(2.0), float)
+
+
+def test_laurent_moment_at_a_float_is_a_type_error():
+    # Only an integer block size gives the exact value.
+    with pytest.raises(TypeError):
+        comb.LaurentMoment((10, 2)).at(2.0)
 
 
 def test_laurent_constant_term_is_goe_goe_limit():

@@ -18,6 +18,16 @@ def test_rng_stream_deterministic_and_disjoint():
     assert not np.array_equal(a, d)
 
 
+def test_samplers_take_no_default_seed():
+    # A seed of None would draw from OS entropy, which no run can reproduce.
+    with pytest.raises(TypeError):
+        ensembles.sample_goe(4)
+    with pytest.raises(ValueError, match="^invalid seed None"):
+        ensembles.sample_goe(4, None)
+    with pytest.raises(ValueError, match="^invalid seed None"):
+        ensembles.rng_stream(None, 0)
+
+
 def test_goe_symmetry_and_entry_moments():
     N = 400
     M = ensembles.sample_goe(N, seed=1)
@@ -154,14 +164,14 @@ def test_spec_errors_are_exact(kwargs, message):
 
 def test_one_even_size_rule_for_pte():
     message = "invalid dimension: palindromic Toeplitz needs even N, got 5"
-    for call in (lambda: ensembles.EnsembleSpec("pte", 5), lambda: ensembles.sample_pte(5)):
+    for call in (lambda: ensembles.EnsembleSpec("pte", 5), lambda: ensembles.sample_pte(5, 0)):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ensembles.sample_goe(2**26),
+    lambda: ensembles.sample_goe(2**26, 0),
     lambda: ensembles.EnsembleSpec("checkerboard", 2**26, 4),
     lambda: ensembles.mean_matrix(2**26, 4),
 ], ids=["sample_goe", "spec", "mean_matrix"])

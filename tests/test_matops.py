@@ -24,7 +24,7 @@ def _second_factor(kind, N):
         # PTE needs even N; the leading block of a symmetric matrix is symmetric.
         return sample_pte(N + N % 2, seed=N + 1)[:N, :N]
     k = max(d for d in (1, 2, 5) if N % d == 0)
-    return sample_checkerboard(N, k, seed=N + 1)
+    return sample_checkerboard(N, k, 1.0, seed=N + 1)
 
 
 @pytest.mark.parametrize("N", [1, 2, 37, 200])
@@ -126,7 +126,7 @@ def test_anticommutator_writes_into_its_first_factor():
     # The result is the first factor's storage; the second is read, never
     # written, also when it shares the first factor's storage.
     A = sample_goe(300, seed=5)
-    B = sample_checkerboard(300, 5, seed=6)
+    B = sample_checkerboard(300, 5, 1.0, seed=6)
     want, kept = A @ B + B @ A, B.copy()
     C = matops.anticommutator(A, B)
     assert C is A
@@ -147,7 +147,7 @@ def test_symmetric_sampler_mirrors_in_place():
     # the transpose another whole matrix.
     N = 1024
     assert _peak_over_matrix(lambda: sample_goe(N, seed=3), N) < 1.2
-    assert _peak_over_matrix(lambda: sample_checkerboard(N, 4, seed=3), N) < 1.2
+    assert _peak_over_matrix(lambda: sample_checkerboard(N, 4, 1.0, seed=3), N) < 1.2
 
 
 def test_pte_sampler_builds_one_matrix():

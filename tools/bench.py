@@ -10,7 +10,12 @@ imports the package from the checkout's src/ and times one call per
 request.  Every timed row is REPEAT calls per side, the sides' calls
 alternating (before, after, after, before, ...), and each side reports the
 median of its calls.  The machine's speed can shift within seconds, so
-alternating single calls lets a shift fall on both sides alike.  The record
+alternating single calls lets a shift fall on both sides alike.  A side's
+median can still land in another speed mode than the other side's, so with
+--baseline the record also holds "after_over_before": per timed row of the
+first three parts below, keyed like the row, the median over the REPEAT
+adjacent call pairs of the after call's seconds over the before call's
+(None past one side's reach, where the other side runs alone).  The record
 has four parts:
 
 - "tables": each exact table (the enumeration routes of goe-goe, pte-pte
@@ -200,23 +205,31 @@ def alternating(sides):
 
 
 def paired(workers, *request):
-    """Per side: the median seconds of REPEAT calls of request, the sides alternating."""
+    """Per side, the median seconds of REPEAT calls of request, the sides alternating;
+    and the median after / before ratio of the REPEAT adjacent call pairs, None
+    unless both sides ran."""
     seconds = {side: [] for side in workers}
     for side in alternating(list(workers)):
         seconds[side].append(workers[side](*request))
-    return {side: statistics.median(calls) for side, calls in seconds.items()}
+    ratio = None
+    if {"before", "after"} <= seconds.keys():
+        ratio = round(statistics.median(
+            after / before for after, before in zip(seconds["after"], seconds["before"])), 4)
+    return {side: statistics.median(calls) for side, calls in seconds.items()}, ratio
 
 
 def measure_tables(workers):
     """Per side, per table: the median seconds at the side's enumeration limit, or,
-    with no limit, the median seconds at each m and the largest m within budget."""
-    report = {side: {} for side in workers}
+    with no limit, the median seconds at each m and the largest m within budget;
+    and per table the after / before ratio, or one per m."""
+    report, ratios = {side: {} for side in workers}, {}
     for name, attr, extra in TABLES:
         limits = {side: worker("limit", name.split()[0]) for side, worker in workers.items()}
         for limit in dict.fromkeys(limits.values()):
             group = {side: workers[side] for side in workers if limits[side] == limit}
             if limit is not None:
-                for side, seconds in paired(group, "table", attr, limit, extra).items():
+                medians, ratios[name] = paired(group, "table", attr, limit, extra)
+                for side, seconds in medians.items():
                     report[side][name] = {"measure": "time at the enumeration limit",
                                           "m": limit, "seconds": round(seconds, 6)}
                 continue
@@ -225,38 +238,45 @@ def measure_tables(workers):
             m = 0
             while group:
                 m += 1
-                for side, seconds in paired(group, "table", attr, m, extra).items():
+                medians, ratio = paired(group, "table", attr, m, extra)
+                ratios.setdefault(name, {})[str(m)] = ratio
+                for side, seconds in medians.items():
                     report[side][name]["seconds"][str(m)] = round(seconds, 6)
                     if seconds > BUDGET_S:
                         report[side][name]["largest_m"] = m - 1
                         del group[side]
-    return report
+    return report, ratios
 
 
 def measure_commands(workers):
-    """Per side, per command in COMMANDS: the median seconds after one untimed call."""
-    report = {side: {} for side in workers}
+    """Per side, per command in COMMANDS: the median seconds after one untimed call;
+    and per command the after / before ratio."""
+    report, ratios = {side: {} for side in workers}, {}
     for argv in COMMANDS:
+        key = " ".join(argv)
         for worker in workers.values():
             worker("command", argv)
-        for side, seconds in paired(workers, "command", argv).items():
-            report[side][" ".join(argv)] = round(seconds, 6)
-    return report
+        medians, ratios[key] = paired(workers, "command", argv)
+        for side, seconds in medians.items():
+            report[side][key] = round(seconds, 6)
+    return report, ratios
 
 
 def measure_layers(workers):
-    """Per side, per N, per layer: median seconds, tracemalloc peak, and that peak over 8N^2."""
-    report = {side: {} for side in workers}
+    """Per side, per N, per layer: median seconds, tracemalloc peak, and that peak over
+    8N^2; and per N, per layer the after / before ratio."""
+    report, ratios = {side: {} for side in workers}, {}
     for N in SIZES:
         names = next(iter(workers.values()))("layers", N)
         for name in names:
-            seconds = paired(workers, "layer", N, name)
+            seconds, ratio = paired(workers, "layer", N, name)
+            ratios.setdefault(str(N), {})[name] = ratio
             for side, worker in workers.items():
                 peak = worker("peak", N, name)
                 report[side].setdefault(str(N), {})[name] = {
                     "seconds": round(seconds[side], 5), "peak_bytes": peak,
                     "peak_matrices": round(peak / (8 * N * N), 3)}
-    return report
+    return report, ratios
 
 
 def trial_rss(pair, N):
@@ -320,19 +340,24 @@ def tree_record(root):
 
 
 def tree_records(roots):
-    """Per side of roots (side name -> checkout): tree_record and the four parts."""
+    """Per side of roots (side name -> checkout): tree_record and the four parts; with
+    two sides, also after_over_before."""
     records = {side: dict(tree_record(root), run_trials_rss=[]) for side, root in roots.items()}
+    ratios = {}
     workers = {side: Worker(root) for side, root in roots.items()}
     try:
         for part, measure in (("tables", measure_tables), ("commands", measure_commands),
                               ("layers", measure_layers)):
-            for side, record in measure(workers).items():
+            report, ratios[part] = measure(workers)
+            for side, record in report.items():
                 records[side][part] = record
     finally:
         for worker in workers.values():
             worker.close()
     for side, runs in measure_rss(roots).items():
         records[side]["run_trials_rss"] = runs
+    if len(roots) > 1:
+        records["after_over_before"] = ratios
     return records
 
 
