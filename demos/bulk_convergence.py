@@ -31,8 +31,8 @@ def moment_table(pair, sizes, trials, seed):
     return result
 
 
-def histogram_csv(pair, spectra, path):
-    hist = empirical_histogram(spectra, p=1.0, bins=80)
+def histogram_csv(pair, spectra, N, path):
+    hist = empirical_histogram(spectra, N, p=1.0, bins=80)
     centers = (hist.edges[:-1] + hist.edges[1:]) / 2
     curve = densities.tabulate_density(pair, centers)
     with open(path, "w") as f:
@@ -55,7 +55,7 @@ def main():
     sizes = tuple(int(s) for s in args.sizes.split(","))
     result = moment_table(args.pair, sizes, args.trials, args.seed)
     if args.csv:
-        histogram_csv(args.pair, result.spectra[sizes[-1]], args.csv)
+        histogram_csv(args.pair, result.spectra[sizes[-1]], sizes[-1], args.csv)
 
 
 if __name__ == "__main__":

@@ -18,21 +18,16 @@ def default_blip_order(N):
     return max(2, math.ceil(math.log(math.log(N))))
 
 
-def weight_f(n):
-    """The weight (x(2 - x))^(2n): one flat bump on (0, 2), peak value 1 at x=1.
+def weight_f(x, n):
+    """The weight (x(2 - x))^(2n) at a float or an array x: one flat bump on
+    (0, 2), peak value 1 at x=1.
 
-    Returns a function of a float or an array; the factored power form is
-    better conditioned near the endpoints than the expanded polynomial.
+    The factored power form is better conditioned near the endpoints than
+    the expanded polynomial.
     """
     if n < 1:
         raise ValueError(f"invalid order: n={n} must be >= 1")
-
-    def f(x):
-        arr = np.asarray(x, dtype=float)
-        value = (arr * (2.0 - arr)) ** (2 * n)
-        return float(value) if value.ndim == 0 else value
-
-    return f
+    return (x * (2.0 - x)) ** (2 * n)
 
 
 def band_scales(k, j):
@@ -46,9 +41,10 @@ def band_scales(k, j):
 
 @dataclass
 class BlipReport:
-    """Weighted point masses and summary statistics for one blip regime.
+    """Locations and weighted moments of one blip regime.
 
-    as_dict marks the moments valid only when counts["outside_bump"] is 0.
+    locations holds every eigenvalue's location.  as_dict marks the moments
+    valid only when counts["outside_bump"] is 0.
     """
 
     regime: str
@@ -57,7 +53,6 @@ class BlipReport:
     j: int
     n: int
     locations: np.ndarray
-    weights: np.ndarray
     moments: dict  # order -> weighted moment
     counts: dict
 
@@ -130,11 +125,11 @@ def _weighted_report(regime, eigs, N, k, j, orders, x, locations, share):
     adds outside_bump to the regime counts.
     """
     n = default_blip_order(N)
-    weights = weight_f(n)(x)
+    weights = weight_f(x, n)
     moments = {m: float(np.sum(weights * locations**m)) / share for m in orders}
     counts = regime_classify(eigs, N, k, j)
     counts["outside_bump"] = _outside_bump(x)
-    return BlipReport(regime, N, k, j, n, locations, weights, moments, counts)
+    return BlipReport(regime, N, k, j, n, locations, moments, counts)
 
 
 def blip_measure_goe_checker(eigs, N, k, orders=(0, 1, 2)):

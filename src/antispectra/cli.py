@@ -7,6 +7,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -81,11 +82,12 @@ def _cmd_spectrum(args):
     except ValueError as exc:
         raise ValueError(f"--norm-exp: {exc}") from None
     aggregate = stats.run_trials(plan)
-    hist = empirical_histogram(aggregate.spectra[args.n], p=args.norm_exp, bins=args.bins)
+    hist = empirical_histogram(aggregate.spectra[args.n], args.n, p=args.norm_exp,
+                               bins=args.bins)
     buffer = io.StringIO()
     hist.write_csv(buffer)
-    summary = {**aggregate.moments[args.n].as_dict(), "clipped_mass": hist.clipped_mass,
-               "bins": args.bins, "norm_exp": args.norm_exp}
+    summary = {**aggregate.moments[args.n].as_dict(), "bins": args.bins,
+               "norm_exp": args.norm_exp}
     return buffer.getvalue(), summary
 
 
@@ -138,11 +140,9 @@ def _cmd_regimes(args):
     counts = [blips.regime_classify(eigs, args.n, *pair.params) for eigs in spectra]
     keys = list(counts[0])
     mean_counts = {key: float(np.mean([c[key] for c in counts])) for key in keys}
-    tallies = {}
-    for c in counts:
-        signature = tuple(c[key] for key in keys)
-        tallies[signature] = tallies.get(signature, 0) + 1
-    modal_signature, modal_count = max(tallies.items(), key=lambda item: item[1])
+    # most_common breaks a tie by first appearance, so the first signature seen wins.
+    [(modal_signature, modal_count)] = Counter(
+        tuple(c[key] for key in keys) for c in counts).most_common(1)
     return None, {
         "pair": args.pair,
         "N": args.n,

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import numpy as np
 
-_BAND = 128  # rows per band of _add_transpose; the least per band of the two-factor product
+_BAND = 128  # rows a band in _add_transpose and eigenvalues; no product band is smaller
 
 
 def _add_transpose(S):
@@ -86,7 +86,10 @@ def eigenvalues(M):
     imports no SciPy, so a process holds NumPy's pool alone; alternating
     with SciPy's solver made each call run against the other library's
     idle-spinning threads, about twice as slow on two cores.
+
+    Finiteness is checked one band of rows at a time, so the check holds a
+    band's booleans, not an N x N array of them.
     """
-    if not np.all(np.isfinite(M)):
+    if not all(np.isfinite(M[lo:lo + _BAND]).all() for lo in range(0, len(M), _BAND)):
         raise ArithmeticError("matrix has non-finite entries")
     return np.linalg.eigvalsh(M)

@@ -20,15 +20,12 @@ def write_csv(f, header, *columns):
 class Histogram:
     """Unit-area histogram of pooled, rescaled eigenvalues.
 
-    Eigenvalues are divided by N^p before binning.  Mass outside an explicit
-    bin range is left out of the bins and reported as ``clipped_mass``, a
-    fraction of all points.  No command passes a range, so the bins span the
-    outliers too and clipped_mass is always 0.0 (bulk only: ROADMAP item 3).
+    Eigenvalues are divided by N^p before binning.  The bins span every
+    eigenvalue, a checkerboard pair's blips too (bulk only: ROADMAP item 3).
     """
 
     edges: np.ndarray
     density: np.ndarray
-    clipped_mass: float
 
     def write_csv(self, f):
         write_csv(f, "bin_left,bin_right,density", self.edges[:-1], self.edges[1:],
@@ -82,30 +79,16 @@ def check_norm_exp(p, n):
                          f"N^p = {n}^{p} is a finite nonzero float")
 
 
-def empirical_histogram(spectra, p=1.0, bins=80, range=None):
-    """Pool eigenvalues lambda/N^p over trials and bin to unit area.
-
-    N is taken from each spectrum's length, so mixed sizes pool on a
-    common scale; check_norm_exp judges p at every nonempty size.  An
-    explicit degenerate range is rejected.
-    """
+def empirical_histogram(spectra, N, p=1.0, bins=80):
+    """Pool the eigenvalues lambda/N^p of spectra of size N and bin them to unit area."""
     spectra = list(spectra)
     if not spectra:
         raise ValueError("no spectra given")
-    for n in {len(s) for s in spectra if len(s)}:
-        check_norm_exp(p, n)
+    check_norm_exp(p, N)
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
-    if range is not None and not range[0] < range[1]:
-        raise ValueError(f"degenerate range {range}")
-    scaled = np.concatenate([np.asarray(s) / len(s) ** p for s in spectra])
-    counts, edges = np.histogram(scaled, bins=bins, range=range)
-    kept = counts.sum()
-    if kept == 0:
-        raise ValueError("all mass falls outside the requested range")
-    density = counts / (kept * np.diff(edges))
-    clipped = 1.0 - kept / scaled.size
-    return Histogram(edges=edges, density=density, clipped_mass=clipped)
+    counts, edges = np.histogram(np.concatenate(spectra) / N ** p, bins=bins)
+    return Histogram(edges=edges, density=counts / (counts.sum() * np.diff(edges)))
 
 
 def empirical_moments(spectra, orders, N, pair=""):

@@ -147,7 +147,8 @@ def genus_expansion(name, m):
     """The 2m-th moment of goe-bce or bce-bce as a LaurentMoment in 1/k^2."""
     family = PAIRS.get(name)
     if family is None or family.methods != ("genus",):
-        raise ValueError(f"genus applies to goe-bce or bce-bce, got {name!r}")
+        raise ValueError(f"genus takes the family name goe-bce or bce-bce, with k "
+                         f"given by --k, got {name!r}")
     return getattr(combinatorics, family.moment)(m)
 
 
@@ -257,11 +258,12 @@ def run_trials(plan, threads=1):
 
 
 def averaged_blip_measure(plan, threads=1):
-    """Mean of the per-trial blip measures over the plan's first g(N) samples.
+    """Mean of the per-trial blip measures over all of the plan's trials.
 
-    The averaged measure pools every trial's point masses at weight 1/g; its
-    moments are the means of the per-trial moments and its counts the mean
-    counts.  Uses the plan's single size.
+    That is trials_for(N) trials: g(N) = ceil(sqrt(N)) when plan.trials is
+    None.  The moments are the means of the per-trial moments, the counts
+    the mean counts, and the locations every trial's, in trial order.  Uses
+    the plan's single size.
     """
     if len(plan.sizes) != 1:
         raise ValueError("averaged measure wants exactly one size")
@@ -269,17 +271,13 @@ def averaged_blip_measure(plan, threads=1):
         plan = replace(plan, outputs=("blips",))
     N = plan.sizes[0]
     reports = run_trials(plan, threads=threads).blips[N]
-    g = len(reports)
     first = reports[0]
     locations = np.concatenate([r.locations for r in reports])
-    weights = np.concatenate([r.weights for r in reports]) / g
     moments = {m: float(np.mean([r.moments[m] for r in reports])) for m in first.moments}
     counts = {
         key: float(np.mean([r.counts[key] for r in reports])) for key in first.counts
     }
-    return BlipReport(
-        first.regime, N, first.k, first.j, first.n, locations, weights, moments, counts
-    )
+    return BlipReport(first.regime, N, first.k, first.j, first.n, locations, moments, counts)
 
 
 @dataclass

@@ -204,7 +204,7 @@ def test_criterion_07_density_checks(bulk_spectra):
     )
     l1 = {}
     for pair in ("goe-goe", "pte-pte"):
-        hist = empirical_histogram(bulk_spectra[pair], p=1.0, bins=80)
+        hist = empirical_histogram(bulk_spectra[pair], 1000, p=1.0, bins=80)
         centers = (hist.edges[:-1] + hist.edges[1:]) / 2
         model = densities.tabulate_density(pair, centers).density
         l1[pair] = float(np.sum(np.abs(hist.density - model)

@@ -117,6 +117,8 @@ def test_usage_errors_exit_two(capsys, argv):
     (("convergence", "--pair", "goe-goe", "--n", "8,8,16,32", "--trials", "3"),
      "invalid sizes: (8, 8, 16, 32) repeats a size"),
     (("genus", "--pair", "goe-bce", "--m", "0"), "need m >= 1, got 0"),
+    (("genus", "--pair", "goe-bce:3", "--m", "2"),
+     "genus takes the family name goe-bce or bce-bce, with k given by --k, got 'goe-bce:3'"),
 ])
 def test_errors_name_the_bad_input(capsys, argv, named):
     code, _, err = run_cli(capsys, *argv)

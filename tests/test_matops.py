@@ -179,3 +179,18 @@ def test_eigenvalues_rejects_nonfinite():
     M[1, 2] = M[2, 1] = np.nan
     with pytest.raises(ArithmeticError, match="non-finite"):
         matops.eigenvalues(M)
+
+
+def test_eigenvalues_checks_finiteness_one_band_at_a_time():
+    # One band of booleans, 128 rows (0.031 matrices at N = 512); checking
+    # the whole matrix at once would hold an N x N boolean, 0.125.
+    N = 512
+    M = sample_goe(N, seed=9)
+    assert _peak_over_matrix(lambda: matops.eigenvalues(M), N) < 0.05
+    # The last band is checked too, also when it is shorter than the others.
+    for N in (512, 300):
+        for bad in (np.nan, np.inf, -np.inf):
+            M = sample_goe(N, seed=9)
+            M[-1, -1] = bad
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                matops.eigenvalues(M)
