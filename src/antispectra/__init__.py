@@ -11,7 +11,7 @@ Subpackages are plain modules; import what you need:
     matops          anticommutators and their eigenvalues
     spectra         histograms and normalized moment summaries
     combinatorics   exact limiting moments via several independent routes
-    densities       closed-form limiting densities and generating functions
+    densities       closed-form limiting densities and their tabulation
     blips           outlier-band measures, their exact limits, norm checks
     stats           pair specs, experiment plans, trial runners, convergence scans
     cli             command-line front end (installed as ``antispectra``)

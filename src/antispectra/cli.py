@@ -95,8 +95,11 @@ def _cmd_moments(args):
     pair = stats.parse_pair(args.pair)
     method = args.method or pair.methods[0]
     value = pair.moment(args.m, method)
-    return None, {"pair": args.pair, "m": args.m, "method": method, "value": float(value),
-                  "exact": str(value)}
+    try:
+        return None, {"pair": args.pair, "m": args.m, "method": method, "value": float(value),
+                      "exact": str(value)}
+    except OverflowError:
+        raise ArithmeticError(f"--pair {args.pair} --m {args.m}: moment too large for a float")
 
 
 def _cmd_genus(args):

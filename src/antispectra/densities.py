@@ -1,15 +1,11 @@
-"""Closed-form limiting densities, the moment generating function, and
-series/PDE cross-checks in exact arithmetic."""
+"""Closed-form limiting densities of {GOE, GOE} and {PTE, PTE}, and their
+tabulation on a grid."""
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import (_a_first, _free_word_moment, _harer_zagier, catalan,
-                            double_factorial, moment_pte_pte, sigma_table)
 from .spectra import write_csv
 
 #: Edge of the support of the two-GOE limiting density.
@@ -39,7 +35,7 @@ def density_goe_goe(x):
     Vanishes outside |x| <= sqrt((11+5*sqrt(5))/2) ~ 3.33019.  The
     formula is indeterminate at the origin, so inputs inside a 1e-6
     window are evaluated at the window edge (the function changes by
-    O(1e-12) across it).  Accepts scalars or arrays.
+    O(1e-12) across it).  Accepts scalars or arrays; a NaN input gives NaN.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -50,7 +46,7 @@ def density_goe_goe(x):
     inner = np.maximum(x2 * (1 + 11 * x2 - x2 * x2) / 27, 0.0)
     h = np.cbrt((18 * x2 + 1) / 27 + np.sqrt(inner))
     dens = -(np.sqrt(3) / (2 * np.pi * ax)) * ((3 * x2 + 1) / (9 * h) - h)
-    dens = np.where(np.abs(x) <= SUPPORT_GOE_GOE, dens, 0.0)
+    dens = np.where(np.abs(x) > SUPPORT_GOE_GOE, 0.0, dens)
     return float(dens) if scalar else dens
 
 
@@ -116,61 +112,6 @@ def density_pte_pte(x):
                   np.exp(-z) * h * total)
     dens = k0 / (2 * np.pi)
     return float(dens) if x.ndim == 0 else dens
-
-
-def mgf_pte_pte(z):
-    """Moment generating function (1 - 4 z^2)^(-1/2) on |z| < 1/2."""
-    if abs(z) >= 0.5:
-        raise ValueError(f"out of domain: need |z| < 1/2, got {z}")
-    return 1.0 / math.sqrt(1 - 4 * z * z)
-
-
-def mgf_pte_pte_series(z, terms=20):
-    """Partial sum of the moment series sum_m M_2m z^(2m) / (2m)!.
-
-    Converges on |z| < 1/2 (ratio test against the closed form); the
-    truncation keeps moment orders up through 2*terms.
-    """
-    if abs(z) >= 0.5:
-        raise ValueError(f"out of domain: need |z| < 1/2, got {z}")
-    total = 1.0
-    for m in range(1, terms + 1):
-        total += moment_pte_pte(m) * z ** (2 * m) / math.factorial(2 * m)
-    return total
-
-
-def _free_sigma(n_max, s_max, row):
-    """sigma[n][s], n <= n_max, s <= s_max, by its definition: the sum of phi(w b^(2s))
-    over the 2^(2n) words w of (sb + bs)^(2n), for sigma_table's b and row, by the free
-    word recursion, which shares no code with sigma_table."""
-    memo = {}
-    return [[sum(_free_word_moment(_a_first("".join(w) + "bb" * s), row, memo)
-                 for w in itertools.product(("ab", "ba"), repeat=2 * n))
-             for s in range(s_max + 1)]
-            for n in range(n_max + 1)]
-
-
-def check_sigma_pde(n_max, s_max):
-    """Largest coefficientwise residual, a Fraction, of the generating
-    function F(z,w) = sum sigma_{n,s} z^n w^s / s! in the equation
-    F = B(w) + z (dF/dw(z,0) F + F(z,0) dF/dw), B(w) = sum_s phi(b^(2s)) w^s / s!
-    being b's exponential moment series, with sigma_table on the left and
-    _free_sigma's counts on the right.  b is Gaussian ((2s-1)!!), semicircular
-    (Catalan) and GUE_2 (Harer-Zagier at k = 2, as Fractions) in turn.  The
-    arithmetic is exact, so any nonzero residual means the table and the
-    definition disagree.
-    """
-    wide = range(n_max + s_max + 1)
-    rows = ([double_factorial(2 * i - 1) for i in wide], [catalan(i) for i in wide],
-            [moment.at(2) for moment in _harer_zagier(n_max + s_max)])
-    residual = Fraction(0)
-    for row in rows:
-        sig, free = sigma_table(n_max, s_max, row), _free_sigma(n_max - 1, s_max + 1, row)
-        for n, s in itertools.product(range(n_max + 1), range(s_max + 1)):
-            rhs = sum(free[k - 1][1] * free[n - k][s] + free[k - 1][0] * free[n - k][s + 1]
-                      for k in range(1, n + 1)) if n else row[s]
-            residual = max(residual, abs(Fraction(sig[n][s] - rhs, math.factorial(s))))
-    return residual
 
 
 def tabulate_density(pair, grid):

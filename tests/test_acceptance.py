@@ -19,6 +19,7 @@ from antispectra.ensembles import (mean_matrix, rng_stream, sample_goe,
                                    sample_pte)
 from antispectra.matops import anticommutator, eigenvalues
 from antispectra.spectra import empirical_histogram, empirical_moments
+from oracles import check_sigma_pde, mgf_pte_pte, mgf_pte_pte_series
 from test_combinatorics import _wick_trace
 
 
@@ -132,7 +133,7 @@ def test_criterion_03_goe_pte_table_bounds_and_functional_equation():
     for m in range(1, 7):
         lower, upper = comb.moment_bounds_goe_pte(m)
         bounds_ok = bounds_ok and lower <= comb.moment_goe_pte(m) <= upper
-    residual = densities.check_sigma_pde(3, 3)
+    residual = check_sigma_pde(3, 3)
     _criterion(3, [
         ("enumeration equals sigma_{m,0} for m<=3", enum_ok,
          tuple(table[m][0] for m in range(1, 4))),
@@ -199,7 +200,7 @@ def test_criterion_07_density_checks(bulk_spectra):
                              -edge, edge, limit=300)[0]
         moment_errs.append(abs(got / comb.moment_goe_goe(m) - 1))
     mgf_err = max(
-        abs(densities.mgf_pte_pte_series(z, terms=20) - densities.mgf_pte_pte(z))
+        abs(mgf_pte_pte_series(z, terms=20) - mgf_pte_pte(z))
         for z in (0.1, -0.1, 0.2, -0.2, 0.3, -0.3)
     )
     l1 = {}

@@ -343,6 +343,14 @@ def test_numerical_failures_exit_three(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_moment_beyond_the_float_range_names_its_input(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--pair", "pte-pte", "--m", "75")
+    assert code == 0 and json.loads(out)["value"] > 1e306
+    code, out, err = run_cli(capsys, "moments", "--pair", "pte-pte", "--m", "76")
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: --pair pte-pte --m 76: moment too large for a float\n"
+
+
 @pytest.mark.parametrize("pair,m,expected", [
     ("goe-goe", 3, 66.0),
     ("pte-pte", 2, 144.0),

@@ -10,8 +10,10 @@ import pytest
 from scipy import integrate, special
 
 from antispectra import densities, matops
-from antispectra.combinatorics import double_factorial, moment_goe_goe, moment_pte_pte
+from antispectra.combinatorics import (_harer_zagier, catalan, double_factorial,
+                                       moment_goe_goe, moment_pte_pte, sigma_table)
 from antispectra.ensembles import rng_stream, sample_goe, sample_pte
+from oracles import _free_sigma, check_sigma_pde, mgf_pte_pte, mgf_pte_pte_series
 
 
 def test_support_constant():
@@ -20,6 +22,15 @@ def test_support_constant():
     assert densities.density_goe_goe(edge - 1e-3) > 0
     assert densities.density_goe_goe(edge + 1e-3) == 0.0
     assert densities.density_goe_goe(-edge - 1.0) == 0.0
+
+
+def test_density_goe_goe_propagates_nan():
+    values = densities.density_goe_goe(np.array([math.nan, 0.5, 5.0]))
+    assert math.isnan(values[0])
+    np.testing.assert_array_equal(values[1:], [densities.density_goe_goe(0.5), 0.0])
+    assert math.isnan(densities.density_goe_goe(math.nan))
+    with np.errstate(invalid="ignore"):  # inf - inf inside the formula, masked to 0
+        assert densities.density_goe_goe(math.inf) == densities.density_goe_goe(-math.inf) == 0.0
 
 
 def test_density_goe_goe_even_and_normalized():
@@ -148,10 +159,10 @@ def test_density_pte_pte_against_sampled_spectra():
 
 def test_mgf_closed_form_and_series_agree():
     for z in (0.0, 0.1, -0.2, 0.35):
-        assert math.isclose(densities.mgf_pte_pte(z), 1 / math.sqrt(1 - 4 * z * z),
+        assert math.isclose(mgf_pte_pte(z), 1 / math.sqrt(1 - 4 * z * z),
                             rel_tol=1e-12)
-        assert math.isclose(densities.mgf_pte_pte_series(z, terms=24),
-                            densities.mgf_pte_pte(z), rel_tol=1e-7)
+        assert math.isclose(mgf_pte_pte_series(z, terms=24),
+                            mgf_pte_pte(z), rel_tol=1e-7)
 
 
 def test_mgf_matches_density_transform():
@@ -160,25 +171,29 @@ def test_mgf_matches_density_transform():
         lambda x: (np.exp(z * x) + np.exp(-z * x)) * densities.density_pte_pte(x),
         1e-9, 80, points=[1e-6, 1.0], limit=300,
     )[0]
-    np.testing.assert_allclose(half, densities.mgf_pte_pte(z), rtol=1e-5)
+    np.testing.assert_allclose(half, mgf_pte_pte(z), rtol=1e-5)
 
 
 def test_mgf_domain_validation():
     for z in (0.5, -0.5, 1.0):
         with pytest.raises(ValueError, match="domain"):
-            densities.mgf_pte_pte(z)
+            mgf_pte_pte(z)
         with pytest.raises(ValueError, match="domain"):
-            densities.mgf_pte_pte_series(z)
+            mgf_pte_pte_series(z)
 
 
 def test_sigma_functional_equation_residual_is_zero():
-    assert densities.check_sigma_pde(6, 3) == 0
+    assert check_sigma_pde(6, 3) == 0
 
 
-def test_sigma_table_matches_its_free_word_definition():
-    gaussian = [double_factorial(2 * s - 1) for s in range(10)]
-    table = densities.sigma_table(5, 4, gaussian)
-    assert densities._free_sigma(5, 4, gaussian) == [list(row) for row in table]
+@pytest.mark.parametrize("row", [
+    [double_factorial(2 * s - 1) for s in range(10)],
+    [catalan(s) for s in range(10)],
+    _harer_zagier(9),  # LaurentMoments, exact in k
+], ids=["gaussian", "catalan", "harer-zagier"])
+def test_sigma_table_matches_its_free_word_definition(row):
+    table = sigma_table(5, 4, row)
+    assert _free_sigma(5, 4, row) == [list(cells) for cells in table]
 
 
 def test_tabulate_density_handles_singular_grid_points():
