@@ -177,7 +177,7 @@ def _trace_exact(k, m):
     """Exact E[Tr X^m] for a k x k GOE X, by the Gaussian word engine.
 
     Off-diagonal entries have variance 1 and diagonal entries variance 2,
-    the GOE that sample_goe draws, so E[x_ij x_kl] = [i=k][j=l] + [i=l][j=k]
+    the GOE that ensembles draws, so E[x_ij x_kl] = [i=k][j=l] + [i=l][j=k]
     and X / sqrt(k) is the engine's GOE letter: E[Tr X^m] is k^(m/2) times
     the engine's polynomial for the one word a^m.
     """
@@ -194,7 +194,7 @@ def theory_blip_moment_goe_checker(m, k):
 
     This is the limit of blip_measure_goe_checker for {GOE, k-checkerboard}.
     X is a k x k GOE with off-diagonal variance 1 and diagonal variance 2,
-    the normalisation of sample_goe.  The limit is derived to leading
+    the normalisation of the ensembles GOE.  The limit is derived to leading
     order from the mean part M = mean_matrix(N, k) = n U U^T, with n = N/k
     and U the N x k matrix of normalised residue-class indicators:
 

@@ -12,9 +12,8 @@ from collections import Counter
 import numpy as np
 
 from . import blips, densities, stats
-from .ensembles import (check_memory, dump_matrix, parse_ensemble, rng_stream,
-                        sample_ensemble)
-from .spectra import check_norm_exp, empirical_histogram
+from .ensembles import check_memory, parse_ensemble, rng_stream, sample_ensemble
+from .spectra import check_norm_exp, empirical_histogram, write_csv
 
 
 def _atomic_write(path, text):
@@ -64,7 +63,7 @@ def _cmd_sample(args):
     spec = parse_ensemble(args.ensemble, args.n, args.dist)
     matrix = sample_ensemble(spec, rng_stream(args.seed, 0))
     buffer = io.StringIO()
-    dump_matrix(buffer, matrix, args.ensemble)
+    write_csv(buffer, f"# symmetric N={args.n} kind={args.ensemble}", *matrix.T)
     return buffer.getvalue(), None
 
 

@@ -39,7 +39,8 @@ def density_goe_goe(x):
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    ax = np.maximum(np.abs(x), _ZERO_OFFSET)
+    # Past the support the formula overflows, and the mask below zeroes it.
+    ax = np.clip(np.abs(x), _ZERO_OFFSET, SUPPORT_GOE_GOE)
     x2 = ax * ax
     # Inner square root argument hits zero exactly at the support edge;
     # clamp below it so rounding cannot go negative.

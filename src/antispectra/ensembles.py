@@ -1,22 +1,21 @@
 """Seedable samplers for the structured symmetric ensembles.
 
-Every sampler builds its matrix by mirroring a single set of draws, so
-symmetry holds exactly (entry for entry), not just to rounding.  Passing
-the same seed twice reproduces the same matrix bit for bit.
+sample_ensemble draws every matrix, from an EnsembleSpec and a Generator
+such as rng_stream's, by mirroring a single set of draws, so symmetry holds
+exactly (entry for entry), not just to rounding.  The same stream gives the
+same matrix bit for bit.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .matops import _add_transpose
-from .spectra import write_csv
 
 DISTRIBUTIONS = ("standard-normal", "rademacher", "uniform-scaled")
-
-KINDS = ("goe", "pte", "bce", "checkerboard")
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -33,22 +32,14 @@ def rng_stream(seed, *stream):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_generator(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return rng_stream(seed)
-
-
 def _draw(rng, dist, size):
     """iid draws with mean 0 and variance 1 from the named distribution."""
     if dist == "standard-normal":
         return rng.standard_normal(size)
     if dist == "rademacher":
         return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
-    if dist == "uniform-scaled":
-        # Uniform on [-sqrt(3), sqrt(3)] has variance 1.
-        return rng.uniform(-_SQRT3, _SQRT3, size)
-    raise ValueError(f"unknown distribution tag {dist!r}")
+    # uniform-scaled: uniform on [-sqrt(3), sqrt(3)] has variance 1.
+    return rng.uniform(-_SQRT3, _SQRT3, size)
 
 
 def check_memory(what, nbytes):
@@ -97,31 +88,22 @@ def _pin_residues(a, k, w):
     return a
 
 
-def sample_goe(N, seed):
+def _sample_goe(spec, rng):
     """N x N GOE draw: off-diagonal N(0,1) mirrored, diagonal N(0,2)."""
-    _check_dims(N)
-    return _symmetric_fill(_as_generator(seed), N, diagonal=np.sqrt(2.0))
+    return _symmetric_fill(rng, spec.N, diagonal=np.sqrt(2.0))
 
 
-def _check_pte_dims(N):
-    if N % 2:
-        raise ValueError(f"invalid dimension: palindromic Toeplitz needs even N, got {N}")
-    _check_dims(N)
-
-
-def sample_pte(N, seed, dist="standard-normal"):
+def _sample_pte(spec, rng):
     """Palindromic Toeplitz draw from b_0..b_{N/2-1} iid with variance 1.
 
     The entry at (i, j) is b_d for d = |i-j| when d <= N/2 - 1 and
     b_{N-1-d} otherwise, which makes the first row a palindrome.  N must
     be even.  The rows are windows of one strided view, copied once.
     """
-    _check_pte_dims(N)
-    rng = _as_generator(seed)
-    b = _draw(rng, dist, N // 2)
+    b = _draw(rng, spec.dist, spec.N // 2)
     row = np.concatenate([b, b[::-1]])
     mirrored = np.concatenate([row[:0:-1], row])
-    return np.lib.stride_tricks.sliding_window_view(mirrored, N)[::-1].copy()
+    return np.lib.stride_tricks.sliding_window_view(mirrored, spec.N)[::-1].copy()
 
 
 def _symmetric_block(rng, k, dist):
@@ -132,7 +114,7 @@ def _symmetric_block(rng, k, dist):
     return m
 
 
-def sample_bce(N, k, seed, dist="standard-normal"):
+def _sample_bce(spec, rng):
     """Block circulant draw built from k x k blocks B_0..B_{N/k-1}.
 
     Free blocks are B_0 (symmetric) and B_1..B_{floor(n/2)} where
@@ -141,9 +123,8 @@ def sample_bce(N, k, seed, dist="standard-normal"):
     symmetric as well.  The blocks are copied straight into the one N x N
     result, so besides it the call holds only the N k floats of the blocks.
     """
-    _check_dims(N, k)
+    N, k, dist = spec.N, spec.k, spec.dist
     n = N // k
-    rng = _as_generator(seed)
     blocks = [None] * n
     blocks[0] = _symmetric_block(rng, k, dist)
     for i in range(1, n // 2 + 1):
@@ -166,14 +147,28 @@ def sample_bce(N, k, seed, dist="standard-normal"):
     return a
 
 
-def sample_checkerboard(N, k, w, seed, dist="standard-normal"):
+def _sample_checkerboard(spec, rng):
     """Symmetric iid draw with entries pinned to w where i = j (mod k).
 
     The pinned entries are set by k strided slice assignments, so beyond
     the matrix the call holds what _symmetric_fill does and no N x N mask.
     """
-    _check_dims(N, k)
-    return _pin_residues(_symmetric_fill(_as_generator(seed), N, dist), k, w)
+    return _pin_residues(_symmetric_fill(rng, spec.N, spec.dist), spec.k, spec.w)
+
+
+class _Kind(NamedTuple):
+    draw: Callable  # (spec, rng) -> the N x N matrix
+    name: str  # its ensemble name in a sample spec
+    most: int  # the most parameters (k, then w) a sample spec gives it
+
+
+#: Every ensemble kind the package draws.
+KINDS = {
+    "goe": _Kind(_sample_goe, "goe", 0),
+    "pte": _Kind(_sample_pte, "pte", 0),
+    "bce": _Kind(_sample_bce, "bce", 1),
+    "checkerboard": _Kind(_sample_checkerboard, "checker", 2),
+}
 
 
 @dataclass(frozen=True)
@@ -183,7 +178,7 @@ class EnsembleSpec:
     k is the block or modulus parameter (ignored for goe and pte), w the
     pinned checkerboard weight, dist the entry distribution tag.  Dimension
     constraints, a finite w and Gaussian entries for the GOE are enforced
-    at construction.
+    at construction, and nowhere else.
     """
 
     kind: str
@@ -201,19 +196,12 @@ class EnsembleSpec:
             raise ValueError(f"{self.kind} entries are Gaussian, not {self.dist!r}")
         if not math.isfinite(self.w):
             raise ValueError(f"invalid weight: w={self.w} must be finite")
-        if self.kind == "pte":
-            _check_pte_dims(self.N)
-        elif self.kind in ("bce", "checkerboard"):
-            if self.k is None:
-                raise ValueError(f"{self.kind} needs a block parameter k")
-            _check_dims(self.N, self.k)
-        else:
-            _check_dims(self.N)
-
-
-#: Each ensemble name of a sample spec: its kind and its most parameters.
-_SPEC_NAMES = {"goe": ("goe", 0), "pte": ("pte", 0), "bce": ("bce", 1),
-               "checker": ("checkerboard", 2)}
+        if self.kind == "pte" and self.N % 2:
+            raise ValueError(f"invalid dimension: palindromic Toeplitz needs even N, got {self.N}")
+        takes_k = KINDS[self.kind].most > 0
+        if takes_k and self.k is None:
+            raise ValueError(f"{self.kind} needs a block parameter k")
+        _check_dims(self.N, self.k if takes_k else None)
 
 
 def parse_ensemble(text, N, dist="standard-normal"):
@@ -223,9 +211,10 @@ def parse_ensemble(text, N, dist="standard-normal"):
     every error names the spec.
     """
     name, colon, params = text.partition(":")
-    if name not in _SPEC_NAMES:
+    kind = next((kind for kind, entry in KINDS.items() if entry.name == name), None)
+    if kind is None:
         raise ValueError(f"unknown ensemble {text!r}")
-    kind, most = _SPEC_NAMES[name]
+    most = KINDS[kind].most
     parts = params.split(":") if colon else []
     if len(parts) > most:
         if not most:
@@ -244,17 +233,11 @@ def parse_ensemble(text, N, dist="standard-normal"):
         raise ValueError(f"ensemble {text!r}: {exc}") from None
 
 
-def sample_ensemble(spec, seed):
-    """Draw one matrix described by an EnsembleSpec."""
-    if spec.kind == "goe":
-        return sample_goe(spec.N, seed)
-    if spec.kind == "pte":
-        return sample_pte(spec.N, seed, spec.dist)
-    if spec.kind == "bce":
-        return sample_bce(spec.N, spec.k, seed, spec.dist)
-    if spec.kind == "checkerboard":
-        return sample_checkerboard(spec.N, spec.k, spec.w, seed, spec.dist)
-    raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+def sample_ensemble(spec, rng):
+    """Draw the matrix an EnsembleSpec describes from rng, a Generator such as rng_stream's."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, not {type(rng).__name__}")
+    return KINDS[spec.kind].draw(spec, rng)
 
 
 def mean_matrix(N, k):
@@ -264,8 +247,3 @@ def mean_matrix(N, k):
     """
     _check_dims(N, k)
     return _pin_residues(np.zeros((N, N)), k, 1.0)
-
-
-def dump_matrix(f, M, kind):
-    """Write a matrix as CSV, one row per line, 17 significant digits."""
-    write_csv(f, f"# symmetric N={len(M)} kind={kind}", *M.T)

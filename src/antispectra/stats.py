@@ -70,9 +70,11 @@ class Pair:
         """Concrete EnsembleSpecs at size N.
 
         The GOE members keep Gaussian entries; dist applies to the
-        structured members.
+        structured members, so a pair without one takes no other dist.
         """
         members = PAIRS[self.name].members
+        if dist != "standard-normal" and all(kind == "goe" for kind, _ in members):
+            raise ValueError(f"pair {self.spec!r}: goe entries are Gaussian, not {dist!r}")
         if self.name == "anti-l":
             members = members * self.params[0]
         return tuple(

@@ -15,8 +15,7 @@ from scipy import integrate
 
 from antispectra import blips, densities, stats
 from antispectra import combinatorics as comb
-from antispectra.ensembles import (mean_matrix, rng_stream, sample_goe,
-                                   sample_pte)
+from antispectra.ensembles import EnsembleSpec, mean_matrix, rng_stream, sample_ensemble
 from antispectra.matops import anticommutator, eigenvalues
 from antispectra.spectra import empirical_histogram, empirical_moments
 from oracles import check_sigma_pde, mgf_pte_pte, mgf_pte_pte_series
@@ -53,12 +52,12 @@ def bulk_spectra():
     """100 anticommutator spectra at N=1000 for each bulk pair, timed."""
     start = time.perf_counter()
     out = {}
-    for idx, (pair, sampler) in enumerate((("goe-goe", sample_goe),
-                                           ("pte-pte", sample_pte))):
+    for idx, (pair, kind) in enumerate((("goe-goe", "goe"), ("pte-pte", "pte"))):
+        spec = EnsembleSpec(kind, 1000)
         spectra = []
         for t in range(100):
-            A = sampler(1000, rng_stream(1006, idx, t, 0))
-            B = sampler(1000, rng_stream(1006, idx, t, 1))
+            A = sample_ensemble(spec, rng_stream(1006, idx, t, 0))
+            B = sample_ensemble(spec, rng_stream(1006, idx, t, 1))
             spectra.append(eigenvalues(anticommutator(A, B)))
         out[pair] = spectra
     out["elapsed"] = time.perf_counter() - start

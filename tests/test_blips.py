@@ -9,7 +9,7 @@ import pytest
 from antispectra import blips, stats
 from antispectra.combinatorics import double_factorial
 from antispectra.densities import SUPPORT_GOE_GOE
-from antispectra.ensembles import rng_stream, sample_checkerboard, sample_goe
+from antispectra.ensembles import EnsembleSpec, rng_stream, sample_ensemble
 from antispectra.matops import anticommutator, eigenvalues
 
 
@@ -164,7 +164,7 @@ def test_theory_moments_reject_a_negative_order(theory):
 
 @pytest.mark.parametrize("k,m", [(2, 4), (3, 4), (3, 6), (4, 4)])
 def test_goe_trace_exact_agrees_with_monte_carlo(k, m):
-    # GOE with diagonal variance 2, the normalisation of sample_goe
+    # GOE with diagonal variance 2, the normalisation of the ensembles GOE
     rng = np.random.default_rng(101)
     traces = []
     for _ in range(4):
@@ -276,8 +276,8 @@ def test_largest_blip_location_follows_its_gaussian_law():
 def test_blip_counts_on_sampled_spectra_with_threshold_slack():
     N, k = 1000, 5
     for t in range(3):
-        A = sample_goe(N, rng_stream(77, 0, t, 0))
-        B = sample_checkerboard(N, k, 1.0, rng_stream(77, 0, t, 1))
+        A = sample_ensemble(EnsembleSpec("goe", N), rng_stream(77, 0, t, 0))
+        B = sample_ensemble(EnsembleSpec("checkerboard", N, k), rng_stream(77, 0, t, 1))
         eigs = eigenvalues(anticommutator(A, B))
         counts = blips.regime_classify(eigs, N, k)
         assert counts["pos_blip"] == 5 and counts["neg_blip"] == 5
@@ -308,8 +308,8 @@ def test_zeroth_moment_approaches_one_with_dimension():
     for N in (400, 1200):
         values = []
         for t in range(4):
-            A = sample_goe(N, rng_stream(9011, 0, t, 0))
-            B = sample_checkerboard(N, 5, 1.0, rng_stream(9011, 0, t, 1))
+            A = sample_ensemble(EnsembleSpec("goe", N), rng_stream(9011, 0, t, 0))
+            B = sample_ensemble(EnsembleSpec("checkerboard", N, 5), rng_stream(9011, 0, t, 1))
             eigs = eigenvalues(anticommutator(A, B))
             values.append(blips.blip_measure_goe_checker(eigs, N, 5).moment(0))
         gaps.append(abs(np.mean(values) - 1.0))

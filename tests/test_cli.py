@@ -146,6 +146,11 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("convergence", "--pair", "goe-checker:4", "--n", "8,16,30"), "k=4 must divide N=30"),
     (("spectrum", "--pair", "goe-goe", "--out", "/nonexistent/x.csv"),
      "invalid --out '/nonexistent/x.csv': no such directory"),
+    # No member of an all-GOE pair reads --dist.
+    (("spectrum", "--pair", "goe-goe", "--dist", "rademacher"),
+     "pair 'goe-goe': goe entries are Gaussian, not 'rademacher'"),
+    (("convergence", "--pair", "anti-l:3", "--n", "8,16,32", "--dist", "uniform-scaled"),
+     "pair 'anti-l:3': goe entries are Gaussian, not 'uniform-scaled'"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):
@@ -467,7 +472,8 @@ def test_seed_takes_any_non_negative_integer(capsys):
     code, out, _ = run_cli(capsys, "sample", "--ensemble", "goe", "--n", "4",
                            "--seed", str(seed))
     assert code == 0
-    matrix = ensembles.sample_goe(4, ensembles.rng_stream(seed, 0))
+    matrix = ensembles.sample_ensemble(ensembles.EnsembleSpec("goe", 4),
+                                       ensembles.rng_stream(seed, 0))
     np.testing.assert_array_equal(np.loadtxt(out.splitlines()[1:], delimiter=","), matrix)
 
 
@@ -615,4 +621,4 @@ def test_sample_kinds_in_help_and_readme_are_the_registry():
     in_help = [name.strip().partition(":")[0] for name in option.help.split(";")[0].split("|")]
     sentence = re.search(r"`sample --ensemble` takes (.*?),\s+read by", _readme(), re.S)
     in_readme = re.findall(r"`(\w+)", sentence.group(1))
-    assert in_help == in_readme == list(ensembles._SPEC_NAMES)
+    assert in_help == in_readme == [kind.name for kind in ensembles.KINDS.values()]

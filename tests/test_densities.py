@@ -12,7 +12,7 @@ from scipy import integrate, special
 from antispectra import densities, matops
 from antispectra.combinatorics import (_harer_zagier, catalan, double_factorial,
                                        moment_goe_goe, moment_pte_pte, sigma_table)
-from antispectra.ensembles import rng_stream, sample_goe, sample_pte
+from antispectra.ensembles import EnsembleSpec, rng_stream, sample_ensemble
 from oracles import _free_sigma, check_sigma_pde, mgf_pte_pte, mgf_pte_pte_series
 
 
@@ -29,8 +29,18 @@ def test_density_goe_goe_propagates_nan():
     assert math.isnan(values[0])
     np.testing.assert_array_equal(values[1:], [densities.density_goe_goe(0.5), 0.0])
     assert math.isnan(densities.density_goe_goe(math.nan))
-    with np.errstate(invalid="ignore"):  # inf - inf inside the formula, masked to 0
-        assert densities.density_goe_goe(math.inf) == densities.density_goe_goe(-math.inf) == 0.0
+    assert densities.density_goe_goe(math.inf) == densities.density_goe_goe(-math.inf) == 0.0
+
+
+def test_density_goe_goe_is_warning_free_past_its_support():
+    # The formula is evaluated at |x| clipped to the support, so huge and
+    # infinite inputs overflow nothing before the mask zeroes them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = densities.density_goe_goe(
+            np.array([-math.inf, -1e200, 0.5, 1e200, math.inf, math.nan]))
+    np.testing.assert_array_equal(
+        values, [0.0, 0.0, densities.density_goe_goe(0.5), 0.0, 0.0, math.nan])
 
 
 def test_density_goe_goe_even_and_normalized():
@@ -64,8 +74,8 @@ def test_density_goe_goe_against_sampled_spectra():
     # empirical CDF of pooled eigenvalues vs the integrated closed form
     spectra = []
     for t in range(6):
-        A = sample_goe(300, rng_stream(42, t, 0))
-        B = sample_goe(300, rng_stream(42, t, 1))
+        A = sample_ensemble(EnsembleSpec("goe", 300), rng_stream(42, t, 0))
+        B = sample_ensemble(EnsembleSpec("goe", 300), rng_stream(42, t, 1))
         spectra.append(matops.eigenvalues(matops.anticommutator(A, B)) / 300.0)
     pooled = np.sort(np.concatenate(spectra))
     for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
@@ -145,8 +155,8 @@ def test_density_pte_pte_normalized():
 def test_density_pte_pte_against_sampled_spectra():
     spectra = []
     for t in range(8):
-        A = sample_pte(300, rng_stream(43, t, 0))
-        B = sample_pte(300, rng_stream(43, t, 1))
+        A = sample_ensemble(EnsembleSpec("pte", 300), rng_stream(43, t, 0))
+        B = sample_ensemble(EnsembleSpec("pte", 300), rng_stream(43, t, 1))
         spectra.append(matops.eigenvalues(matops.anticommutator(A, B)) / 300.0)
     pooled = np.sort(np.concatenate(spectra))
     for q in (-3.0, -1.0, 1.0, 3.0):

@@ -5,7 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from antispectra import ensembles
+from antispectra import cli, ensembles
+
+
+def _sample(kind, N, seed, k=None, w=1.0, dist="standard-normal"):
+    """The one entry point's draw of EnsembleSpec(kind, N, k, w, dist) from rng_stream(seed)."""
+    return ensembles.sample_ensemble(ensembles.EnsembleSpec(kind, N, k, w, dist),
+                                     ensembles.rng_stream(seed))
 
 
 def test_rng_stream_deterministic_and_disjoint():
@@ -19,18 +25,21 @@ def test_rng_stream_deterministic_and_disjoint():
 
 
 def test_samplers_take_no_default_seed():
-    # A seed of None would draw from OS entropy, which no run can reproduce.
+    # A seed of None would draw from OS entropy, which no run can reproduce;
+    # an int seed would skip the stream keys a run draws from.
+    spec = ensembles.EnsembleSpec("goe", 4)
     with pytest.raises(TypeError):
-        ensembles.sample_goe(4)
-    with pytest.raises(ValueError, match="^invalid seed None"):
-        ensembles.sample_goe(4, None)
+        ensembles.sample_ensemble(spec)
+    for rng in (None, 5):
+        with pytest.raises(TypeError, match="^rng must be a numpy Generator"):
+            ensembles.sample_ensemble(spec, rng)
     with pytest.raises(ValueError, match="^invalid seed None"):
         ensembles.rng_stream(None, 0)
 
 
 def test_goe_symmetry_and_entry_moments():
     N = 400
-    M = ensembles.sample_goe(N, seed=1)
+    M = _sample("goe", N, 1)
     np.testing.assert_array_equal(M, M.T)
     off = M[np.triu_indices(N, 1)]
     assert abs(np.mean(off)) < 0.05
@@ -40,7 +49,7 @@ def test_goe_symmetry_and_entry_moments():
 
 def test_pte_is_a_palindromic_toeplitz():
     N = 12
-    M = ensembles.sample_pte(N, seed=2)
+    M = _sample("pte", N, 2)
     row = M[0]
     np.testing.assert_array_equal(row, row[::-1])
     for d in range(N):
@@ -49,15 +58,10 @@ def test_pte_is_a_palindromic_toeplitz():
     assert len(set(row[: N // 2])) == N // 2  # free entries really vary
 
 
-def test_pte_rejects_odd_dimension():
-    with pytest.raises(ValueError, match="even"):
-        ensembles.sample_pte(7, seed=0)
-
-
 def test_bce_block_structure():
     N, k = 24, 3
     n = N // k
-    M = ensembles.sample_bce(N, k, seed=3)
+    M = _sample("bce", N, 3, k)
     np.testing.assert_array_equal(M, M.T)
     blocks = M.reshape(n, k, n, k).transpose(0, 2, 1, 3)
     for r in range(n):
@@ -92,18 +96,13 @@ def test_bce_matches_index_construction(seed, N, k, dist):
             (r, a), (c, b) = divmod(row, k), divmod(col, k)
             i = (c - r) % n
             expected[row, col] = free[i][a, b] if i < len(free) else free[n - i][b, a]
-    got = ensembles.sample_bce(N, k, seed=seed, dist=dist)
+    got = _sample("bce", N, seed, k, dist=dist)
     np.testing.assert_array_equal(got, expected)
-
-
-def test_bce_rejects_nondivisor_block_size():
-    with pytest.raises(ValueError):
-        ensembles.sample_bce(10, 3, seed=0)
 
 
 def test_checkerboard_pins_residue_classes():
     N, k, w = 20, 4, 2.5
-    M = ensembles.sample_checkerboard(N, k, w, seed=4)
+    M = _sample("checkerboard", N, 4, k, w)
     np.testing.assert_array_equal(M, M.T)
     i = np.arange(N)
     mask = (i[:, None] - i[None, :]) % k == 0
@@ -117,17 +116,12 @@ def test_checkerboard_pins_residue_classes():
     ("rademacher", {-1.0, 1.0}),
 ])
 def test_alternate_entry_distributions(dist, values):
-    M = ensembles.sample_pte(16, seed=6, dist=dist)
+    M = _sample("pte", 16, 6, dist=dist)
     assert set(np.unique(M)) <= values
-    U = ensembles.sample_checkerboard(12, 3, 1.0, seed=6, dist="uniform-scaled")
+    U = _sample("checkerboard", 12, 6, 3, dist="uniform-scaled")
     i = np.arange(12)
     free = U[(i[:, None] - i[None, :]) % 3 != 0]
     assert np.max(np.abs(free)) <= np.sqrt(3.0) + 1e-12
-
-
-def test_unknown_distribution_rejected():
-    with pytest.raises(ValueError, match="dist"):
-        ensembles.sample_pte(8, seed=0, dist="cauchy")
 
 
 def test_mean_matrix_pattern_and_spectrum():
@@ -143,7 +137,9 @@ def test_mean_matrix_pattern_and_spectrum():
 @pytest.mark.parametrize("kind,N,k,message", [
     ("goe", 0, None, "dimension"),
     ("pte", 9, None, "even"),
+    ("pte", 7, None, "even"),
     ("bce", 9, 2, "divide"),
+    ("bce", 10, 3, "divide"),
     ("checkerboard", 8, 16, "divide"),
     ("sparse", 8, None, "kind"),
 ])
@@ -163,18 +159,16 @@ def test_spec_errors_are_exact(kwargs, message):
 
 
 def test_one_even_size_rule_for_pte():
-    message = "invalid dimension: palindromic Toeplitz needs even N, got 5"
-    for call in (lambda: ensembles.EnsembleSpec("pte", 5), lambda: ensembles.sample_pte(5, 0)):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        ensembles.EnsembleSpec("pte", 5)
+    assert str(info.value) == "invalid dimension: palindromic Toeplitz needs even N, got 5"
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ensembles.sample_goe(2**26, 0),
+    lambda: ensembles.EnsembleSpec("goe", 2**26),
     lambda: ensembles.EnsembleSpec("checkerboard", 2**26, 4),
     lambda: ensembles.mean_matrix(2**26, 4),
-], ids=["sample_goe", "spec", "mean_matrix"])
+], ids=["goe", "spec", "mean_matrix"])
 def test_a_matrix_larger_than_memory_is_rejected_before_allocation(monkeypatch, call):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated a matrix")
@@ -219,26 +213,13 @@ def test_parse_ensemble_errors_name_the_spec(text, message):
     assert repr(text) in str(info.value)
 
 
-def test_sample_ensemble_matches_direct_samplers():
-    pairs = [
-        (ensembles.EnsembleSpec("goe", 10), ensembles.sample_goe(10, seed=9)),
-        (ensembles.EnsembleSpec("pte", 10), ensembles.sample_pte(10, seed=9)),
-        (ensembles.EnsembleSpec("bce", 12, 3), ensembles.sample_bce(12, 3, seed=9)),
-        (ensembles.EnsembleSpec("checkerboard", 12, 3),
-         ensembles.sample_checkerboard(12, 3, 1.0, seed=9)),
-    ]
-    for spec, direct in pairs:
-        np.testing.assert_array_equal(ensembles.sample_ensemble(spec, seed=9), direct)
-
-
-def test_dump_load_round_trip():
-    M = ensembles.sample_goe(6, seed=11)
-    buffer = io.StringIO()
-    ensembles.dump_matrix(buffer, M, "goe")
-    text = buffer.getvalue()
+def test_dump_load_round_trip(capsys):
+    assert cli.main(["sample", "--ensemble", "goe", "--n", "6", "--seed", "11"]) == 0
+    text = capsys.readouterr().out
     assert text.splitlines()[0] == "# symmetric N=6 kind=goe"
     back = np.loadtxt(io.StringIO(text), delimiter=",")
-    np.testing.assert_array_equal(back, M)
+    np.testing.assert_array_equal(back, ensembles.sample_ensemble(
+        ensembles.EnsembleSpec("goe", 6), ensembles.rng_stream(11, 0)))
 
 
 def _reference_upper(rng_values, N):
@@ -283,7 +264,7 @@ def test_goe_matches_index_construction(seed, N):
     rng = ensembles.rng_stream(seed)
     expected = _reference_upper(rng.standard_normal, N)
     expected[np.diag_indices(N)] = rng.standard_normal(N) * np.sqrt(2.0)
-    np.testing.assert_array_equal(ensembles.sample_goe(N, seed=seed), expected)
+    np.testing.assert_array_equal(_sample("goe", N, seed), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 99])
@@ -295,7 +276,7 @@ def test_checkerboard_matches_index_construction(seed, k, dist):
     expected = _reference_upper(lambda size: ensembles._draw(rng, dist, size), N)
     expected[np.diag_indices(N)] = ensembles._draw(rng, dist, N)
     expected[_reference_residue_mask(N, k)] = w
-    got = ensembles.sample_checkerboard(N, k, w, seed=seed, dist=dist)
+    got = _sample("checkerboard", N, seed, k, w, dist)
     np.testing.assert_array_equal(got, expected)
 
 
@@ -315,4 +296,4 @@ def test_pte_matches_distance_construction(seed, N, dist):
     b = ensembles._draw(ensembles.rng_stream(seed), dist, N // 2)
     d = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
     expected = b[np.where(d <= N // 2 - 1, d, N - 1 - d)]
-    np.testing.assert_array_equal(ensembles.sample_pte(N, seed=seed, dist=dist), expected)
+    np.testing.assert_array_equal(_sample("pte", N, seed, dist=dist), expected)

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from antispectra import matops
-from antispectra.ensembles import sample_bce, sample_checkerboard, sample_goe, sample_pte
+from antispectra.ensembles import EnsembleSpec, rng_stream, sample_ensemble
+
+
+def _sample(kind, N, seed, k=None):
+    """The kind's draw at N (k its block or modulus) from rng_stream(seed)."""
+    return sample_ensemble(EnsembleSpec(kind, N, k), rng_stream(seed))
 
 
 def test_anticommutator_matches_definition():
-    A = sample_goe(40, seed=1)
-    B = sample_pte(40, seed=2)
+    A = _sample("goe", 40, 1)
+    B = _sample("pte", 40, 2)
     want = A @ B + B @ A  # before the call, which consumes A
     C = matops.anticommutator(A, B)
     np.testing.assert_allclose(C, want, atol=1e-10)
@@ -22,15 +27,15 @@ def test_anticommutator_matches_definition():
 def _second_factor(kind, N):
     if kind == "pte":
         # PTE needs even N; the leading block of a symmetric matrix is symmetric.
-        return sample_pte(N + N % 2, seed=N + 1)[:N, :N]
+        return _sample("pte", N + N % 2, N + 1)[:N, :N]
     k = max(d for d in (1, 2, 5) if N % d == 0)
-    return sample_checkerboard(N, k, 1.0, seed=N + 1)
+    return _sample("checkerboard", N, N + 1, k=k)
 
 
 @pytest.mark.parametrize("N", [1, 2, 37, 200])
 @pytest.mark.parametrize("kind", ["pte", "checkerboard"])
 def test_anticommutator_is_both_products(N, kind):
-    A = sample_goe(N, seed=N)
+    A = _sample("goe", N, N)
     B = _second_factor(kind, N)
     both = A @ B + B @ A
     C = matops.anticommutator(A, B)
@@ -45,14 +50,14 @@ def test_anticommutator_rejects_mismatched_shapes():
 
 def test_ell_two_reduces_to_anticommutator():
     # Two factors take the one-GEMM path: P + P^T with P = AB, bit for bit.
-    A = sample_goe(25, seed=3)
-    B = sample_goe(25, seed=4)
+    A = _sample("goe", 25, 3)
+    B = _sample("goe", 25, 4)
     P = A @ B
     np.testing.assert_array_equal(matops.anticommutator(A, B), P + P.T)
 
 
 def test_ell_three_sums_all_orderings():
-    mats = [sample_goe(15, seed=s) for s in (5, 6, 7)]
+    mats = [_sample("goe", 15, s) for s in (5, 6, 7)]
     brute = np.zeros((15, 15))
     for order in itertools.permutations(range(3)):
         prod = np.eye(15)
@@ -65,7 +70,7 @@ def test_ell_three_sums_all_orderings():
 
 
 def test_ell_four_sums_all_orderings():
-    mats = [sample_goe(9, seed=s) for s in (11, 12, 13, 14)]
+    mats = [_sample("goe", 9, s) for s in (11, 12, 13, 14)]
     brute = np.zeros((9, 9))
     for order in itertools.permutations(range(4)):
         brute += np.linalg.multi_dot([mats[idx] for idx in order])
@@ -112,21 +117,21 @@ def test_anticommutator_holds_one_new_matrix():
     # One band, 128 rows and an eighth of A at this N (0.125 matrices): AB is
     # written into A's storage band by band; a whole AB would make it 1.
     N = 1024
-    A = sample_goe(N, seed=1)
-    B = sample_goe(N, seed=2)
+    A = _sample("goe", N, 1)
+    B = _sample("goe", N, 2)
     assert _peak_over_matrix(lambda: matops.anticommutator(A, B), N) < 0.2
     # Three factors: the running sum, the next product and its intermediate;
     # keeping the previous product alive while the next is built makes it 4.
-    A = sample_goe(N, seed=1)
-    C = sample_goe(N, seed=3)
+    A = _sample("goe", N, 1)
+    C = _sample("goe", N, 3)
     assert _peak_over_matrix(lambda: matops.anticommutator(A, B, C), N) < 3.5
 
 
 def test_anticommutator_writes_into_its_first_factor():
     # The result is the first factor's storage; the second is read, never
     # written, also when it shares the first factor's storage.
-    A = sample_goe(300, seed=5)
-    B = sample_checkerboard(300, 5, 1.0, seed=6)
+    A = _sample("goe", 300, 5)
+    B = _sample("checkerboard", 300, 6, k=5)
     want, kept = A @ B + B @ A, B.copy()
     C = matops.anticommutator(A, B)
     assert C is A
@@ -146,15 +151,15 @@ def test_symmetric_sampler_mirrors_in_place():
     # the whole triangle would add 0.5, a boolean mask 0.125, and a copy of
     # the transpose another whole matrix.
     N = 1024
-    assert _peak_over_matrix(lambda: sample_goe(N, seed=3), N) < 1.2
-    assert _peak_over_matrix(lambda: sample_checkerboard(N, 4, 1.0, seed=3), N) < 1.2
+    assert _peak_over_matrix(lambda: _sample("goe", N, 3), N) < 1.2
+    assert _peak_over_matrix(lambda: _sample("checkerboard", N, 3, k=4), N) < 1.2
 
 
 def test_pte_sampler_builds_one_matrix():
     # The result and two vectors of under 2N entries; the distance, mask and
     # index matrices of an N x N gather would make it 3.125.
     N = 1024
-    assert _peak_over_matrix(lambda: sample_pte(N, seed=3), N) < 1.2
+    assert _peak_over_matrix(lambda: _sample("pte", N, 3), N) < 1.2
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -162,11 +167,11 @@ def test_bce_sampler_builds_one_matrix(k):
     # The result and the free k x k blocks; gathering every block row into
     # an (n, n, k, k) array and copying it out would make it 2.
     N = 1000
-    assert _peak_over_matrix(lambda: sample_bce(N, k, seed=3), N) < 1.1
+    assert _peak_over_matrix(lambda: _sample("bce", N, 3, k=k), N) < 1.1
 
 
 def test_eigenvalues_sorted_and_complete():
-    M = sample_goe(50, seed=8)
+    M = _sample("goe", 50, 8)
     eigs = matops.eigenvalues(M)
     assert eigs.shape == (50,)
     assert np.all(np.diff(eigs) >= 0)
@@ -185,12 +190,12 @@ def test_eigenvalues_checks_finiteness_one_band_at_a_time():
     # One band of booleans, 128 rows (0.031 matrices at N = 512); checking
     # the whole matrix at once would hold an N x N boolean, 0.125.
     N = 512
-    M = sample_goe(N, seed=9)
+    M = _sample("goe", N, 9)
     assert _peak_over_matrix(lambda: matops.eigenvalues(M), N) < 0.05
     # The last band is checked too, also when it is shorter than the others.
     for N in (512, 300):
         for bad in (np.nan, np.inf, -np.inf):
-            M = sample_goe(N, seed=9)
+            M = _sample("goe", N, 9)
             M[-1, -1] = bad
             with pytest.raises(ArithmeticError, match="non-finite"):
                 matops.eigenvalues(M)

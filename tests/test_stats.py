@@ -12,7 +12,7 @@ import pytest
 
 import antispectra
 from antispectra import combinatorics, stats
-from antispectra.ensembles import rng_stream, sample_goe
+from antispectra.ensembles import EnsembleSpec, rng_stream, sample_ensemble
 from antispectra.matops import anticommutator, eigenvalues
 
 
@@ -33,9 +33,20 @@ def test_ensemble_specs_parsing(pair, kinds, params):
 
 
 def test_ensemble_specs_distribution_rules():
-    specs = stats.parse_pair("goe-pte").specs(8, dist="rademacher")
-    assert specs[0].dist == "standard-normal"  # GOE members stay Gaussian
-    assert specs[1].dist == "rademacher"
+    for pair in ("goe-pte", "goe-bce:3", "goe-checker:3"):
+        specs = stats.parse_pair(pair).specs(12, dist="rademacher")
+        assert specs[0].dist == "standard-normal"  # GOE members stay Gaussian
+        assert specs[1].dist == "rademacher"
+
+
+@pytest.mark.parametrize("pair", ["goe-goe", "anti-l:3"])
+@pytest.mark.parametrize("dist", ["rademacher", "uniform-scaled"])
+def test_all_goe_pairs_take_no_other_dist(pair, dist):
+    # No member would read dist, so a run would ignore it without a word.
+    with pytest.raises(ValueError) as info:
+        stats.parse_pair(pair).specs(12, dist)
+    assert str(info.value) == f"pair {pair!r}: goe entries are Gaussian, not {dist!r}"
+    assert {spec.dist for spec in stats.parse_pair(pair).specs(12)} == {"standard-normal"}
 
 
 @pytest.mark.parametrize("pair", [
@@ -187,7 +198,8 @@ def test_a_trial_holds_two_matrices(pair, monkeypatch):
 def test_run_trials_matches_manual_sampling():
     plan = stats.ExperimentPlan("anti-l:3", (24,), trials=2, seed=11)
     got = stats.run_trials(plan).spectra[24][0]
-    mats = [sample_goe(24, rng_stream(11, 0, 0, si)) for si in range(3)]
+    mats = [sample_ensemble(EnsembleSpec("goe", 24), rng_stream(11, 0, 0, si))
+            for si in range(3)]
     np.testing.assert_array_equal(got, eigenvalues(anticommutator(*mats)))
 
 

@@ -122,15 +122,15 @@ def layer_calls(N):
     the traced window, so a call that consumes an argument (anticommutator
     its first factor) gets a fresh one at no cost to its numbers.
     """
-    from antispectra.ensembles import EnsembleSpec, KINDS, sample_ensemble
+    from antispectra.ensembles import EnsembleSpec, KINDS, rng_stream, sample_ensemble
     from antispectra.matops import anticommutator, eigenvalues
 
     specs = {kind: EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None)
              for kind in KINDS}
-    calls = {f"sample {kind}": (sample_ensemble, lambda spec=spec: (spec, 1))
+    calls = {f"sample {kind}": (sample_ensemble, lambda spec=spec: (spec, rng_stream(1)))
              for kind, spec in specs.items()}
-    A = sample_ensemble(specs["goe"], 2)
-    B = sample_ensemble(specs["checkerboard"], 3)
+    A = sample_ensemble(specs["goe"], rng_stream(2))
+    B = sample_ensemble(specs["checkerboard"], rng_stream(3))
     calls["anticommutator"] = (anticommutator, lambda: (A.copy(), B))
     C = anticommutator(A.copy(), B)
     calls["eigenvalues"] = (eigenvalues, lambda: (C,))
