@@ -124,6 +124,11 @@ def test_alternate_entry_distributions(dist, values):
     assert np.max(np.abs(free)) <= np.sqrt(3.0) + 1e-12
 
 
+def test_unknown_distribution_rejected():
+    with pytest.raises(ValueError, match="ensemble 'pte': unknown distribution tag 'cauchy'"):
+        ensembles.parse_ensemble("pte", 8, "cauchy")
+
+
 def test_mean_matrix_pattern_and_spectrum():
     N, k = 20, 4
     M = ensembles.mean_matrix(N, k)
