@@ -121,12 +121,20 @@ def _weighted_report(regime, eigs, N, k, j, orders, x, locations, share):
 
     Each eigenvalue carries weight f^(2n)(x) at its location, n being
     default_blip_order(N); the m-th moment is the weighted power sum
-    divided by share, the number of eigenvalues the regime holds.  counts
+    divided by share, the number of eigenvalues the regime holds; one that
+    overflows a float raises ArithmeticError naming m and N.  counts
     adds outside_bump to the regime counts.
     """
     n = default_blip_order(N)
     weights = weight_f(x, n)
-    moments = {m: float(np.sum(weights * locations**m)) / share for m in orders}
+    moments = {}
+    for m in orders:
+        try:
+            with np.errstate(over="raise"):
+                moments[m] = float(np.sum(weights * locations**m)) / share
+        except (OverflowError, FloatingPointError):  # m or a power past a float
+            raise ArithmeticError(
+                f"blip moment of order {m} at N={N} is not a finite float") from None
     counts = regime_classify(eigs, N, k, j)
     counts["outside_bump"] = _outside_bump(x)
     return BlipReport(regime, N, k, j, n, locations, moments, counts)

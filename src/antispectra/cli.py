@@ -76,17 +76,18 @@ def _cmd_spectrum(args):
         raise ValueError(f"invalid --bins {args.bins}: must be >= 1")
     # The histogram holds its counts, edges and densities: 24 bytes a bin.
     check_memory(f"invalid --bins {args.bins}: its histogram", 24 * args.bins)
+    p = args.norm_exp
+    if p is None:
+        p = float(stats.parse_pair(args.pair).norm_exp)
     try:
-        check_norm_exp(args.norm_exp, args.n)
+        check_norm_exp(p, args.n)
     except ValueError as exc:
         raise ValueError(f"--norm-exp: {exc}") from None
     aggregate = stats.run_trials(plan)
-    hist = empirical_histogram(aggregate.spectra[args.n], args.n, p=args.norm_exp,
-                               bins=args.bins)
+    hist = empirical_histogram(aggregate.spectra[args.n], args.n, p=p, bins=args.bins)
     buffer = io.StringIO()
     hist.write_csv(buffer)
-    summary = {**aggregate.moments[args.n].as_dict(), "bins": args.bins,
-               "norm_exp": args.norm_exp}
+    summary = {**aggregate.moments[args.n].as_dict(), "bins": args.bins, "norm_exp": p}
     return buffer.getvalue(), summary
 
 
@@ -208,7 +209,8 @@ def _build_parser():
     p = sub.add_parser("spectrum", help="histogram of pooled eigenvalues")
     p.add_argument("--pair", required=True)
     p.add_argument("--bins", type=int, default=80)
-    p.add_argument("--norm-exp", type=float, default=1.0)
+    p.add_argument("--norm-exp", type=float,
+                   help="bin lambda / N^p; default the pair's scale, l/2 for anti-l:l, else 1")
     _add_trials(p, 100)
     p.set_defaults(func=_cmd_spectrum)
 

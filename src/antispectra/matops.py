@@ -38,42 +38,37 @@ def anticommutator(*matrices):
     exactly symmetric, bit for bit, since entries (i, j) and (j, i) are both
     S_ij + S_ji.
 
-    The call consumes its first argument; pass a copy to keep it.  For two
-    inputs S is the single GEMM AB, written into A's storage one band of
-    rows at a time (rows lo:hi of AB are A[lo:hi] @ B, and no later band
-    reads them), and S + S^T is formed in place, so the call returns A's
-    float64 array and holds one band, 128 rows or an eighth of A, beside
-    A and B.  A band's GEMM may round differently from one whole A @ B, by
-    a few ulps of the largest entry.  With three or more inputs S is a
-    running sum of new products.
+    The call consumes its first argument; pass a copy to keep it.  Rows
+    lo:hi of S, the sum over the orderings o of F[o[0]][lo:hi] @ F[o[1]] @ ...,
+    go into its float64 storage one band at a time, and S + S^T is formed in
+    place.  A pair's one product reads the first factor's rows in place, as
+    no later band reads them; more factors read a copy.  So a pair holds one
+    band (128 rows or an eighth of A) beside A and B, and l >= 3 factors that
+    copy and two bands.  Banded GEMMs may round unlike whole ones, by ulps.
     """
     if len(matrices) < 2:
         raise ValueError(f"need at least two matrices, got {len(matrices)}")
-    square = (len(matrices[0]),) * 2
+    N = len(matrices[0])
     for m in matrices:
-        if m.shape != square:
-            raise ValueError(f"dimension mismatch: {m.shape}, want {square}")
-    if len(matrices) == 2:
-        A, B = matrices
-        A = np.asarray(A, dtype=float)  # an integer A would truncate the products
-        if np.may_share_memory(A, B):
-            # Overwriting A's rows would change the B that later bands read.
-            B = B.copy()
-        # Each band's GEMM packs all of B again, so a band is an eighth of A
-        # once that exceeds _BAND: at N = 3000 on a 2-core x86 with OpenBLAS
-        # 0.3.31, 128-row bands made the product 22% slower than one A @ B,
-        # and eighths 10%.
-        rows = max(_BAND, len(A) // 8)
-        for lo in range(0, len(A), rows):
-            A[lo:lo + rows] = A[lo:lo + rows] @ B
-        return _add_transpose(A)
-    # No name holds a product once it is added, so the next one is built
-    # beside the running sum alone.
+        if m.shape != (N, N):
+            raise ValueError(f"dimension mismatch: {m.shape}, want {(N, N)}")
+    S = np.asarray(matrices[0], dtype=float)  # an integer factor would truncate the products
     orders = [o for o in permutations(range(len(matrices))) if o[0] < o[-1]]
-    total = reduce(np.matmul, (matrices[i] for i in orders[0]))
-    for order in orders[1:]:
-        total += reduce(np.matmul, (matrices[i] for i in order))
-    return _add_transpose(total)
+    # Overwriting S's rows would change a factor that later bands read.
+    factors = [S if len(orders) == 1 else S.copy()]
+    factors += [m.copy() if np.may_share_memory(S, m) else m for m in matrices[1:]]
+    # Each band's GEMMs pack their right factors again, so a band is an eighth of S
+    # once that exceeds _BAND: at N = 3000 (2-core x86, OpenBLAS 0.3.31), 128-row
+    # bands made a pair's product 22% slower than one A @ B, and eighths 10%.
+    rows = max(_BAND, N // 8)
+    for lo in range(0, N, rows):
+        band = S[lo:lo + rows]
+        products = (reduce(np.matmul, (factors[i] for i in o[1:]), factors[o[0]][lo:lo + rows])
+                    for o in orders)
+        band[...] = next(products)
+        for _ in orders[1:]:
+            band += next(products)  # unnamed, so freed before the next is built
+    return _add_transpose(S)
 
 
 def eigenvalues(M):

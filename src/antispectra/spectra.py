@@ -35,7 +35,8 @@ class Histogram:
 @dataclass
 class MomentReport:
     """Normalized moments: values maps each order, in the order asked, to its per-trial
-    sum(lambda^m)/N^(m+1); the trial count, means and standard errors are read off it."""
+    sum(lambda^m)/(N * N^(pm)), N^p the pair's eigenvalue scale; the trial count,
+    means and standard errors are read off it."""
 
     pair: str
     N: int
@@ -91,14 +92,28 @@ def empirical_histogram(spectra, N, p=1.0, bins=80):
     return Histogram(edges=edges, density=counts / (counts.sum() * np.diff(edges)))
 
 
-def empirical_moments(spectra, orders, N, pair=""):
-    """The per-trial sum(lambda^m)/N^(m+1) of each order, as a MomentReport.
+def empirical_moments(spectra, orders, N, pair="", p=1):
+    """The per-trial sum(lambda^m)/(N * N^(pm)) of each order, as a MomentReport.
 
-    A repeated order is computed once and gives one entry.
+    N^p is the pair's eigenvalue scale (stats.Pair.norm_exp): an int p keeps
+    N^(1 + pm) an int.  A repeated order is computed once and gives one
+    entry.  An order whose power sum or scale overflows a float raises
+    ArithmeticError naming m and N.
     """
     spectra = list(spectra)
-    values = {m: np.array([np.sum(np.asarray(s) ** m) / N ** (m + 1) for s in spectra])
-              for m in dict.fromkeys(orders)}
+    values = {}
+    for m in dict.fromkeys(orders):
+        exponent = 1 + p * m
+        try:
+            # Past 2^1100 the scale is no float; the bound spares building its huge int.
+            if exponent * math.log2(N) > 1100:
+                raise OverflowError
+            scale = N ** exponent
+            with np.errstate(over="raise"):
+                values[m] = np.array([np.sum(np.asarray(s) ** m) / scale for s in spectra])
+        except (OverflowError, FloatingPointError):  # m, the scale or a power sum
+            raise ArithmeticError(
+                f"moment of order {m} at N={N} is not a finite float") from None
     if not values:
         raise ValueError("no moment orders given")
     return MomentReport(pair=pair, N=N, values=values)

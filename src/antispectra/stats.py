@@ -3,6 +3,7 @@
 import math
 import operator
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,15 @@ class Pair:
         if not self.params:
             return self.name
         return f"{self.name}:{','.join(map(str, self.params))}"
+
+    @property
+    def norm_exp(self):
+        """The exponent p of the eigenvalue scale N^p: l/2 for anti-l:l, 1 otherwise.
+
+        A Fraction for anti-l, so that l = 2 gives N^(1 + pm) as an int, as
+        every other pair does.
+        """
+        return Fraction(self.params[0], 2) if self.name == "anti-l" else 1
 
     @property
     def methods(self):
@@ -234,9 +244,10 @@ def run_trials(plan, threads=1):
     aggregate = TrialAggregate({}, {}, {})
     for ni, (N, specs) in enumerate(zip(plan.sizes, sized_specs)):
         # anticommutator writes C into the first factor's storage, and the
-        # argument list, the only holder of B, is freed as it returns.  So a
-        # trial holds at most two N x N arrays: A and B while they are sampled
-        # and multiplied, then C and the solver's copy.
+        # argument list, the only holder of the others, is freed as it
+        # returns.  So a trial of l factors (two, or l for anti-l:l) holds at
+        # most l + 1 N x N arrays: the factors and, beyond a pair, the first
+        # one's copy while they are multiplied, then C and the solver's copy.
         spectra = [
             eigenvalues(anticommutator(*[
                 sample_ensemble(spec, rng_stream(plan.seed, ni, t, si))
@@ -248,7 +259,7 @@ def run_trials(plan, threads=1):
             aggregate.spectra[N] = spectra
         if "moments" in plan.outputs:
             aggregate.moments[N] = empirical_moments(
-                spectra, plan.orders, N, pair=plan.pair
+                spectra, plan.orders, N, pair=plan.pair, p=pair.norm_exp
             )
         if "blips" in plan.outputs:
             orders = tuple(sorted(set((0,) + plan.orders)))
@@ -313,8 +324,9 @@ def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal")
     least-squares lines to (log N, log fourth central moment) and
     (log N, log variance); needs at least three distinct sizes for a slope
     to mean anything, and at least two trials per size for a spread.  A
-    size whose variance or fourth central moment is 0 has no logarithm, so
-    it raises ArithmeticError naming that N.
+    size whose variance or fourth central moment is 0 has no logarithm, and
+    one past the float range has no JSON value: either raises
+    ArithmeticError naming that N.
     """
     if m < 1:
         raise ValueError(f"invalid m: {m} must be >= 1")
@@ -328,8 +340,13 @@ def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal")
     rows = []
     for N in plan.sizes:
         values = aggregate.moments[N].values[m]
-        var = float(np.var(values, ddof=1))
-        central4 = float(np.mean((values - values.mean()) ** 4))
+        with np.errstate(all="ignore"):
+            var = float(np.var(values, ddof=1))
+            central4 = float(np.mean((values - values.mean()) ** 4))
+        if not (math.isfinite(var) and math.isfinite(central4)):
+            raise ArithmeticError(
+                f"moment {m} at N={N} has variance {var} and fourth central moment "
+                f"{central4}: not finite floats")
         if var == 0 or central4 == 0:
             raise ArithmeticError(
                 f"moment {m} does not vary across the {len(values)} trials at N={N} "

@@ -2,6 +2,7 @@
 alternates the two sides and pairs their calls."""
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,27 @@ def test_every_layer_is_timed_and_traced(bench):
     N = 10
     names = list(bench.layer_calls(N))
     assert names == ["sample goe", "sample pte", "sample bce", "sample checkerboard",
-                     "anticommutator", "eigenvalues"]
+                     "anticommutator", "anticommutator of 3", "eigenvalues"]
     for name in names:
         assert bench.time_layer(N, name) >= 0
         assert bench.layer_peak(N, name) > 0
+
+
+@pytest.mark.parametrize("name,factors", [("anticommutator", 2),
+                                          ("anticommutator of 3", 3)])
+def test_anticommutator_rows_get_fresh_first_factors(bench, name, factors):
+    # Each call consumes its first factor, so every call gets a fresh copy:
+    # two calls give the same result, from the factors the row was built on.
+    call, args = bench.layer_calls(10)[name]
+    given = args()
+    assert len(given) == factors
+    first, kept = given[0], [m.copy() for m in given]
+    got = call(*given)
+    assert got is first
+    np.testing.assert_array_equal(call(*args()), got)
+    want = sum(np.linalg.multi_dot([kept[i] for i in order])
+               for order in itertools.permutations(range(factors)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind,k", [("goe", None), ("pte", None), ("bce", 5),

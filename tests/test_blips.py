@@ -152,6 +152,17 @@ def test_report_moments_are_keyed_by_order():
     assert [entry["m"] for entry in report.as_dict()["moments"]] == [2, 0, 1]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [2000, 10**400], ids=["power", "order"])
+def test_moment_past_the_float_range_names_m_and_n(m):
+    # The most negative eigenvalue sits 2.5 N from the largest blip's centre.
+    N, k, j = 30, 3, 5
+    eigs = np.array([-0.5, 0.0, 2.0]) * N
+    with pytest.raises(ArithmeticError,
+                       match=f"^blip moment of order {m} at N={N} is not a finite float$"):
+        blips.blip_measure_largest(eigs, N, k, j, orders=(0, m))
+
+
 @pytest.mark.parametrize("theory", [
     lambda m: blips.theory_blip_moment_goe_checker(m, 5),
     lambda m: blips.theory_largest_blip_moment(m, 3, 5),

@@ -564,6 +564,47 @@ def test_convergence_without_spread_is_a_numerical_failure(capsys):
     assert err.startswith("numerical failure: ") and "at N=2 " in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    # The largest blip's locations to the 2000th power overflow.
+    (("blip", "--pair", "checker-checker:3,5", "--n", "30", "--trials", "2", "--m", "2000"),
+     "blip moment of order 2000 at N=30 is not a finite float"),
+    # lambda^150 overflows in some trial at N = 30.
+    (("convergence", "--pair", "goe-goe", "--m", "150", "--n", "10,20,30", "--trials", "3"),
+     "moment of order 150 at N=30 is not a finite float"),
+    # N^401 is past the float range at every N.
+    (("convergence", "--pair", "goe-goe", "--m", "400", "--n", "10,20,30", "--trials", "3"),
+     "moment of order 400 at N=10 is not a finite float"),
+    # Every moment is finite, but N = 20's fourth central moment overflows.
+    (("convergence", "--pair", "goe-goe", "--m", "150", "--n", "10,20,21", "--trials", "3"),
+     "moment 150 at N=20 has variance 1.3714068481250047e+188 and fourth central moment "
+     "inf: not finite floats"),
+])
+def test_non_finite_statistics_are_one_numerical_failure_line(capsys, argv, message):
+    # No Infinity or NaN may reach the JSON, and no RuntimeWarning may print.
+    assert run_cli(capsys, *argv) == (3, "", f"numerical failure: {message}\n")
+
+
+def test_anti_l_spectrum_is_on_its_own_scale(capsys):
+    # anti-l:l's eigenvalues grow like N^(l/2): the histogram divides by it,
+    # and the moments are sum(lambda^m) / (N * N^(lm/2)).  The second one
+    # tends to l!, 6 at l = 3, where sum(lambda^2) / N^3 grows like 6N.
+    argv = ("spectrum", "--pair", "anti-l:3", "--n", "200", "--trials", "4", "--bins", "10")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    edges = np.loadtxt(out.splitlines()[1:], delimiter=",")[:, :2]
+    assert np.max(np.abs(edges)) < 10  # about 88 on the N scale
+    code, out, _ = run_cli(capsys, *argv, "--out", "/dev/null")
+    summary = json.loads(out)
+    assert summary["norm_exp"] == 1.5
+    second = next(entry for entry in summary["moments"] if entry["m"] == 2)
+    assert abs(second["mean"] - 6) < 0.5
+    # anti-l:2 is goe-goe: the N scale, as for every other pair.
+    code, out, _ = run_cli(capsys, "spectrum", "--pair", "anti-l:2", "--n", "20",
+                           "--trials", "2", "--out", "/dev/null")
+    assert json.loads(out)["norm_exp"] == 1.0
+
+
 def test_convergence_rejects_single_trial(capsys):
     code, _, err = run_cli(capsys, "convergence", "--pair", "goe-goe", "--m", "2",
                            "--n", "16,32,64", "--trials", "1")

@@ -562,8 +562,9 @@ def test_anti_l_trials_match_exact_finite_n_fourth_moment():
     # (off-diagonal variance 1, diagonal 2).  With x = A / sqrt(N), the GOE
     # letters of _gaussian_trace_moment at k = N, tr (C / N^(3/2))^4 is
     # Tr C_x^4 / N: E of it is the sum of E[Tr w] over the 6^4 words of the
-    # expansion, at k = N, over N.  The limit 96 sits 19 standard errors
-    # below the sampled mean.
+    # expansion, at k = N, over N.  The package's order-4 moment must be
+    # that normalised trace.  The limit 96 sits 19 standard errors below
+    # the sampled mean.
     N = 40
     orderings = ["".join(p) for p in itertools.permutations("abc")]
     memo, rotations = {}, comb._Rotations()
@@ -573,8 +574,9 @@ def test_anti_l_trials_match_exact_finite_n_fourth_moment():
         moment = comb._gaussian_trace_moment((word,), True, memo, rotations)
         exact += sum(c * Fraction(N) ** e for e, c in moment.items())
     exact /= N
-    plan = stats.ExperimentPlan("anti-l:3", (N,), trials=400, seed=19, outputs=("spectra",))
-    samples = np.array([np.sum(eigs**4) / N**7 for eigs in stats.run_trials(plan).spectra[N]])
+    plan = stats.ExperimentPlan("anti-l:3", (N,), trials=400, seed=19, outputs=("moments",),
+                                orders=(4,))
+    samples = stats.run_trials(plan).moments[N].values[4]
     z = (samples.mean() - float(exact)) / (samples.std(ddof=1) / math.sqrt(samples.size))
     assert abs(z) <= 4, z
 

@@ -79,6 +79,18 @@ def test_ell_four_sums_all_orderings():
     np.testing.assert_array_equal(got, got.T)
 
 
+@pytest.mark.parametrize("ell,N", [(3, 300), (4, 260)])
+def test_banded_products_sum_all_orderings(ell, N):
+    # Three 128-row bands, the last one short: each band's products read the
+    # copy of the first factor, not the rows earlier bands have overwritten.
+    mats = [_sample("goe", N, 20 + s) for s in range(ell)]
+    brute = sum(np.linalg.multi_dot([mats[i] for i in order])
+                for order in itertools.permutations(range(ell)))
+    got = matops.anticommutator(*mats)
+    assert np.max(np.abs(got - brute)) <= 1e-12 * np.max(np.abs(brute))
+    np.testing.assert_array_equal(got, got.T)
+
+
 def test_ell_anticommutator_rejects_empty_and_mismatch():
     for few in ((), (np.eye(3),)):
         with pytest.raises(ValueError, match="at least two"):
@@ -120,11 +132,13 @@ def test_anticommutator_holds_one_new_matrix():
     A = _sample("goe", N, 1)
     B = _sample("goe", N, 2)
     assert _peak_over_matrix(lambda: matops.anticommutator(A, B), N) < 0.2
-    # Three factors: the running sum, the next product and its intermediate;
-    # keeping the previous product alive while the next is built makes it 4.
+    # Three factors: the copy of A that the products read, then a band's
+    # product and its intermediate (1.25 matrices).  Keeping the last
+    # product alive while the next is built makes it 1.375; whole products
+    # summed beside A made it 3.
     A = _sample("goe", N, 1)
     C = _sample("goe", N, 3)
-    assert _peak_over_matrix(lambda: matops.anticommutator(A, B, C), N) < 3.5
+    assert _peak_over_matrix(lambda: matops.anticommutator(A, B, C), N) < 1.5
 
 
 def test_anticommutator_writes_into_its_first_factor():
@@ -140,10 +154,24 @@ def test_anticommutator_writes_into_its_first_factor():
     want = 2 * (B @ B)
     C = matops.anticommutator(B, B)
     assert np.max(np.abs(C - want)) <= 1e-12 * np.max(np.abs(want))
-    # An integer first factor is not truncated: the result is a new float array.
+    # Three factors: the later ones are read, never written; and when all
+    # three share one storage the result is that storage, computed from B
+    # as it was.
+    B = kept.copy()
+    want = 6 * (B @ B @ B)
+    matops.anticommutator(_sample("goe", 300, 7), B, B)
+    np.testing.assert_array_equal(B, kept)
+    C = matops.anticommutator(B, B, B)
+    assert C is B
+    assert np.max(np.abs(C - want)) <= 1e-12 * np.max(np.abs(want))
+    # An integer first factor is not truncated: the result is a new float
+    # array, for two factors and for three.
     ints = np.arange(9).reshape(3, 3)
     ints = ints + ints.T
     np.testing.assert_array_equal(matops.anticommutator(ints, ints), 2.0 * (ints @ ints))
+    got = matops.anticommutator(ints, ints, ints)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, 6.0 * (ints @ ints @ ints))
 
 
 def test_symmetric_sampler_mirrors_in_place():

@@ -4,6 +4,7 @@ import io
 import re
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,3 +117,23 @@ def test_moment_report_accessors():
         report.mean(9)
     with pytest.raises(ValueError, match="orders"):
         sp.empirical_moments(_fake_spectra(1, 10), (), 10)
+
+
+def test_empirical_moments_on_the_scale_n_to_the_p():
+    # sum(lambda^m) / (N * N^(pm)), exact in floats here: at N = 4 and
+    # p = 3/2, order 1 is 4 / 4^(5/2) = 1/8 and order 2 is 8 / 4^4 = 1/32.
+    report = sp.empirical_moments([np.array([2.0, 2.0])], (1, 2), 4, p=Fraction(3, 2))
+    assert (report.mean(1), report.mean(2)) == (0.125, 0.03125)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spectrum,m,N", [
+    (np.full(3, 1e200), 2, 3),  # the power overflows
+    (np.full(3, 1e308), 1, 3),  # the power sum overflows
+    (np.full(3, 2.0), 400, 10),  # the scale 10^401 is past the float range
+    (np.full(3, 2.0), 10**8, 10),  # its int would take minutes to build
+    (np.full(3, 2.0), 10**400, 10),  # so is m itself
+], ids=["power", "power-sum", "scale", "huge-scale", "order"])
+def test_empirical_moments_past_the_float_range_name_m_and_n(spectrum, m, N):
+    with pytest.raises(ArithmeticError, match=f"^moment of order {m} at N={N} is not a finite"):
+        sp.empirical_moments([spectrum], (m,), N)

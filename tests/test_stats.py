@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,16 @@ def test_ensemble_specs_parsing(pair, kinds, params):
     specs = stats.parse_pair(pair).specs(30)
     assert tuple(s.kind for s in specs) == kinds
     assert tuple(s.k for s in specs) == params
+
+
+def test_pairs_carry_their_eigenvalue_scale():
+    # N^(l/2) for anti-l:l, N for every other pair; anti-l:2 keeps an int
+    # scale N^(1 + m), as goe-goe does.
+    assert stats.parse_pair("anti-l:3").norm_exp == Fraction(3, 2)
+    assert stats.parse_pair("anti-l:4").norm_exp == 2
+    for spec in ("anti-l:2", "goe-goe", "goe-checker:5", "checker-checker:3,5"):
+        p = stats.parse_pair(spec).norm_exp
+        assert p == 1 and isinstance(10 ** (1 + p * 3), int)
 
 
 def test_ensemble_specs_distribution_rules():
@@ -166,13 +177,13 @@ def test_benchmark_calls_run_one_trial_at_a_time(monkeypatch):
             stats.averaged_blip_measure(blip_plan, threads=threads)
 
 
-@pytest.mark.parametrize("pair", ["goe-goe", "goe-checker:5", "goe-bce:5"])
-def test_a_trial_holds_two_matrices(pair, monkeypatch):
-    # A trial's tracemalloc peak is A and B plus one band (2.128 matrices at
-    # N = 1000): C is written into A.  An AB beside A and B makes it 3.1.
-    # LAPACK's copy of C is its own malloc, which tracemalloc does not see,
-    # so the solve is judged by what is alive as it starts: C alone, once B
-    # is freed.
+def _trial_peaks(pair, monkeypatch):
+    """tracemalloc's peak over one trial of pair at N = 1000, and what is alive
+    as the solve starts, both in N x N float64 matrices.
+
+    LAPACK's copy of C is its own malloc, which tracemalloc does not see, so
+    the solve is judged by what is alive as it starts.
+    """
     N = 1000
     plan = stats.ExperimentPlan(pair, (N,), trials=1, seed=4, outputs=("spectra",))
     # A small trial first, so that the modules a first trial imports (numpy.random
@@ -191,8 +202,26 @@ def test_a_trial_holds_two_matrices(pair, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * N * N) < 2.2
-    assert at_solve[0] / (8 * N * N) < 1.1
+    return peak / (8 * N * N), at_solve[0] / (8 * N * N)
+
+
+@pytest.mark.parametrize("pair", ["goe-goe", "goe-checker:5", "goe-bce:5"])
+def test_a_trial_holds_two_matrices(pair, monkeypatch):
+    # A trial's tracemalloc peak is A and B plus one band (2.128 matrices at
+    # N = 1000): C is written into A.  An AB beside A and B makes it 3.1.
+    # At the solve C alone is alive, once B is freed.
+    peak, at_solve = _trial_peaks(pair, monkeypatch)
+    assert peak < 2.2
+    assert at_solve < 1.1
+
+
+def test_an_anti_l_trial_holds_its_factors_and_one_copy(monkeypatch):
+    # Three factors, the copy of the first that the band products read, and
+    # two bands (4.26 matrices at N = 1000): C is written into the first
+    # factor.  Whole products summed beside the factors made it 6.
+    peak, at_solve = _trial_peaks("anti-l:3", monkeypatch)
+    assert peak < 4.5
+    assert at_solve < 1.1
 
 
 def test_run_trials_matches_manual_sampling():

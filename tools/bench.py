@@ -28,10 +28,12 @@ has four parts:
 - "commands": each of COMMANDS runs in process through `cli.main`, its
   standard output captured, after one untimed call.
 - "layers": at each N in SIZES, every sampler kind, `matops.anticommutator`
-  on a goe-checker:5 pair and `matops.eigenvalues` on the result are timed,
-  and each call's `tracemalloc` peak is taken once, in bytes and in N x N
-  float64 matrices.  `anticommutator` consumes its first factor, so each
-  call gets a fresh copy, made untimed and untraced.
+  on a goe-checker:5 pair and on three factors (that pair and a third GOE,
+  the three-ordering loop of anti-l:3), and `matops.eigenvalues` on the
+  pair's result are timed, and each call's `tracemalloc` peak is taken
+  once, in bytes and in N x N float64 matrices.  `anticommutator` consumes
+  its first factor, so each call gets a fresh copy, made untimed and
+  untraced.
 - "run_trials_rss": `stats.run_trials` runs RSS_TRIALS trials of each pair
   in RSS_PAIRS at each N in RSS_SIZES in a fresh process, and reports the
   process's `ru_maxrss` above what importing the package took; each side
@@ -63,7 +65,7 @@ BUDGET_S = 2.0  # seconds per exact-table call
 REPEAT = 3  # timed calls per row and side, or RSS processes per side; their median counts
 SIZES = (1000, 1500, 3000)
 K = 5  # block and modulus parameter of bce and checkerboard
-RSS_PAIRS = ("goe-goe", "goe-checker:5")
+RSS_PAIRS = ("goe-goe", "goe-checker:5", "anti-l:3")
 RSS_SIZES = (1500, 3000)
 RSS_TRIALS = 2
 
@@ -131,7 +133,9 @@ def layer_calls(N):
              for kind, spec in specs.items()}
     A = sample_ensemble(specs["goe"], rng_stream(2))
     B = sample_ensemble(specs["checkerboard"], rng_stream(3))
+    D = sample_ensemble(specs["goe"], rng_stream(4))
     calls["anticommutator"] = (anticommutator, lambda: (A.copy(), B))
+    calls["anticommutator of 3"] = (anticommutator, lambda: (A.copy(), B, D))
     C = anticommutator(A.copy(), B)
     calls["eigenvalues"] = (eigenvalues, lambda: (C,))
     return calls
