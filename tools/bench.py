@@ -4,19 +4,21 @@ and memory, trial RSS.
 
     python3 tools/bench.py --out BENCH.json [--baseline DIR]
 
-Each side (the checkout this file sits in is "after"; with --baseline DIR, a
-checkout of another commit, DIR is "before") gets one worker process that
-imports the package from the checkout's src/ and times one call per
-request.  Every timed row is REPEAT calls per side, the sides' calls
-alternating (before, after, after, before, ...), and each side reports the
-median of its calls.  The machine's speed can shift within seconds, so
-alternating single calls lets a shift fall on both sides alike.  A side's
-median can still land in another speed mode than the other side's, so with
---baseline the record also holds "after_over_before": per timed row of the
-first three parts below, keyed like the row, the median over the REPEAT
-adjacent call pairs of the after call's seconds over the before call's
-(None past one side's reach, where the other side runs alone).  The record
-has four parts:
+The checkout this file sits in is "after"; with --baseline DIR, a checkout of
+another commit, DIR is "before".  Both sides' packages are imported into this
+one process, each from its checkout's src/ under a name of its own (`load`).
+The package imports NumPy alone, no SciPy (tests/test_imports.py), so both
+sides call one NumPy and one BLAS thread pool: no side's idle BLAS threads
+compete with the other side's call.  Every timed row is REPEAT calls per side,
+the sides' calls alternating (before, after, after, before, ...), and each
+side reports the median of its calls.  The machine's speed can shift within
+seconds, so alternating single calls lets a shift fall on both sides alike.
+A side's median can still land in another speed mode than the other side's,
+so with --baseline the record also holds "after_over_before": per timed row of
+the first three parts below, keyed like the row, the median over the REPEAT
+adjacent call pairs of the after call's seconds over the before call's (None
+past one side's reach, where the other side runs alone).  The record has four
+parts:
 
 - "tables": each exact table (the enumeration routes of goe-goe, pte-pte
   and goe-pte, and the goe-bce and bce-bce genus tables) gets one of two
@@ -35,10 +37,12 @@ has four parts:
   its first factor, so each call gets a fresh copy, made untimed and
   untraced.
 - "run_trials_rss": `stats.run_trials` runs RSS_TRIALS trials of each pair
-  in RSS_PAIRS at each N in RSS_SIZES in a fresh process, and reports the
-  process's `ru_maxrss` above what importing the package took; each side
-  runs REPEAT such processes, alternating as above, and each number is the
-  median of its REPEAT values.
+  in RSS_PAIRS at each N in RSS_SIZES in a fresh process, since `ru_maxrss`
+  is the whole process's peak, and reports the process's `ru_maxrss` above
+  what importing the package took; each side runs REPEAT such processes,
+  alternating as above, and each number is the median of its REPEAT values.
+  A child's `ru_maxrss` starts at the peak of the process that started it,
+  so these run before this process imports NumPy or either package.
 
 Each record also holds the checkout's commit and a digest of its package
 source.  Both sides sit beside the machine they ran on and its BLAS.
@@ -48,6 +52,8 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -58,6 +64,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,72 +94,96 @@ COMMANDS = (
 )
 
 
-def enumeration_limit(table):
-    """The table's ENUMERATION_LIMITS entry, None if it has none."""
-    from antispectra import combinatorics
-
-    return combinatorics.ENUMERATION_LIMITS.get(table)
+#: The submodules the rows call; the others load as their imports.
+SUBMODULES = ("cli", "combinatorics", "ensembles", "matops", "stats")
 
 
-def time_table(attr, m, extra):
+def load(root, name):
+    """The package in root's src/, imported as `name` with its SUBMODULES.
+
+    The package's modules import each other relatively, so each loaded copy
+    binds its own.  A module importing `antispectra` absolutely would bind
+    whichever copy this process finds under that name, so a loaded module
+    holding a module, function or class of `antispectra` proper is refused.
+    """
+    src = Path(root).resolve() / "src" / "antispectra"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for submodule in SUBMODULES:
+        importlib.import_module(f"{name}.{submodule}")
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != name:
+            continue
+        for value in vars(module).values():
+            if isinstance(value, types.ModuleType):
+                owner = value.__name__
+            elif isinstance(value, (type, types.FunctionType)):
+                owner = value.__module__
+            else:
+                continue
+            if str(owner).split(".")[0] == "antispectra":
+                raise ImportError(f"{module_name} binds {owner}, not its own copy: "
+                                  f"{src} imports antispectra absolutely")
+    return package
+
+
+def time_table(package, attr, m, extra):
     """Seconds of one call combinatorics.<attr>(m, *extra)."""
-    from antispectra import combinatorics
-
     start = time.perf_counter()
-    getattr(combinatorics, attr)(m, *extra)
+    getattr(package.combinatorics, attr)(m, *extra)
     return time.perf_counter() - start
 
 
-def time_command(argv):
+def time_command(package, argv):
     """Seconds of one in-process `cli.main` call, its standard output captured."""
-    from antispectra import cli
-
     with contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
-        code = cli.main(list(argv))
+        code = package.cli.main(list(argv))
         seconds = time.perf_counter() - start
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {code}")
     return seconds
 
 
-@functools.lru_cache(maxsize=1)
-def layer_calls(N):
-    """(call, args) per layer at N, the arrays of the last N only kept.
+@functools.lru_cache(maxsize=2)
+def layer_calls(package, N):
+    """(call, args) per layer of package at N, the arrays of the last two (package, N) only kept.
 
     args() gives each call its arguments.  It runs outside the timed call and
     the traced window, so a call that consumes an argument (anticommutator
     its first factor) gets a fresh one at no cost to its numbers.
     """
-    from antispectra.ensembles import EnsembleSpec, KINDS, rng_stream, sample_ensemble
-    from antispectra.matops import anticommutator, eigenvalues
-
-    specs = {kind: EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None)
-             for kind in KINDS}
-    calls = {f"sample {kind}": (sample_ensemble, lambda spec=spec: (spec, rng_stream(1)))
+    ensembles, matops = package.ensembles, package.matops
+    sample, rng_stream = ensembles.sample_ensemble, ensembles.rng_stream
+    specs = {kind: ensembles.EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None)
+             for kind in ensembles.KINDS}
+    calls = {f"sample {kind}": (sample, lambda spec=spec: (spec, rng_stream(1)))
              for kind, spec in specs.items()}
-    A = sample_ensemble(specs["goe"], rng_stream(2))
-    B = sample_ensemble(specs["checkerboard"], rng_stream(3))
-    D = sample_ensemble(specs["goe"], rng_stream(4))
-    calls["anticommutator"] = (anticommutator, lambda: (A.copy(), B))
-    calls["anticommutator of 3"] = (anticommutator, lambda: (A.copy(), B, D))
-    C = anticommutator(A.copy(), B)
-    calls["eigenvalues"] = (eigenvalues, lambda: (C,))
+    A = sample(specs["goe"], rng_stream(2))
+    B = sample(specs["checkerboard"], rng_stream(3))
+    D = sample(specs["goe"], rng_stream(4))
+    calls["anticommutator"] = (matops.anticommutator, lambda: (A.copy(), B))
+    calls["anticommutator of 3"] = (matops.anticommutator, lambda: (A.copy(), B, D))
+    C = matops.anticommutator(A.copy(), B)
+    calls["eigenvalues"] = (matops.eigenvalues, lambda: (C,))
     return calls
 
 
-def time_layer(N, name):
+def time_layer(package, N, name):
     """Seconds of one call of the layer."""
-    call, args = layer_calls(N)[name]
+    call, args = layer_calls(package, N)[name]
     given = args()
     start = time.perf_counter()
     call(*given)
     return time.perf_counter() - start
 
 
-def layer_peak(N, name):
+def layer_peak(package, N, name):
     """The tracemalloc peak of one call of the layer, in bytes."""
-    call, args = layer_calls(N)[name]
+    call, args = layer_calls(package, N)[name]
     given = args()
     tracemalloc.start()
     try:
@@ -162,59 +193,19 @@ def layer_peak(N, name):
         tracemalloc.stop()
 
 
-#: What a worker answers: each request is a JSON list, its kind first.
-REQUESTS = {
-    "limit": enumeration_limit,
-    "table": time_table,
-    "command": time_command,
-    "layers": lambda N: list(layer_calls(N)),
-    "layer": time_layer,
-    "peak": layer_peak,
-}
-
-
-def serve():
-    """Answer each request line on standard input with one JSON line."""
-    for line in sys.stdin:
-        kind, *args = json.loads(line)
-        print(json.dumps(REQUESTS[kind](*args)), flush=True)
-
-
-class Worker:
-    """A process serving REQUESTS with the package from root's src/."""
-
-    def __init__(self, root):
-        env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
-        self.process = subprocess.Popen([sys.executable, __file__, "--serve"], env=env,
-                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                        text=True)
-
-    def __call__(self, *request):
-        self.process.stdin.write(json.dumps(request) + "\n")
-        self.process.stdin.flush()
-        answer = self.process.stdout.readline()
-        if not answer:
-            raise RuntimeError(f"worker exited with {self.process.wait()} on {request}")
-        return json.loads(answer)
-
-    def close(self):
-        self.process.stdin.close()
-        self.process.wait()
-
-
 def alternating(sides):
     """The sides REPEAT times over, their order reversed every other time."""
     for rep in range(REPEAT):
         yield from sides if rep % 2 == 0 else sides[::-1]
 
 
-def paired(workers, *request):
-    """Per side, the median seconds of REPEAT calls of request, the sides alternating;
-    and the median after / before ratio of the REPEAT adjacent call pairs, None
-    unless both sides ran."""
-    seconds = {side: [] for side in workers}
-    for side in alternating(list(workers)):
-        seconds[side].append(workers[side](*request))
+def paired(packages, measure, *args):
+    """Per side, the median seconds of REPEAT calls measure(package, *args), the sides
+    alternating; and the median after / before ratio of the REPEAT adjacent call
+    pairs, None unless both sides ran."""
+    seconds = {side: [] for side in packages}
+    for side in alternating(list(packages)):
+        seconds[side].append(measure(packages[side], *args))
     ratio = None
     if {"before", "after"} <= seconds.keys():
         ratio = round(statistics.median(
@@ -222,17 +213,18 @@ def paired(workers, *request):
     return {side: statistics.median(calls) for side, calls in seconds.items()}, ratio
 
 
-def measure_tables(workers):
+def measure_tables(packages):
     """Per side, per table: the median seconds at the side's enumeration limit, or,
     with no limit, the median seconds at each m and the largest m within budget;
     and per table the after / before ratio, or one per m."""
-    report, ratios = {side: {} for side in workers}, {}
+    report, ratios = {side: {} for side in packages}, {}
     for name, attr, extra in TABLES:
-        limits = {side: worker("limit", name.split()[0]) for side, worker in workers.items()}
+        limits = {side: package.combinatorics.ENUMERATION_LIMITS.get(name.split()[0])
+                  for side, package in packages.items()}
         for limit in dict.fromkeys(limits.values()):
-            group = {side: workers[side] for side in workers if limits[side] == limit}
+            group = {side: packages[side] for side in packages if limits[side] == limit}
             if limit is not None:
-                medians, ratios[name] = paired(group, "table", attr, limit, extra)
+                medians, ratios[name] = paired(group, time_table, attr, limit, extra)
                 for side, seconds in medians.items():
                     report[side][name] = {"measure": "time at the enumeration limit",
                                           "m": limit, "seconds": round(seconds, 6)}
@@ -242,7 +234,7 @@ def measure_tables(workers):
             m = 0
             while group:
                 m += 1
-                medians, ratio = paired(group, "table", attr, m, extra)
+                medians, ratio = paired(group, time_table, attr, m, extra)
                 ratios.setdefault(name, {})[str(m)] = ratio
                 for side, seconds in medians.items():
                     report[side][name]["seconds"][str(m)] = round(seconds, 6)
@@ -252,31 +244,30 @@ def measure_tables(workers):
     return report, ratios
 
 
-def measure_commands(workers):
+def measure_commands(packages):
     """Per side, per command in COMMANDS: the median seconds after one untimed call;
     and per command the after / before ratio."""
-    report, ratios = {side: {} for side in workers}, {}
+    report, ratios = {side: {} for side in packages}, {}
     for argv in COMMANDS:
         key = " ".join(argv)
-        for worker in workers.values():
-            worker("command", argv)
-        medians, ratios[key] = paired(workers, "command", argv)
+        for package in packages.values():
+            time_command(package, argv)
+        medians, ratios[key] = paired(packages, time_command, argv)
         for side, seconds in medians.items():
             report[side][key] = round(seconds, 6)
     return report, ratios
 
 
-def measure_layers(workers):
+def measure_layers(packages):
     """Per side, per N, per layer: median seconds, tracemalloc peak, and that peak over
     8N^2; and per N, per layer the after / before ratio."""
-    report, ratios = {side: {} for side in workers}, {}
+    report, ratios = {side: {} for side in packages}, {}
     for N in SIZES:
-        names = next(iter(workers.values()))("layers", N)
-        for name in names:
-            seconds, ratio = paired(workers, "layer", N, name)
+        for name in layer_calls(next(iter(packages.values())), N):
+            seconds, ratio = paired(packages, time_layer, N, name)
             ratios.setdefault(str(N), {})[name] = ratio
-            for side, worker in workers.items():
-                peak = worker("peak", N, name)
+            for side, package in packages.items():
+                peak = layer_peak(package, N, name)
                 report[side].setdefault(str(N), {})[name] = {
                     "seconds": round(seconds[side], 5), "peak_bytes": peak,
                     "peak_matrices": round(peak / (8 * N * N), 3)}
@@ -322,7 +313,9 @@ def run_on(root, *args):
     """Run this script with args in a fresh process importing root's src/; parse its JSON."""
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     command = [sys.executable, __file__, *args]
-    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)} exited {done.returncode}: {done.stderr.strip()}")
     return json.loads(done.stdout)
 
 
@@ -346,20 +339,18 @@ def tree_record(root):
 def tree_records(roots):
     """Per side of roots (side name -> checkout): tree_record and the four parts; with
     two sides, also after_over_before."""
-    records = {side: dict(tree_record(root), run_trials_rss=[]) for side, root in roots.items()}
+    # The RSS processes run first, while this process has not imported NumPy:
+    # a child starts with this process's ru_maxrss.
+    rss = measure_rss(roots)
+    records = {side: dict(tree_record(root), run_trials_rss=rss[side])
+               for side, root in roots.items()}
     ratios = {}
-    workers = {side: Worker(root) for side, root in roots.items()}
-    try:
-        for part, measure in (("tables", measure_tables), ("commands", measure_commands),
-                              ("layers", measure_layers)):
-            report, ratios[part] = measure(workers)
-            for side, record in report.items():
-                records[side][part] = record
-    finally:
-        for worker in workers.values():
-            worker.close()
-    for side, runs in measure_rss(roots).items():
-        records[side]["run_trials_rss"] = runs
+    packages = {side: load(root, f"antispectra_{side}") for side, root in roots.items()}
+    for part, measure in (("tables", measure_tables), ("commands", measure_commands),
+                          ("layers", measure_layers)):
+        report, ratios[part] = measure(packages)
+        for side, record in report.items():
+            records[side][part] = record
     if len(roots) > 1:
         records["after_over_before"] = ratios
     return records
@@ -395,23 +386,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--baseline", help="checkout of the commit to compare against")
-    # Child processes: serve timing requests, or measure one RSS run, with the
-    # package on PYTHONPATH.
-    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
+    # A child process measuring one RSS run, with the package on PYTHONPATH.
     parser.add_argument("--rss", nargs=2, metavar=("PAIR", "N"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.serve:
-        serve()
-        return 0
     if args.rss:
         print(json.dumps(trial_rss(args.rss[0], int(args.rss[1]))))
         return 0
     if not args.out:
         parser.error("--out is required")
-    record = {"budget_s": BUDGET_S, "repeat": REPEAT, "sizes": SIZES, "k": K,
-              "machine": machine()}
     roots = {"before": args.baseline} if args.baseline else {}
-    record.update(tree_records({**roots, "after": ROOT}))
+    records = tree_records({**roots, "after": ROOT})
+    record = {"budget_s": BUDGET_S, "repeat": REPEAT, "sizes": SIZES, "k": K,
+              "machine": machine(), **records}
     text = json.dumps(record, indent=2) + "\n"
     Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
