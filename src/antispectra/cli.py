@@ -29,15 +29,12 @@ def _atomic_write(path, text):
         raise
 
 
-def _parse_list(text, what, least):
-    """Comma-separated integers, each >= least; what names the list in errors."""
+def _parse_list(text, what):
+    """Comma-separated integers, what naming the list in errors; the plan checks them."""
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"invalid {what} list {text!r}") from None
-    if any(value < least for value in values):
-        raise ValueError(f"invalid {what} list {text!r}")
-    return values
 
 
 #: A density table's bytes a grid point: x, density, their stacked copy, the row's Python
@@ -68,17 +65,15 @@ def _cmd_sample(args):
 
 
 def _cmd_spectrum(args):
-    plan = stats.ExperimentPlan(
-        args.pair, (args.n,), trials=args.trials, seed=args.seed,
-        outputs=("spectra", "moments"), dist=args.dist,
-    )
+    plan = stats.ExperimentPlan(args.pair, (args.n,), trials=args.trials, seed=args.seed,
+                                dist=args.dist)
     if args.bins < 1:
         raise ValueError(f"invalid --bins {args.bins}: must be >= 1")
     # The histogram holds its counts, edges and densities: 24 bytes a bin.
     check_memory(f"invalid --bins {args.bins}: its histogram", 24 * args.bins)
     p = args.norm_exp
     if p is None:
-        p = float(stats.parse_pair(args.pair).norm_exp)
+        p = float(plan.pair.norm_exp)
     try:
         check_norm_exp(p, args.n)
     except ValueError as exc:
@@ -123,7 +118,7 @@ def _cmd_density(args):
 
 
 def _cmd_blip(args):
-    orders = _parse_list(args.m, "order", 0)
+    orders = _parse_list(args.m, "order")
     plan = stats.ExperimentPlan(
         args.pair, (args.n,), trials=args.trials, seed=args.seed,
         outputs=("blips",), orders=orders, dist=args.dist,
@@ -133,21 +128,18 @@ def _cmd_blip(args):
 
 
 def _cmd_regimes(args):
-    pair = stats.parse_pair(args.pair)
-    pair.blip_regime()  # a checkerboard pair, its k and j checked before sampling
-    plan = stats.ExperimentPlan(
-        args.pair, (args.n,), trials=args.trials, seed=args.seed,
-        outputs=("spectra",), dist=args.dist,
-    )
+    plan = stats.ExperimentPlan(args.pair, (args.n,), trials=args.trials, seed=args.seed,
+                                outputs=(), dist=args.dist)
+    plan.pair.blip_regime()  # a checkerboard pair, its k and j checked before sampling
     spectra = stats.run_trials(plan).spectra[args.n]
-    counts = [blips.regime_classify(eigs, args.n, *pair.params) for eigs in spectra]
+    counts = [blips.regime_classify(eigs, args.n, *plan.pair.params) for eigs in spectra]
     keys = list(counts[0])
     mean_counts = {key: float(np.mean([c[key] for c in counts])) for key in keys}
     # most_common breaks a tie by first appearance, so the first signature seen wins.
     [(modal_signature, modal_count)] = Counter(
         tuple(c[key] for key in keys) for c in counts).most_common(1)
     return None, {
-        "pair": args.pair,
+        "pair": plan.pair.spec,
         "N": args.n,
         "trials": len(counts),
         "mean_counts": mean_counts,
@@ -157,7 +149,7 @@ def _cmd_regimes(args):
 
 
 def _cmd_convergence(args):
-    sizes = _parse_list(args.n, "size", 1)
+    sizes = _parse_list(args.n, "size")
     report = stats.moment_variance_scan(args.pair, args.m, sizes, args.trials,
                                         seed=args.seed, dist=args.dist)
     return None, report.as_dict()

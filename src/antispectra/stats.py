@@ -11,7 +11,7 @@ import numpy as np
 from . import combinatorics
 from .blips import (BlipReport, blip_measure_goe_checker, blip_measure_largest,
                     default_blip_order)
-from .ensembles import DISTRIBUTIONS, EnsembleSpec, rng_stream, sample_ensemble
+from .ensembles import EnsembleSpec, check_memory, rng_stream, sample_ensemble
 from .matops import anticommutator, eigenvalues
 from .spectra import empirical_moments
 
@@ -86,7 +86,13 @@ class Pair:
         if dist != "standard-normal" and all(kind == "goe" for kind, _ in members):
             raise ValueError(f"pair {self.spec!r}: goe entries are Gaussian, not {dist!r}")
         if self.name == "anti-l":
-            members = members * self.params[0]
+            l = self.params[0]
+            # anticommutator lists the l!/2 orderings, 48 + 8l bytes each.  Past
+            # l = 100 (4e151 GiB) the bytes of l = 100 stand in, so any l gives a float.
+            n = min(l, 100)
+            check_memory(f"pair {self.spec!r}: the list of its l!/2 orderings",
+                         math.factorial(n) // 2 * (48 + 8 * n))
+            members = members * l
         return tuple(
             EnsembleSpec(kind, N, None if p is None else self.params[p],
                          dist="standard-normal" if kind == "goe" else dist)
@@ -177,18 +183,22 @@ def _integer(field, value, least):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A reproducible batch of anticommutator samples.
+    """A reproducible batch of anticommutator samples, checked whole when built.
 
-    trials fixes the count per size; when None, the count is ceil(sqrt(N)).
-    Seeds derive from (seed, size index, trial index, matrix slot), so no
-    two draws share a stream.
+    pair is parsed to its Pair (a Pair passes as it is).  Every size's
+    EnsembleSpecs are built here, and a blip plan's regime and weight orders
+    checked, so a bad run fails before its first draw.  Every trial's
+    spectrum is kept; outputs names the statistics computed beside them,
+    "moments" and "blips".  trials fixes the count per size; when None, the
+    count is ceil(sqrt(N)).  Seeds derive from (seed, size index, trial
+    index, matrix slot), so no two draws share a stream.
     """
 
-    pair: str
+    pair: Pair
     sizes: tuple
     trials: int = None
     seed: int = 0
-    outputs: tuple = ("spectra", "moments")
+    outputs: tuple = ("moments",)
     orders: tuple = (1, 2, 3, 4)
     dist: str = "standard-normal"
 
@@ -205,11 +215,19 @@ class ExperimentPlan:
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.trials is not None:
             object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
-        if self.dist not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution tag {self.dist!r}")
         for out in self.outputs:
-            if out not in ("spectra", "moments", "blips"):
+            if out not in ("moments", "blips"):
                 raise ValueError(f"unknown output {out!r}")
+        if "moments" in self.outputs and not self.orders:
+            raise ValueError("no moment orders given")
+        if not isinstance(self.pair, Pair):
+            object.__setattr__(self, "pair", parse_pair(self.pair))
+        if "blips" in self.outputs:
+            self.pair.blip_regime()
+            for N in self.sizes:
+                default_blip_order(N)
+        for N in self.sizes:
+            self.pair.specs(N, self.dist)
 
     def trials_for(self, N):
         if self.trials is not None:
@@ -227,39 +245,32 @@ class TrialAggregate:
 
 
 def run_trials(plan, threads=1):
-    """Sample every planned trial, one at a time, and aggregate the requested statistics.
+    """Sample every planned trial, one at a time; keep the spectra and compute
+    the statistics the plan's outputs name.
 
     BLAS threads each trial.  threads must be 1; it stays for callers that pass it.
     """
     if threads != 1:
         raise ValueError(f"invalid threads: {threads} must be 1")
-    pair = parse_pair(plan.pair)
-    if "blips" in plan.outputs:
-        pair.blip_regime()
-        for N in plan.sizes:
-            default_blip_order(N)
-    # Every size's specs are built before the first trial, so a bad later
-    # size fails before the earlier sizes have sampled.
-    sized_specs = [pair.specs(N, plan.dist) for N in plan.sizes]
+    pair = plan.pair
     aggregate = TrialAggregate({}, {}, {})
-    for ni, (N, specs) in enumerate(zip(plan.sizes, sized_specs)):
+    for ni, N in enumerate(plan.sizes):
+        specs = pair.specs(N, plan.dist)
         # anticommutator writes C into the first factor's storage, and the
         # argument list, the only holder of the others, is freed as it
         # returns.  So a trial of l factors (two, or l for anti-l:l) holds at
         # most l + 1 N x N arrays: the factors and, beyond a pair, the first
         # one's copy while they are multiplied, then C and the solver's copy.
-        spectra = [
+        spectra = aggregate.spectra[N] = [
             eigenvalues(anticommutator(*[
                 sample_ensemble(spec, rng_stream(plan.seed, ni, t, si))
                 for si, spec in enumerate(specs)
             ]))
             for t in range(plan.trials_for(N))
         ]
-        if "spectra" in plan.outputs:
-            aggregate.spectra[N] = spectra
         if "moments" in plan.outputs:
             aggregate.moments[N] = empirical_moments(
-                spectra, plan.orders, N, pair=plan.pair, p=pair.norm_exp
+                spectra, plan.orders, N, pair=pair.spec, p=pair.norm_exp
             )
         if "blips" in plan.outputs:
             orders = tuple(sorted(set((0,) + plan.orders)))
@@ -334,8 +345,7 @@ def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal")
         raise ValueError("need at least 3 distinct sizes for a slope")
     if trials < 2:
         raise ValueError(f"invalid trials: {trials} must be >= 2 to measure a variance")
-    plan = ExperimentPlan(pair, sizes, trials=trials, seed=seed, outputs=("moments",),
-                          orders=(m,), dist=dist)
+    plan = ExperimentPlan(pair, sizes, trials=trials, seed=seed, orders=(m,), dist=dist)
     aggregate = run_trials(plan)
     rows = []
     for N in plan.sizes:
@@ -354,4 +364,4 @@ def moment_variance_scan(pair, m, sizes, trials, seed=0, dist="standard-normal")
         rows.append((N, len(values), var, central4))
     slope = _loglog_slope(plan.sizes, [row[3] for row in rows])
     var_slope = _loglog_slope(plan.sizes, [row[2] for row in rows])
-    return ConvergenceReport(pair, m, rows, slope, var_slope)
+    return ConvergenceReport(plan.pair.spec, m, rows, slope, var_slope)

@@ -275,7 +275,7 @@ def test_largest_blip_location_follows_its_gaussian_law():
     # with sigma^2 = 208/225; its first two moments are judged by z-score.
     N, trials = 300, 120
     plan = stats.ExperimentPlan("checker-checker:3,5", (N,), trials=trials, seed=11,
-                                outputs=("spectra",))
+                                outputs=())
     x = np.array([(eigs[-1] - 2 * N**2 / 15) / N
                   for eigs in stats.run_trials(plan).spectra[N]])
     for values, m in ((x, 1), (x**2, 2)):
@@ -304,7 +304,7 @@ def test_intermediary_regime_counts_on_samples(k, j):
     # sign near w1 N^(3/2), j - 1 near w2 N^(3/2) and one near 2 N^2 / (k j).
     N, trials = 450, 20
     plan = stats.ExperimentPlan(f"checker-checker:{k},{j}", (N,), trials=trials,
-                                seed=1, outputs=("spectra",))
+                                seed=1, outputs=())
     want = {"pos_inter_1": k - 1, "neg_inter_1": k - 1, "pos_inter_2": j - 1,
             "neg_inter_2": j - 1, "largest": 1, "neg_largest": 0}
     hits = 0

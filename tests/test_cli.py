@@ -166,7 +166,7 @@ def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
 @pytest.mark.parametrize("argv,message", [
     (("blip", "--pair", "goe-checker:5", "--n", "60", "--m", "1,x"),
      "invalid order list '1,x'"),
-    (("convergence", "--pair", "goe-goe", "--n", "0,5,10"), "invalid size list '0,5,10'"),
+    (("convergence", "--pair", "goe-goe", "--n", "0,5,10"), "invalid size: 0 must be >= 1"),
     (("density", "--which", "goe-goe", "--grid=a:b:3"), "invalid grid 'a:b:3'"),
     (("genus", "--pair", "bce-bce", "--m", "0"), "need m >= 1, got 0"),
 ], ids=["order_list", "size_list", "grid", "genus_limit"])

@@ -1,6 +1,7 @@
 """Pair specs, experiment plans, trial runners, averaging, and convergence scans."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -92,11 +93,13 @@ def test_plan_validation():
         stats.ExperimentPlan("goe-goe", ())
     with pytest.raises(ValueError, match="trials"):
         stats.ExperimentPlan("goe-goe", (10,), trials=0)
-    # GOE members never read dist, so the plan itself checks the tag.
+    # GOE members never read dist, so Pair.specs rejects any other tag, naming it.
     with pytest.raises(ValueError, match="'bogus'"):
         stats.ExperimentPlan("goe-goe", (10,), dist="bogus")
-    with pytest.raises(ValueError, match="output"):
-        stats.ExperimentPlan("goe-goe", (10,), outputs=("sketches",))
+    # Spectra are always kept, so outputs names statistics only.
+    for output in ("sketches", "spectra"):
+        with pytest.raises(ValueError, match=f"unknown output '{output}'"):
+            stats.ExperimentPlan("goe-goe", (10,), outputs=(output,))
     with pytest.raises(ValueError, match="invalid size: -4"):
         stats.ExperimentPlan("goe-goe", (10, -4))
     # Integers only, never truncated: each message names the field and value.
@@ -132,7 +135,7 @@ def test_plan_validation():
 _ONE_TRIAL = """
 import sys
 from antispectra import stats
-plan = stats.ExperimentPlan("goe-goe", (300,), trials=1, seed=7, outputs=("spectra",))
+plan = stats.ExperimentPlan("goe-goe", (300,), trials=1, seed=7, outputs=())
 sys.stdout.buffer.write(stats.run_trials(plan).spectra[300][0].tobytes())
 """
 
@@ -185,7 +188,7 @@ def _trial_peaks(pair, monkeypatch):
     the solve is judged by what is alive as it starts.
     """
     N = 1000
-    plan = stats.ExperimentPlan(pair, (N,), trials=1, seed=4, outputs=("spectra",))
+    plan = stats.ExperimentPlan(pair, (N,), trials=1, seed=4, outputs=())
     # A small trial first, so that the modules a first trial imports (numpy.random
     # on first use, 0.1 matrices at this N) are not counted.
     stats.run_trials(replace(plan, sizes=(10,)))
@@ -249,7 +252,7 @@ def test_run_trials_outputs_follow_plan():
     plan = stats.ExperimentPlan("goe-goe", (40,), trials=3, seed=1,
                                 outputs=("moments",), orders=(2,))
     result = stats.run_trials(plan)
-    assert result.spectra == {} and result.blips == {}
+    assert len(result.spectra[40]) == 3 and result.blips == {}
     assert result.moments[40].mean(2) > 0
 
 
@@ -260,9 +263,28 @@ def test_blip_run_rejects_a_size_below_three_before_sampling(monkeypatch):
         raise AssertionError("sampled")
 
     monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
-    plan = stats.ExperimentPlan("goe-checker:2", (10, 2), trials=3, outputs=("blips",))
     with pytest.raises(ValueError, match="N=2 must be >= 3"):
-        stats.run_trials(plan)
+        stats.ExperimentPlan("goe-checker:2", (10, 2), trials=3, outputs=("blips",))
+
+
+@pytest.mark.parametrize("pair,N,kwargs,message", [
+    ("no-such-pair", 10, {}, "unknown pair spec 'no-such-pair'"),
+    ("goe-bce:2", 10, {"outputs": ("blips",)}, "blip regimes need a checkerboard pair"),
+    ("goe-checker:2", 2, {"outputs": ("blips",)}, "N=2 must be >= 3"),
+    ("pte-pte", 33, {}, "needs even N, got 33"),
+    ("goe-checker:4", 30, {}, "k=4 must divide N=30"),
+    ("goe-goe", 10, {"dist": "rademacher"}, "goe entries are Gaussian, not 'rademacher'"),
+    ("goe-goe", 10, {"orders": ()}, "no moment orders given"),
+    ("anti-l:13", 10, {}, "'anti-l:13': the list of its l!/2 orderings needs 440.8 GiB"),
+], ids=["unknown-pair", "blip-non-checker", "blip-N2", "pte-odd", "checker-k", "goe-dist",
+        "no-orders", "anti-l-orderings"])
+def test_a_bad_plan_fails_when_built(pair, N, kwargs, message, monkeypatch):
+    def no_sampling(spec, rng):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stats.ExperimentPlan(pair, (N,), trials=1, seed=1, **kwargs)
 
 
 def test_run_trials_blip_output():
