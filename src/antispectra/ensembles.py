@@ -15,9 +15,16 @@ import numpy as np
 
 from .matops import _add_transpose
 
-DISTRIBUTIONS = ("standard-normal", "rademacher", "uniform-scaled")
-
 _SQRT3 = np.sqrt(3.0)
+
+#: Every entry distribution, by tag: its iid draw (rng, size) -> array, mean 0
+#: and variance 1.
+DISTRIBUTIONS = {
+    "standard-normal": lambda rng, size: rng.standard_normal(size),
+    "rademacher": lambda rng, size: rng.integers(0, 2, size).astype(float) * 2.0 - 1.0,
+    # uniform on [-sqrt(3), sqrt(3)] has variance 1
+    "uniform-scaled": lambda rng, size: rng.uniform(-_SQRT3, _SQRT3, size),
+}
 
 
 def rng_stream(seed, *stream):
@@ -30,16 +37,6 @@ def rng_stream(seed, *stream):
         raise ValueError("invalid seed None: every stream needs an integer seed")
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _draw(rng, dist, size):
-    """iid draws with mean 0 and variance 1 from the named distribution."""
-    if dist == "standard-normal":
-        return rng.standard_normal(size)
-    if dist == "rademacher":
-        return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
-    # uniform-scaled: uniform on [-sqrt(3), sqrt(3)] has variance 1.
-    return rng.uniform(-_SQRT3, _SQRT3, size)
 
 
 def check_memory(what, nbytes):
@@ -63,7 +60,7 @@ def _check_dims(N, k=None):
             raise ValueError(f"invalid dimension: k={k} must divide N={N}")
 
 
-def _symmetric_fill(rng, N, dist="standard-normal", diagonal=1.0):
+def _symmetric_fill(rng, N, dist, diagonal=1.0):
     """N x N symmetric draw: the strict upper triangle, mirrored, then the diagonal.
 
     Each row's strict upper triangle is drawn straight into that row, so
@@ -73,11 +70,12 @@ def _symmetric_fill(rng, N, dist="standard-normal", diagonal=1.0):
     N x N mask.  The mirror is matops._add_transpose, in place, so no second
     N x N array is made.  The diagonal draws, times ``diagonal``, come last.
     """
+    draw = DISTRIBUTIONS[dist]
     a = np.zeros((N, N))
     for i in range(N - 1):
-        a[i, i + 1:] = _draw(rng, dist, N - 1 - i)
+        a[i, i + 1:] = draw(rng, N - 1 - i)
     _add_transpose(a)
-    a[np.diag_indices(N)] = _draw(rng, dist, N) * diagonal
+    a[np.diag_indices(N)] = draw(rng, N) * diagonal
     return a
 
 
@@ -90,7 +88,7 @@ def _pin_residues(a, k, w):
 
 def _sample_goe(spec, rng):
     """N x N GOE draw: off-diagonal N(0,1) mirrored, diagonal N(0,2)."""
-    return _symmetric_fill(rng, spec.N, diagonal=np.sqrt(2.0))
+    return _symmetric_fill(rng, spec.N, spec.dist, np.sqrt(2.0))
 
 
 def _sample_pte(spec, rng):
@@ -100,16 +98,16 @@ def _sample_pte(spec, rng):
     b_{N-1-d} otherwise, which makes the first row a palindrome.  N must
     be even.  The rows are windows of one strided view, copied once.
     """
-    b = _draw(rng, spec.dist, spec.N // 2)
+    b = DISTRIBUTIONS[spec.dist](rng, spec.N // 2)
     row = np.concatenate([b, b[::-1]])
     mirrored = np.concatenate([row[:0:-1], row])
     return np.lib.stride_tricks.sliding_window_view(mirrored, spec.N)[::-1].copy()
 
 
-def _symmetric_block(rng, k, dist):
+def _symmetric_block(rng, k, draw):
     m = np.zeros((k, k))
     iu = np.triu_indices(k)
-    m[iu] = _draw(rng, dist, iu[0].size)
+    m[iu] = draw(rng, iu[0].size)
     m[(iu[1], iu[0])] = m[iu]
     return m
 
@@ -123,15 +121,15 @@ def _sample_bce(spec, rng):
     symmetric as well.  The blocks are copied straight into the one N x N
     result, so besides it the call holds only the N k floats of the blocks.
     """
-    N, k, dist = spec.N, spec.k, spec.dist
+    N, k, draw = spec.N, spec.k, DISTRIBUTIONS[spec.dist]
     n = N // k
     blocks = [None] * n
-    blocks[0] = _symmetric_block(rng, k, dist)
+    blocks[0] = _symmetric_block(rng, k, draw)
     for i in range(1, n // 2 + 1):
         if 2 * i == n:
-            blocks[i] = _symmetric_block(rng, k, dist)
+            blocks[i] = _symmetric_block(rng, k, draw)
         else:
-            blocks[i] = _draw(rng, dist, (k, k))
+            blocks[i] = draw(rng, (k, k))
     for i in range(n // 2 + 1, n):
         blocks[i] = blocks[n - i].T
     # Block row r, column c is B_{(c - r) mod n}: block row 0 is B_0..B_{n-1}

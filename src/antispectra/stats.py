@@ -2,7 +2,7 @@
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -79,12 +79,12 @@ class Pair:
     def specs(self, N, dist="standard-normal"):
         """Concrete EnsembleSpecs at size N.
 
-        The GOE members keep Gaussian entries; dist applies to the
-        structured members, so a pair without one takes no other dist.
+        dist applies to the structured members, and a mixed pair's GOE member
+        keeps Gaussian entries.  An all-GOE pair hands dist to its GOE
+        members, so EnsembleSpec judges its tag as it judges any other.
         """
         members = PAIRS[self.name].members
-        if dist != "standard-normal" and all(kind == "goe" for kind, _ in members):
-            raise ValueError(f"pair {self.spec!r}: goe entries are Gaussian, not {dist!r}")
+        goe_dist = dist if all(kind == "goe" for kind, _ in members) else "standard-normal"
         if self.name == "anti-l":
             l = self.params[0]
             # anticommutator lists the l!/2 orderings, 48 + 8l bytes each.  Past
@@ -95,7 +95,7 @@ class Pair:
             members = members * l
         return tuple(
             EnsembleSpec(kind, N, None if p is None else self.params[p],
-                         dist="standard-normal" if kind == "goe" else dist)
+                         dist=goe_dist if kind == "goe" else dist)
             for kind, p in members
         )
 
@@ -186,12 +186,13 @@ class ExperimentPlan:
     """A reproducible batch of anticommutator samples, checked whole when built.
 
     pair is parsed to its Pair (a Pair passes as it is).  Every size's
-    EnsembleSpecs are built here, and a blip plan's regime and weight orders
-    checked, so a bad run fails before its first draw.  Every trial's
-    spectrum is kept; outputs names the statistics computed beside them,
-    "moments" and "blips".  trials fixes the count per size; when None, the
-    count is ceil(sqrt(N)).  Seeds derive from (seed, size index, trial
-    index, matrix slot), so no two draws share a stream.
+    EnsembleSpecs are built here and kept in specs, one tuple per size, and
+    a blip plan's regime and weight orders checked, so a bad run fails
+    before its first draw.  Every trial's spectrum is kept; outputs names
+    the statistics computed beside them, "moments" and "blips".  trials
+    fixes the count per size; when None, the count is ceil(sqrt(N)).  Seeds
+    derive from (seed, size index, trial index, matrix slot), so no two
+    draws share a stream.
     """
 
     pair: Pair
@@ -201,6 +202,7 @@ class ExperimentPlan:
     outputs: tuple = ("moments",)
     orders: tuple = (1, 2, 3, 4)
     dist: str = "standard-normal"
+    specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes",
@@ -226,8 +228,8 @@ class ExperimentPlan:
             self.pair.blip_regime()
             for N in self.sizes:
                 default_blip_order(N)
-        for N in self.sizes:
-            self.pair.specs(N, self.dist)
+        object.__setattr__(self, "specs",
+                           tuple(self.pair.specs(N, self.dist) for N in self.sizes))
 
     def trials_for(self, N):
         if self.trials is not None:
@@ -254,8 +256,7 @@ def run_trials(plan, threads=1):
         raise ValueError(f"invalid threads: {threads} must be 1")
     pair = plan.pair
     aggregate = TrialAggregate({}, {}, {})
-    for ni, N in enumerate(plan.sizes):
-        specs = pair.specs(N, plan.dist)
+    for ni, (N, specs) in enumerate(zip(plan.sizes, plan.specs)):
         # anticommutator writes C into the first factor's storage, and the
         # argument list, the only holder of the others, is freed as it
         # returns.  So a trial of l factors (two, or l for anti-l:l) holds at

@@ -70,6 +70,9 @@ def test_every_layer_is_timed_and_traced(bench, package):
     N = 10
     names = list(bench.layer_calls(package, N))
     assert names == ["sample goe", "sample pte", "sample bce", "sample checkerboard",
+                     "sample pte rademacher", "sample pte uniform-scaled",
+                     "sample bce rademacher", "sample bce uniform-scaled",
+                     "sample checkerboard rademacher", "sample checkerboard uniform-scaled",
                      "anticommutator", "anticommutator of 3", "eigenvalues"]
     for name in names:
         assert bench.time_layer(package, N, name) >= 0
@@ -99,6 +102,14 @@ def test_timed_draws_come_from_stream_one(bench, package, kind, k):
     call, args = bench.layer_calls(package, 10)[f"sample {kind}"]
     np.testing.assert_array_equal(
         call(*args()), sample_ensemble(EnsembleSpec(kind, 10, k), rng_stream(1)))
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "uniform-scaled"])
+@pytest.mark.parametrize("kind,k", [("pte", None), ("bce", 5), ("checkerboard", 5)])
+def test_dist_rows_draw_their_dist_from_stream_one(bench, package, kind, k, dist):
+    call, args = bench.layer_calls(package, 10)[f"sample {kind} {dist}"]
+    np.testing.assert_array_equal(
+        call(*args()), sample_ensemble(EnsembleSpec(kind, 10, k, dist=dist), rng_stream(1)))
 
 
 def test_tables_and_commands_run_in_process(bench, package):

@@ -146,11 +146,18 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("convergence", "--pair", "goe-checker:4", "--n", "8,16,30"), "k=4 must divide N=30"),
     (("spectrum", "--pair", "goe-goe", "--out", "/nonexistent/x.csv"),
      "invalid --out '/nonexistent/x.csv': no such directory"),
-    # No member of an all-GOE pair reads --dist.
+    # An all-GOE pair hands --dist to its GOE members, and EnsembleSpec judges
+    # it: the tag first, then the GOE's Gaussian entries.
     (("spectrum", "--pair", "goe-goe", "--dist", "rademacher"),
-     "pair 'goe-goe': goe entries are Gaussian, not 'rademacher'"),
+     "error: goe entries are Gaussian, not 'rademacher'"),
     (("convergence", "--pair", "anti-l:3", "--n", "8,16,32", "--dist", "uniform-scaled"),
-     "pair 'anti-l:3': goe entries are Gaussian, not 'uniform-scaled'"),
+     "error: goe entries are Gaussian, not 'uniform-scaled'"),
+    (("spectrum", "--pair", "goe-goe", "--dist", "bogus"),
+     "error: unknown distribution tag 'bogus'"),
+    (("convergence", "--pair", "anti-l:3", "--n", "8,16,32", "--dist", "bogus"),
+     "error: unknown distribution tag 'bogus'"),
+    (("spectrum", "--pair", "goe-checker:5", "--n", "20", "--dist", "bogus"),
+     "error: unknown distribution tag 'bogus'"),
 ])
 def test_pair_errors_come_before_sampling(capsys, monkeypatch, argv, message):
     def no_sampling(spec, seed=None):

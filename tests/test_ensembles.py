@@ -86,10 +86,10 @@ def test_bce_matches_index_construction(seed, N, k, dist):
     for i in range(n // 2 + 1):
         if i == 0 or 2 * i == n:
             upper = np.zeros((k, k))
-            upper[np.triu_indices(k)] = ensembles._draw(rng, dist, k * (k + 1) // 2)
+            upper[np.triu_indices(k)] = ensembles.DISTRIBUTIONS[dist](rng, k * (k + 1) // 2)
             free.append(upper + np.triu(upper, 1).T)
         else:
-            free.append(ensembles._draw(rng, dist, (k, k)))
+            free.append(ensembles.DISTRIBUTIONS[dist](rng, (k, k)))
     expected = np.empty((N, N))
     for row in range(N):
         for col in range(N):
@@ -245,9 +245,9 @@ def _mask_and_single_draw(rng, N, dist, diagonal):
     triangle, placed through an N x N mask of i < j, then mirrored."""
     i = np.arange(N)
     a = np.zeros((N, N))
-    a[i[:, None] < i[None, :]] = ensembles._draw(rng, dist, N * (N - 1) // 2)
+    a[i[:, None] < i[None, :]] = ensembles.DISTRIBUTIONS[dist](rng, N * (N - 1) // 2)
     a = a + a.T
-    a[np.diag_indices(N)] = ensembles._draw(rng, dist, N) * diagonal
+    a[np.diag_indices(N)] = ensembles.DISTRIBUTIONS[dist](rng, N) * diagonal
     return a
 
 
@@ -278,8 +278,8 @@ def test_goe_matches_index_construction(seed, N):
 def test_checkerboard_matches_index_construction(seed, k, dist):
     N, w = 45, 2.5
     rng = ensembles.rng_stream(seed)
-    expected = _reference_upper(lambda size: ensembles._draw(rng, dist, size), N)
-    expected[np.diag_indices(N)] = ensembles._draw(rng, dist, N)
+    expected = _reference_upper(lambda size: ensembles.DISTRIBUTIONS[dist](rng, size), N)
+    expected[np.diag_indices(N)] = ensembles.DISTRIBUTIONS[dist](rng, N)
     expected[_reference_residue_mask(N, k)] = w
     got = _sample("checkerboard", N, seed, k, w, dist)
     np.testing.assert_array_equal(got, expected)
@@ -298,7 +298,7 @@ def test_mean_matrix_matches_difference_construction(N, k):
 @pytest.mark.parametrize("dist", ensembles.DISTRIBUTIONS)
 def test_pte_matches_distance_construction(seed, N, dist):
     # Entry (i, j) is b[d] for d = |i - j| below N/2, else b[N - 1 - d].
-    b = ensembles._draw(ensembles.rng_stream(seed), dist, N // 2)
+    b = ensembles.DISTRIBUTIONS[dist](ensembles.rng_stream(seed), N // 2)
     d = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
     expected = b[np.where(d <= N // 2 - 1, d, N - 1 - d)]
     np.testing.assert_array_equal(_sample("pte", N, seed, dist=dist), expected)

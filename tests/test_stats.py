@@ -1,5 +1,6 @@
 """Pair specs, experiment plans, trial runners, averaging, and convergence scans."""
 
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import antispectra
 from antispectra import combinatorics, stats
-from antispectra.ensembles import EnsembleSpec, rng_stream, sample_ensemble
+from antispectra.ensembles import DISTRIBUTIONS, EnsembleSpec, rng_stream, sample_ensemble
 from antispectra.matops import anticommutator, eigenvalues
 
 
@@ -54,10 +55,11 @@ def test_ensemble_specs_distribution_rules():
 @pytest.mark.parametrize("pair", ["goe-goe", "anti-l:3"])
 @pytest.mark.parametrize("dist", ["rademacher", "uniform-scaled"])
 def test_all_goe_pairs_take_no_other_dist(pair, dist):
-    # No member would read dist, so a run would ignore it without a word.
+    # Its GOE members get dist, so EnsembleSpec rejects it as it would for
+    # one GOE, and a run cannot ignore it without a word.
     with pytest.raises(ValueError) as info:
         stats.parse_pair(pair).specs(12, dist)
-    assert str(info.value) == f"pair {pair!r}: goe entries are Gaussian, not {dist!r}"
+    assert str(info.value) == f"goe entries are Gaussian, not {dist!r}"
     assert {spec.dist for spec in stats.parse_pair(pair).specs(12)} == {"standard-normal"}
 
 
@@ -93,7 +95,7 @@ def test_plan_validation():
         stats.ExperimentPlan("goe-goe", ())
     with pytest.raises(ValueError, match="trials"):
         stats.ExperimentPlan("goe-goe", (10,), trials=0)
-    # GOE members never read dist, so Pair.specs rejects any other tag, naming it.
+    # EnsembleSpec rejects an unknown tag, naming it.
     with pytest.raises(ValueError, match="'bogus'"):
         stats.ExperimentPlan("goe-goe", (10,), dist="bogus")
     # Spectra are always kept, so outputs names statistics only.
@@ -248,12 +250,76 @@ def test_sampled_moments_match_exact_tables(pair, N, table):
         assert abs(z) <= 3, (pair, m, z)
 
 
+@pytest.mark.parametrize("pair,table,trace_share", [
+    ("pte-pte", combinatorics.moment_pte_pte, None),
+    ("goe-pte", combinatorics.moment_goe_pte, 1),
+    ("goe-bce:3", lambda m: combinatorics.moment_goe_bce(m).at(3), Fraction(1, 3)),
+], ids=["pte-pte", "goe-pte", "goe-bce:3"])
+def test_every_dist_reaches_the_limit_tables(pair, table, trace_share):
+    # The limits need only iid entries of mean 0 and variance 1 (Bryc-Dembo-Jiang
+    # 2006; Massey-Miller-Sinsheimer 2007 for palindromic Toeplitz).  N = 252:
+    # 3 must divide N.  A non-Gaussian B can resolve the tables' O(1/N) bias the
+    # Gaussian run does not (goe-pte's rademacher M2 has a tenth of its standard
+    # error), so each dist is judged against the Gaussian run at the same N, and
+    # that run against the table.
+    N = 252
+    reports = {
+        dist: stats.run_trials(stats.ExperimentPlan(
+            pair, (N,), trials=200, seed=14, orders=(2, 4), dist=dist)).moments[N]
+        for dist in DISTRIBUTIONS
+    }
+    gauss = reports["standard-normal"]
+    for order in (2, 4):
+        z = (gauss.mean(order) - float(table(order // 2))) / gauss.stderr(order)
+        assert abs(z) <= 3, ("standard-normal", order, z)
+        for dist in ("rademacher", "uniform-scaled"):
+            report = reports[dist]
+            z = ((report.mean(order) - gauss.mean(order))
+                 / math.hypot(report.stderr(order), gauss.stderr(order)))
+            assert abs(z) <= 3, (dist, order, z)
+    if trace_share is None:
+        return
+    # A GOE A against B with variance-1 entries: E[tr (AB + BA)^2 | B] is
+    # 2(N + 2) tr B^2 + 2 (tr B)^2, and E tr B^2 = N^2.  tr B is N b_0 for the
+    # PTE and N/k times the trace of the k x k block B_0 for bce:k, so
+    # E (tr B)^2 = trace_share N^2, and E M2 = 2 + (4 + 2 trace_share) / N.
+    exact = 2 + (4 + 2 * trace_share) / N
+    for dist, report in reports.items():
+        z = (report.mean(2) - float(exact)) / report.stderr(2)
+        assert abs(z) <= 3, (dist, "exact M2", z)
+
+
 def test_run_trials_outputs_follow_plan():
     plan = stats.ExperimentPlan("goe-goe", (40,), trials=3, seed=1,
                                 outputs=("moments",), orders=(2,))
     result = stats.run_trials(plan)
     assert len(result.spectra[40]) == 3 and result.blips == {}
     assert result.moments[40].mean(2) > 0
+
+
+def test_a_plan_builds_each_size_specs_once(monkeypatch):
+    built = []
+    specs = stats.Pair.specs
+
+    def counted(pair, N, dist="standard-normal"):
+        built.append(N)
+        return specs(pair, N, dist)
+
+    monkeypatch.setattr(stats.Pair, "specs", counted)
+    plan = stats.ExperimentPlan("goe-checker:5", (20, 30), trials=2, seed=1,
+                                dist="rademacher")
+    assert built == [20, 30]
+    assert plan.specs == (specs(plan.pair, 20, "rademacher"), specs(plan.pair, 30, "rademacher"))
+    assert hash(plan) == hash(stats.ExperimentPlan("goe-checker:5", (20, 30), trials=2, seed=1,
+                                                   dist="rademacher"))
+    built.clear()
+
+    def no_spec(*args, **kwargs):
+        raise AssertionError("built a spec after the plan")
+
+    monkeypatch.setattr(stats, "EnsembleSpec", no_spec)
+    assert sorted(stats.run_trials(plan).spectra) == [20, 30]
+    assert built == []
 
 
 def test_blip_run_rejects_a_size_below_three_before_sampling(monkeypatch):
@@ -274,10 +340,11 @@ def test_blip_run_rejects_a_size_below_three_before_sampling(monkeypatch):
     ("pte-pte", 33, {}, "needs even N, got 33"),
     ("goe-checker:4", 30, {}, "k=4 must divide N=30"),
     ("goe-goe", 10, {"dist": "rademacher"}, "goe entries are Gaussian, not 'rademacher'"),
+    ("goe-goe", 10, {"dist": "bogus"}, "unknown distribution tag 'bogus'"),
     ("goe-goe", 10, {"orders": ()}, "no moment orders given"),
     ("anti-l:13", 10, {}, "'anti-l:13': the list of its l!/2 orderings needs 440.8 GiB"),
 ], ids=["unknown-pair", "blip-non-checker", "blip-N2", "pte-odd", "checker-k", "goe-dist",
-        "no-orders", "anti-l-orderings"])
+        "goe-unknown-dist", "no-orders", "anti-l-orderings"])
 def test_a_bad_plan_fails_when_built(pair, N, kwargs, message, monkeypatch):
     def no_sampling(spec, rng):
         raise AssertionError("sampled")

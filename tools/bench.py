@@ -29,7 +29,8 @@ parts:
   m timed within the budget is its reach.
 - "commands": each of COMMANDS runs in process through `cli.main`, its
   standard output captured, after one untimed call.
-- "layers": at each N in SIZES, every sampler kind, `matops.anticommutator`
+- "layers": at each N in SIZES, every sampler kind (pte, bce and
+  checkerboard also under each of OTHER_DISTS), `matops.anticommutator`
   on a goe-checker:5 pair and on three factors (that pair and a third GOE,
   the three-ordering loop of anti-l:3), and `matops.eigenvalues` on the
   pair's result are timed, and each call's `tracemalloc` peak is taken
@@ -72,6 +73,7 @@ BUDGET_S = 2.0  # seconds per exact-table call
 REPEAT = 3  # timed calls per row and side, or RSS processes per side; their median counts
 SIZES = (1000, 1500, 3000)
 K = 5  # block and modulus parameter of bce and checkerboard
+OTHER_DISTS = ("rademacher", "uniform-scaled")  # the entry dists the GOE does not take
 RSS_PAIRS = ("goe-goe", "goe-checker:5", "anti-l:3")
 RSS_SIZES = (1500, 3000)
 RSS_TRIALS = 2
@@ -158,13 +160,19 @@ def layer_calls(package, N):
     """
     ensembles, matops = package.ensembles, package.matops
     sample, rng_stream = ensembles.sample_ensemble, ensembles.rng_stream
-    specs = {kind: ensembles.EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None)
-             for kind in ensembles.KINDS}
-    calls = {f"sample {kind}": (sample, lambda spec=spec: (spec, rng_stream(1)))
-             for kind, spec in specs.items()}
-    A = sample(specs["goe"], rng_stream(2))
-    B = sample(specs["checkerboard"], rng_stream(3))
-    D = sample(specs["goe"], rng_stream(4))
+
+    def spec(kind, dist="standard-normal"):
+        return ensembles.EnsembleSpec(kind, N, K if kind in ("bce", "checkerboard") else None,
+                                      dist=dist)
+
+    specs = {f"sample {kind}": spec(kind) for kind in ensembles.KINDS}
+    specs.update({f"sample {kind} {dist}": spec(kind, dist)
+                  for kind in ("pte", "bce", "checkerboard") for dist in OTHER_DISTS})
+    calls = {name: (sample, lambda given=given: (given, rng_stream(1)))
+             for name, given in specs.items()}
+    A = sample(spec("goe"), rng_stream(2))
+    B = sample(spec("checkerboard"), rng_stream(3))
+    D = sample(spec("goe"), rng_stream(4))
     calls["anticommutator"] = (matops.anticommutator, lambda: (A.copy(), B))
     calls["anticommutator of 3"] = (matops.anticommutator, lambda: (A.copy(), B, D))
     C = matops.anticommutator(A.copy(), B)
