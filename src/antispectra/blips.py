@@ -84,17 +84,17 @@ def regime_classify(eigs, N, k, j=None):
     regime counts its positive and negative eigenvalues; the last regime
     has no outer threshold.
     """
-    check_moduli(k, j)
     eigs = np.asarray(eigs, dtype=float)
-    j_factor = 1.0 if j is None else 1.0 - 1.0 / j
-    bulk_edge = SUPPORT_GOE_GOE * math.sqrt((1.0 - 1.0 / k) * j_factor) * N
     if j is None:
+        check_moduli(k)
         regimes = [("blip", N**1.5 / k)]
     else:
-        w1, w2, w3 = band_scales(k, j)
+        w1, w2, w3 = band_scales(k, j)  # checks k and j
         regimes = sorted([("inter_1", w1 * N**1.5), ("inter_2", w2 * N**1.5)],
                          key=lambda regime: regime[1])
         regimes.append(("largest", w3 * N**2))
+    j_factor = 1.0 if j is None else 1.0 - 1.0 / j
+    bulk_edge = SUPPORT_GOE_GOE * math.sqrt((1.0 - 1.0 / k) * j_factor) * N
     scales = [bulk_edge] + [scale for _, scale in regimes]
     thresholds = [math.sqrt(a * b) for a, b in zip(scales, scales[1:])] + [math.inf]
     counts = {"bulk": int(np.count_nonzero(np.abs(eigs) <= thresholds[0]))}

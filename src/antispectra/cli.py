@@ -91,7 +91,7 @@ def _cmd_moments(args):
     method = args.method or pair.methods[0]
     value = pair.moment(args.m, method)
     try:
-        return None, {"pair": args.pair, "m": args.m, "method": method, "value": float(value),
+        return None, {"pair": pair.spec, "m": args.m, "method": method, "value": float(value),
                       "exact": str(value)}
     except OverflowError:
         raise ArithmeticError(f"--pair {args.pair} --m {args.m}: moment too large for a float")
@@ -130,7 +130,7 @@ def _cmd_blip(args):
 def _cmd_regimes(args):
     plan = stats.ExperimentPlan(args.pair, (args.n,), trials=args.trials, seed=args.seed,
                                 outputs=(), dist=args.dist)
-    plan.pair.blip_regime()  # a checkerboard pair, its k and j checked before sampling
+    plan.pair.blip_regime()  # a checkerboard pair, before sampling
     spectra = stats.run_trials(plan).spectra[args.n]
     counts = [blips.regime_classify(eigs, args.n, *plan.pair.params) for eigs in spectra]
     keys = list(counts[0])

@@ -218,8 +218,6 @@ def parse_ensemble(text, N, dist="standard-normal"):
         if not most:
             raise ValueError(f"ensemble {text!r} takes no parameter")
         raise ValueError(f"ensemble {text!r} takes too many parameters")
-    if most and not parts:
-        raise ValueError(f"ensemble {text!r} needs a parameter k")
     try:
         k = int(parts[0]) if parts else None
         w = float(parts[1]) if len(parts) > 1 else 1.0

@@ -2,7 +2,7 @@
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -104,40 +104,25 @@ class Pair:
         method = method or self.methods[0]
         if method not in self.methods:
             raise ValueError(f"unknown method {method!r} for pair {self.spec!r}")
-        if method == "genus":
-            return genus_expansion(self.name, m).at(self.params[0])
-        if method == "bulk":
-            self._check_moduli()
         compute = getattr(combinatorics, PAIRS[self.name].moment)
+        if method == "genus":
+            return compute(m).at(self.params[0])
         return compute(m, *self.params) if self.params else compute(m, method)
 
-    def _check_moduli(self):
-        """combinatorics.check_moduli on the pair's parameters, its message naming the spec."""
-        try:
-            combinatorics.check_moduli(*self.params)
-        except ValueError as exc:
-            raise ValueError(f"pair {self.spec!r}: {exc}") from None
-
     def blip_regime(self):
-        """The pair's blip regime, its moduli checked by combinatorics.check_moduli."""
+        """The pair's blip regime: "blip" for goe-checker, "largest" for checker-checker."""
         regime = PAIRS[self.name].regime
         if regime is None:
             raise ValueError(f"blip regimes need a checkerboard pair, got {self.spec!r}")
-        self._check_moduli()
         return regime
-
-    def blip_report(self, eigs, N, orders=(0, 1, 2)):
-        """The weighted blip measure of one spectrum in the pair's regime."""
-        if self.blip_regime() == "blip":
-            return blip_measure_goe_checker(eigs, N, *self.params, orders=orders)
-        return blip_measure_largest(eigs, N, *self.params, orders=orders)
 
 
 def parse_pair(text):
     """Parse a pair spec: goe-goe, pte-pte, goe-pte, goe-bce:k, bce-bce:k,
     goe-checker:k, checker-checker:k,j or anti-l:l.
 
-    Every parameter must be a positive integer, and l at least 2.
+    Every parameter must be a positive integer and l at least 2, and the
+    moduli of a pair with a blip regime must pass combinatorics.check_moduli.
     """
     name, colon, arg = text.partition(":")
     family = PAIRS.get(name)
@@ -158,7 +143,13 @@ def parse_pair(text):
         if value < least:
             raise ValueError(f"invalid pair spec {text!r}: {what} must be >= {least}")
         params.append(value)
-    return Pair(name, tuple(params))
+    pair = Pair(name, tuple(params))
+    if family.regime is not None:
+        try:
+            combinatorics.check_moduli(*pair.params)
+        except ValueError as exc:
+            raise ValueError(f"pair {pair.spec!r}: {exc}") from None
+    return pair
 
 
 def genus_expansion(name, m):
@@ -274,11 +265,12 @@ def run_trials(plan, threads=1):
                 spectra, plan.orders, N, pair=pair.spec, p=pair.norm_exp
             )
         if "blips" in plan.outputs:
+            # Read at call time, so a replacement of the module attribute is seen.
+            measure = (blip_measure_goe_checker if PAIRS[pair.name].regime == "blip"
+                       else blip_measure_largest)
             orders = tuple(sorted(set((0,) + plan.orders)))
-            aggregate.blips[N] = [
-                pair.blip_report(eigs, N, orders=orders)
-                for eigs in spectra
-            ]
+            aggregate.blips[N] = [measure(eigs, N, *pair.params, orders=orders)
+                                  for eigs in spectra]
     return aggregate
 
 
@@ -288,12 +280,12 @@ def averaged_blip_measure(plan, threads=1):
     That is trials_for(N) trials: g(N) = ceil(sqrt(N)) when plan.trials is
     None.  The moments are the means of the per-trial moments, the counts
     the mean counts, and the locations every trial's, in trial order.  Uses
-    the plan's single size.
+    the plan's single size, and the plan's outputs must hold "blips".
     """
     if len(plan.sizes) != 1:
         raise ValueError("averaged measure wants exactly one size")
     if "blips" not in plan.outputs:
-        plan = replace(plan, outputs=("blips",))
+        raise ValueError('averaged measure needs a plan built with outputs=("blips",)')
     N = plan.sizes[0]
     reports = run_trials(plan, threads=threads).blips[N]
     first = reports[0]

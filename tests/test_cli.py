@@ -1,7 +1,10 @@
 """Command-line interface: payloads, determinism, and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import re
 import shlex
 from fractions import Fraction
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from antispectra import blips, cli, combinatorics, densities, ensembles, stats
 
@@ -220,6 +225,16 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
 
 _EIGS = np.zeros(20)
 
+# Every command that reads a pair spec, with valid options for the rest.  genus
+# is not among them: its --pair is a family name.
+_PAIR_COMMANDS = (
+    ("spectrum", "--n", "20", "--trials", "2"),
+    ("moments", "--m", "1"),
+    ("blip", "--n", "20", "--trials", "2"),
+    ("regimes", "--n", "20", "--trials", "2"),
+    ("convergence", "--n", "8,16,24", "--trials", "2"),
+)
+
 
 @pytest.mark.parametrize("spec,message,direct", [
     ("goe-checker:1", "invalid dimension: k=1 must be >= 2",
@@ -230,16 +245,61 @@ _EIGS = np.zeros(20)
       lambda: blips.band_scales(2, 4),
       lambda: blips.regime_classify(_EIGS, 20, 2, 4))),
 ], ids=["k", "coprime"])
-def test_one_moduli_check(capsys, spec, message, direct):
+def test_one_moduli_check(capsys, monkeypatch, spec, message, direct):
     """Every checkerboard command and function rejects bad moduli with one message."""
-    for argv in (("moments", "--m", "1"), ("blip", "--n", "20", "--trials", "2"),
-                 ("regimes", "--n", "20", "--trials", "2")):
+    def no_sampling(spec, rng):
+        raise AssertionError("sampled a matrix before rejecting the moduli")
+
+    monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
+    for argv in _PAIR_COMMANDS:
         code, out, err = run_cli(capsys, argv[0], "--pair", spec, *argv[1:])
         assert (code, out, err) == (2, "", f"error: pair {spec!r}: {message}\n"), argv
     for call in direct:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+
+@st.composite
+def _pair_specs(draw):
+    """A spec of a known family: mostly its own count of parameters, some of them
+    invalid, and sometimes another count."""
+    name = draw(st.sampled_from(sorted(stats.PAIRS)))
+    size = len(stats.PAIRS[name].params)
+    params = draw(st.lists(st.integers(-1, 7), min_size=size, max_size=size)
+                  | st.lists(st.integers(-1, 7), max_size=3))
+    return name + (":" + ",".join(map(str, params)) if params else "")
+
+
+@given(spec=_pair_specs())
+@example(spec="goe-checker:1")
+@settings(max_examples=150, deadline=None)
+def test_parse_pair_is_the_one_judge(spec):
+    # A spec parse_pair accepts is valid for every command: it has a moment,
+    # and a pair with a blip regime builds a blip plan at a size its moduli
+    # divide.  A spec it rejects fails every pair command with its message,
+    # before any draw.
+    try:
+        pair = stats.parse_pair(spec)
+    except ValueError as exc:
+        message = f"error: {exc}\n"
+    else:
+        assert pair.moment(1) > 0
+        if stats.PAIRS[pair.name].regime is not None:
+            N = 3 * math.lcm(*pair.params)
+            assert stats.ExperimentPlan(pair, (N,), trials=1, outputs=("blips",)).sizes == (N,)
+        return
+
+    def no_sampling(spec, rng):
+        raise AssertionError("sampled a matrix before rejecting the pair")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stats, "sample_ensemble", no_sampling)
+        for argv in _PAIR_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([argv[0], "--pair", spec, *argv[1:]])
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", message), argv
 
 
 class _ReadRecorder(argparse.Namespace):
@@ -372,13 +432,16 @@ def test_moment_beyond_the_float_range_names_its_input(capsys):
     ("anti-l:3", 2, 96.0),
     ("goe-checker:5", 1, 1.6),
     ("checker-checker:3,5", 1, 2 * (2 / 3) * (4 / 5)),
+    ("goe-checker:05", 1, 1.6),
 ])
 def test_moment_values(capsys, pair, m, expected):
     code, out, _ = run_cli(capsys, "moments", "--pair", pair, "--m", str(m))
     assert code == 0
     payload = json.loads(out)
     np.testing.assert_allclose(payload["value"], expected, rtol=1e-12)
-    assert payload["pair"] == pair and payload["m"] == m
+    # The payload names the pair by its canonical spec, as every command does.
+    canonical = {"goe-checker:05": "goe-checker:5"}.get(pair, pair)
+    assert payload["pair"] == canonical and payload["m"] == m
 
 
 @pytest.mark.parametrize("pair,m,exact", [

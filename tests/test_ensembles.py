@@ -202,7 +202,7 @@ def test_parse_ensemble_reads_every_kind(text, kind, k, w):
 @pytest.mark.parametrize("text,message", [
     ("wishart", "unknown ensemble"),
     ("goe:", "takes no parameter"),
-    ("bce", "needs a parameter k"),
+    ("bce", "bce needs a block parameter k"),
     ("bce:3:2", "too many parameters"),
     ("checker:3:nan", "w=nan must be finite"),
     ("checker:2:-inf", "w=-inf must be finite"),

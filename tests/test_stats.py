@@ -312,6 +312,8 @@ def test_a_plan_builds_each_size_specs_once(monkeypatch):
     assert plan.specs == (specs(plan.pair, 20, "rademacher"), specs(plan.pair, 30, "rademacher"))
     assert hash(plan) == hash(stats.ExperimentPlan("goe-checker:5", (20, 30), trials=2, seed=1,
                                                    dist="rademacher"))
+    blip_plan = stats.ExperimentPlan("goe-checker:5", (30,), trials=2, seed=1,
+                                     outputs=("blips",))
     built.clear()
 
     def no_spec(*args, **kwargs):
@@ -319,6 +321,7 @@ def test_a_plan_builds_each_size_specs_once(monkeypatch):
 
     monkeypatch.setattr(stats, "EnsembleSpec", no_spec)
     assert sorted(stats.run_trials(plan).spectra) == [20, 30]
+    assert stats.averaged_blip_measure(blip_plan).N == 30
     assert built == []
 
 
@@ -365,7 +368,7 @@ def test_run_trials_blip_output():
 
 def test_averaged_measure_reduces_to_single_trial():
     plan = stats.ExperimentPlan("goe-checker:5", (250,), trials=1, seed=3,
-                                orders=(1, 2))
+                                outputs=("blips",), orders=(1, 2))
     averaged = stats.averaged_blip_measure(plan)
     single = stats.run_trials(
         stats.ExperimentPlan("goe-checker:5", (250,), trials=1, seed=3,
@@ -378,7 +381,7 @@ def test_averaged_measure_reduces_to_single_trial():
 
 def test_averaged_measure_is_linear_in_trials():
     plan = stats.ExperimentPlan("goe-checker:5", (250,), trials=4, seed=4,
-                                orders=(1, 2))
+                                outputs=("blips",), orders=(1, 2))
     averaged = stats.averaged_blip_measure(plan)
     per_trial = stats.run_trials(
         stats.ExperimentPlan("goe-checker:5", (250,), trials=4, seed=4,
@@ -395,8 +398,6 @@ def test_averaged_measure_reduces_variance():
     g, reps, N = 15, 16, 225
     averaged, singles = [], []
     for r in range(reps):
-        plan = stats.ExperimentPlan("goe-checker:5", (N,), trials=g, seed=2000 + r,
-                                    orders=(1,))
         reports = stats.run_trials(
             stats.ExperimentPlan("goe-checker:5", (N,), trials=g, seed=2000 + r,
                                  outputs=("blips",), orders=(1,))
@@ -412,6 +413,38 @@ def test_averaged_measure_needs_single_size():
     plan = stats.ExperimentPlan("goe-checker:5", (100, 200), trials=2)
     with pytest.raises(ValueError, match="one size"):
         stats.averaged_blip_measure(plan)
+
+
+def test_averaged_measure_needs_a_blip_plan(monkeypatch):
+    # The plan it is given is the plan that was checked: it builds no second one.
+    def no_sampling(spec, rng):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(stats, "sample_ensemble", no_sampling)
+    plan = stats.ExperimentPlan("goe-checker:5", (100,), trials=2)
+    with pytest.raises(ValueError) as info:
+        stats.averaged_blip_measure(plan)
+    assert str(info.value) == 'averaged measure needs a plan built with outputs=("blips",)'
+
+
+def test_a_blip_run_checks_its_moduli_once(monkeypatch):
+    # stats calls combinatorics.check_moduli through the module, so the counter
+    # sees its calls alone; blips' own checks in regime_classify are not counted.
+    calls = []
+    check = combinatorics.check_moduli
+
+    def counted(*params):
+        calls.append(params)
+        return check(*params)
+
+    monkeypatch.setattr(combinatorics, "check_moduli", counted)
+    for spec, params in (("goe-checker:5", (5,)), ("checker-checker:3,5", (3, 5))):
+        plan = stats.ExperimentPlan(spec, (30,), trials=2, seed=1, outputs=("blips",))
+        assert calls == [params]
+        calls.clear()
+        stats.run_trials(plan)
+        stats.averaged_blip_measure(plan)
+        assert calls == []
 
 
 def test_variance_scan_shape_and_validation():

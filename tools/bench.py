@@ -9,16 +9,18 @@ another commit, DIR is "before".  Both sides' packages are imported into this
 one process, each from its checkout's src/ under a name of its own (`load`).
 The package imports NumPy alone, no SciPy (tests/test_imports.py), so both
 sides call one NumPy and one BLAS thread pool: no side's idle BLAS threads
-compete with the other side's call.  Every timed row is REPEAT calls per side,
-the sides' calls alternating (before, after, after, before, ...), and each
-side reports the median of its calls.  The machine's speed can shift within
-seconds, so alternating single calls lets a shift fall on both sides alike.
-A side's median can still land in another speed mode than the other side's,
-so with --baseline the record also holds "after_over_before": per timed row of
-the first three parts below, keyed like the row, the median over the REPEAT
-adjacent call pairs of the after call's seconds over the before call's (None
-past one side's reach, where the other side runs alone).  The record has four
-parts:
+compete with the other side's call.  Every timed row is rounds of one call
+per side, the sides' calls alternating (before, after, after, before, ...),
+and each side reports the median of its calls.  A row runs REPEAT rounds, and
+more while either side's calls sum to less than MIN_S seconds, up to
+MAX_ROUNDS.  The machine's speed can shift within seconds, so alternating
+single calls lets a shift fall on both sides alike.  A side's median can
+still land in another speed mode than the other side's, so with --baseline
+the record also holds "after_over_before": per timed row of the first three
+parts below, keyed like the row, "ratio", the median over the row's adjacent
+call pairs of the after call's seconds over the before call's (None past one
+side's reach, where the other side runs alone), beside "rounds", the number
+of those pairs.  The record has four parts:
 
 - "tables": each exact table (the enumeration routes of goe-goe, pte-pte
   and goe-pte, and the goe-bce and bce-bce genus tables) gets one of two
@@ -70,7 +72,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET_S = 2.0  # seconds per exact-table call
-REPEAT = 3  # timed calls per row and side, or RSS processes per side; their median counts
+REPEAT = 3  # least timed calls per row and side, or RSS processes per side; their median counts
+# A row of short calls runs past REPEAT rounds until each side's calls sum to MIN_S
+# seconds, at most MAX_ROUNDS.  At REPEAT rounds unchanged code read ratios of 1.2053
+# (sample checkerboard, 0.017 s a call) and 1.1546 (sample goe, 0.036 s); at 21 rounds
+# the same rows read 1.0025 and 0.9891.  So a call under MIN_S / REPEAT gets more rounds.
+MIN_S = 1.0
+MAX_ROUNDS = 21
 SIZES = (1000, 1500, 3000)
 K = 5  # block and modulus parameter of bce and checkerboard
 OTHER_DISTS = ("rademacher", "uniform-scaled")  # the entry dists the GOE does not take
@@ -201,24 +209,30 @@ def layer_peak(package, N, name):
         tracemalloc.stop()
 
 
-def alternating(sides):
-    """The sides REPEAT times over, their order reversed every other time."""
-    for rep in range(REPEAT):
-        yield from sides if rep % 2 == 0 else sides[::-1]
+def in_turn(sides, rnd):
+    """The sides in the order of round rnd: reversed every other round."""
+    return sides if rnd % 2 == 0 else sides[::-1]
 
 
 def paired(packages, measure, *args):
-    """Per side, the median seconds of REPEAT calls measure(package, *args), the sides
-    alternating; and the median after / before ratio of the REPEAT adjacent call
-    pairs, None unless both sides ran."""
-    seconds = {side: [] for side in packages}
-    for side in alternating(list(packages)):
-        seconds[side].append(measure(packages[side], *args))
+    """Per side, the median seconds of its calls measure(package, *args), one call per
+    side a round, the sides alternating, for REPEAT rounds and then while either
+    side's calls sum to less than MIN_S seconds, up to MAX_ROUNDS; and
+    {"ratio": the median after / before ratio of the rounds' adjacent call pairs,
+    None unless both sides ran, "rounds": their number}."""
+    sides, seconds = list(packages), {side: [] for side in packages}
+    rounds = 0
+    while rounds < REPEAT or (rounds < MAX_ROUNDS
+                              and min(map(sum, seconds.values())) < MIN_S):
+        for side in in_turn(sides, rounds):
+            seconds[side].append(measure(packages[side], *args))
+        rounds += 1
     ratio = None
     if {"before", "after"} <= seconds.keys():
         ratio = round(statistics.median(
             after / before for after, before in zip(seconds["after"], seconds["before"])), 4)
-    return {side: statistics.median(calls) for side, calls in seconds.items()}, ratio
+    medians = {side: statistics.median(calls) for side, calls in seconds.items()}
+    return medians, {"ratio": ratio, "rounds": rounds}
 
 
 def measure_tables(packages):
@@ -307,8 +321,9 @@ def measure_rss(roots):
     for pair in RSS_PAIRS:
         for N in RSS_SIZES:
             runs = {side: [] for side in roots}
-            for side in alternating(list(roots)):
-                runs[side].append(run_on(roots[side], "--rss", pair, str(N)))
+            for rnd in range(REPEAT):
+                for side in in_turn(list(roots), rnd):
+                    runs[side].append(run_on(roots[side], "--rss", pair, str(N)))
             for side, side_runs in runs.items():
                 report[side].append({
                     key: statistics.median(run[key] for run in side_runs)
@@ -404,7 +419,8 @@ def main(argv=None):
         parser.error("--out is required")
     roots = {"before": args.baseline} if args.baseline else {}
     records = tree_records({**roots, "after": ROOT})
-    record = {"budget_s": BUDGET_S, "repeat": REPEAT, "sizes": SIZES, "k": K,
+    record = {"budget_s": BUDGET_S, "repeat": REPEAT, "min_s": MIN_S,
+              "max_rounds": MAX_ROUNDS, "sizes": SIZES, "k": K,
               "machine": machine(), **records}
     text = json.dumps(record, indent=2) + "\n"
     Path(args.out).write_text(text, encoding="utf-8")
