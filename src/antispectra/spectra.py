@@ -66,29 +66,23 @@ class MomentReport:
         }
 
 
-def check_norm_exp(p, n):
-    """Reject a size n below 1, and a norm exponent p unless it is finite and
-    n^p a finite nonzero float."""
-    if n < 1:
-        raise ValueError(f"invalid n {n!r}: must be >= 1")
-    try:
-        scale = float(n) ** p
-    except OverflowError:
-        scale = math.inf
-    if not (math.isfinite(p) and 0 < scale < math.inf):
-        raise ValueError(f"invalid p {p!r}: want a finite exponent whose scale "
-                         f"N^p = {n}^{p} is a finite nonzero float")
-
-
 def empirical_histogram(spectra, N, p=1.0, bins=80):
     """Pool the eigenvalues lambda/N^p of spectra of size N and bin them to unit area."""
     spectra = list(spectra)
     if not spectra:
         raise ValueError("no spectra given")
-    check_norm_exp(p, N)
+    if N < 1:  # before any power: (-4)^0.5 is complex
+        raise ValueError(f"invalid n {N!r}: must be >= 1")
+    try:
+        scale = float(N) ** p
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(p) and 0 < scale < math.inf):
+        raise ValueError(f"invalid p {p!r}: want a finite exponent whose scale "
+                         f"N^p = {N}^{p} is a finite nonzero float")
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
-    counts, edges = np.histogram(np.concatenate(spectra) / N ** p, bins=bins)
+    counts, edges = np.histogram(np.concatenate(spectra) / scale, bins=bins)
     return Histogram(edges=edges, density=counts / (counts.sum() * np.diff(edges)))
 
 

@@ -130,9 +130,9 @@ def test_paired_alternates_the_sides_and_pairs_adjacent_calls(bench):
     order = ["before", "after", "after", "before", "before", "after"]
     assert calls == [(side, (10, "eigenvalues")) for side in order]
     assert medians == {"before": 2.0, "after": 2.0}
-    # The median of 3/1, 1/2 and 2/4, not the ratio of the medians.  Each side's
-    # calls sum past MIN_S, so the row stops at REPEAT rounds.
-    assert ratio == {"ratio": 0.5, "rounds": bench.REPEAT}
+    # The median and quartiles of 3/1, 1/2 and 2/4, not the ratio of the medians.
+    # Each side's calls sum past MIN_S, so the row stops at REPEAT rounds.
+    assert ratio == {"ratio": 0.5, "quartiles": [0.5, 3.0], "rounds": bench.REPEAT}
 
 
 def test_paired_gives_short_calls_more_rounds(bench):
@@ -145,12 +145,12 @@ def test_paired_gives_short_calls_more_rounds(bench):
         return short * (2 if side == "after" else 1)
 
     medians, ratio = bench.paired({"before": "before", "after": "after"}, measure)
-    assert ratio == {"ratio": 2.0, "rounds": bench.MAX_ROUNDS}
+    assert ratio == {"ratio": 2.0, "quartiles": [2.0, 2.0], "rounds": bench.MAX_ROUNDS}
     assert calls == ["before", "after", "after", "before"] * (bench.MAX_ROUNDS // 2) + [
         "before", "after"]
     assert medians == {"before": short, "after": 2 * short}
     # One side alone, past the other's reach, is timed the same way.
     calls.clear()
     _, ratio = bench.paired({"before": "before"}, measure)
-    assert ratio == {"ratio": None, "rounds": bench.MAX_ROUNDS}
+    assert ratio == {"ratio": None, "quartiles": None, "rounds": bench.MAX_ROUNDS}
     assert calls == ["before"] * bench.MAX_ROUNDS

@@ -2,11 +2,13 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
 import re
 import shlex
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,10 +59,6 @@ def run_cli(capsys, *argv):
     ("convergence", "--pair", "goe-goe", "--m", "0", "--n", "8,16,32", "--trials", "3"),
     ("density", "--which", "goe-goe", "--grid=-inf:4:5"),
     ("density", "--which", "pte-pte", "--grid=-4:inf:5"),
-    ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "inf"),
-    ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "nan"),
-    ("spectrum", "--pair", "goe-goe", "--n", "400", "--norm-exp", "nan"),
-    ("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "1000"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -94,13 +92,15 @@ def test_usage_errors_exit_two(capsys, argv):
      "invalid m: 0 must be >= 1"),
     (("density", "--which", "goe-goe", "--grid=-inf:4:5"), "'-inf:4:5'"),
     (("density", "--which", "pte-pte", "--grid=-4:inf:5"), "'-4:inf:5'"),
+    # spectrum bins on its pair's own scale (stats.Pair.norm_exp): it takes no --norm-exp.
     (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "inf"),
-     "invalid p inf"),
+     "unrecognized arguments: --norm-exp inf"),
     (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "nan"),
-     "invalid p nan"),
-    (("spectrum", "--pair", "goe-goe", "--n", "400", "--norm-exp", "nan"), "--norm-exp"),
+     "unrecognized arguments: --norm-exp nan"),
+    (("spectrum", "--pair", "goe-goe", "--n", "400", "--norm-exp", "1.5"),
+     "unrecognized arguments: --norm-exp 1.5"),
     (("spectrum", "--pair", "goe-goe", "--n", "10", "--trials", "2", "--norm-exp", "1000"),
-     "--norm-exp"),
+     "unrecognized arguments: --norm-exp 1000"),
     (("spectrum", "--pair", "goe-goe", "--n", "300", "--bins", "0"), "--bins"),
     # The blip weight order is always default_blip_order(N).
     (("blip", "--pair", "goe-checker:2", "--n", "20", "--trials", "2", "--weight-n", "2"),
@@ -110,7 +110,7 @@ def test_usage_errors_exit_two(capsys, argv):
      "unrecognized arguments: --threads -3"),
     (("regimes", "--pair", "goe-checker:2", "--n", "20", "--trials", "2", "--threads", "0"),
      "unrecognized arguments: --threads 0"),
-    (("spectrum", "--pair", "goe-goe", "--n", "-4", "--norm-exp", "0.5"), "invalid size: -4"),
+    (("spectrum", "--pair", "goe-goe", "--n", "-4"), "invalid size: -4"),
     (("spectrum", "--pair", "goe-goe", "--n", "0"), "invalid size: 0"),
     (("blip", "--pair", "goe-checker:2", "--n", "-4", "--trials", "2"), "invalid size: -4"),
     (("moments", "--pair", "goe-goe", "--m", "2", "--out", "/nonexistent/x.json"),
@@ -140,12 +140,13 @@ def test_errors_name_the_bad_input(capsys, argv, named):
     (("spectrum", "--pair", "goe-bce:-3"), "'goe-bce:-3'"),
     (("regimes", "--pair", "goe-checker:1"), "'goe-checker:1': invalid dimension: k=1"),
     (("blip", "--pair", "goe-checker:1"), "'goe-checker:1': invalid dimension: k=1"),
-    (("spectrum", "--pair", "goe-goe", "--norm-exp", "nan"), "--norm-exp"),
+    (("spectrum", "--pair", "goe-goe", "--norm-exp", "nan"),
+     "unrecognized arguments: --norm-exp nan"),
     (("spectrum", "--pair", "goe-goe", "--bins", "0"), "--bins"),
     (("blip", "--pair", "checker-checker:3,1"),
      "'checker-checker:3,1': invalid dimension: k=3, j=1 must be >= 2"),
     (("spectrum", "--pair", "goe-goe", "--threads", "0"), "unrecognized arguments"),
-    (("spectrum", "--pair", "goe-goe", "--n", "-4", "--norm-exp", "0.5"), "invalid size: -4"),
+    (("spectrum", "--pair", "goe-goe", "--n", "-4"), "invalid size: -4"),
     (("regimes", "--pair", "goe-checker:2", "--n", "0"), "invalid size: 0"),
     (("convergence", "--pair", "pte-pte", "--n", "8,16,33"), "needs even N, got 33"),
     (("convergence", "--pair", "goe-checker:4", "--n", "8,16,30"), "k=4 must divide N=30"),
@@ -212,6 +213,36 @@ def test_inputs_larger_than_memory_fail_before_any_work(capsys, monkeypatch, arg
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert re.fullmatch("error: " + re.escape(message) + _MEMORY, err), err
+
+
+def _histogram_table(rows):
+    # Every bin filled, each edge and density printed near %.17g's longest,
+    # 24 characters: the most text a bin.  The pooled spectra are the trials'.
+    spectra = [np.random.default_rng(0).uniform(-2, -1, 4 * rows) * 1e-100]
+    return lambda: cli.empirical_histogram(spectra, 1, bins=rows).write_csv(io.StringIO())
+
+
+def _density_table(which, rows):
+    return lambda: densities.tabulate_density(which, np.linspace(-4, 4, rows)).write_csv(
+        io.StringIO())
+
+
+@pytest.mark.parametrize("table,row_bytes", [
+    (_histogram_table, "_BIN_BYTES"),
+    (functools.partial(_density_table, "goe-goe"), "_GRID_POINT_BYTES"),
+    (functools.partial(_density_table, "pte-pte"), "_GRID_POINT_BYTES"),
+], ids=["histogram", "goe-goe", "pte-pte"])
+def test_each_table_peaks_under_its_bytes_a_row(table, row_bytes):
+    # The memory guards charge a table its bytes a row before any is built.
+    rows = 20_000
+    build = table(rows)
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < getattr(cli, row_bytes)
 
 
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
@@ -614,6 +645,21 @@ def test_regimes_payload(capsys):
     assert set(payload["mean_counts"]) == {"bulk", "pos_blip", "neg_blip"}
     assert sum(payload["modal_counts"].values()) == 250
     assert 0 < payload["modal_fraction"] <= 1
+
+
+@pytest.mark.parametrize("pair,n", [("goe-checker:5", "100"), ("checker-checker:3,5", "90")])
+def test_blip_and_regimes_classify_the_same_spectra(capsys, pair, n):
+    # One seed draws the same trials for both commands, and both count each
+    # trial's eigenvalues by regime_classify: blip adds only outside_bump.
+    argv = ("--pair", pair, "--n", n, "--trials", "3", "--seed", "4")
+    code, out, _ = run_cli(capsys, "blip", *argv)
+    assert code == 0
+    counts = json.loads(out)["counts"]
+    del counts["outside_bump"]
+    code, out, _ = run_cli(capsys, "regimes", *argv)
+    assert code == 0
+    mean_counts = json.loads(out)["mean_counts"]
+    assert list(counts.items()) == list(mean_counts.items())
 
 
 def test_convergence_payload(capsys):

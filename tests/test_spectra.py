@@ -53,8 +53,10 @@ def test_histogram_rejects_norm_exponent_without_finite_scale(p):
 @pytest.mark.parametrize("n", [-4, 0])
 def test_check_norm_exp_rejects_a_size_below_one(n):
     # (-4)^0.5 is complex: the size is named before the power is formed.
-    with pytest.raises(ValueError, match=re.escape(f"invalid n {n}")):
-        sp.check_norm_exp(0.5, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"invalid n {n}")):
+            sp.empirical_histogram([np.linspace(-1, 1, 10)], n, p=0.5)
 
 
 def test_write_csv_format():

@@ -18,9 +18,10 @@ single calls lets a shift fall on both sides alike.  A side's median can
 still land in another speed mode than the other side's, so with --baseline
 the record also holds "after_over_before": per timed row of the first three
 parts below, keyed like the row, "ratio", the median over the row's adjacent
-call pairs of the after call's seconds over the before call's (None past one
-side's reach, where the other side runs alone), beside "rounds", the number
-of those pairs.  The record has four parts:
+call pairs of the after call's seconds over the before call's, and "quartiles",
+their first and third quartiles (both None past one side's reach, where the
+other side runs alone), beside "rounds", the number of those pairs.  A row
+whose quartiles straddle 1 is unresolved.  The record has four parts:
 
 - "tables": each exact table (the enumeration routes of goe-goe, pte-pte
   and goe-pte, and the goe-bce and bce-bce genus tables) gets one of two
@@ -219,7 +220,8 @@ def paired(packages, measure, *args):
     side a round, the sides alternating, for REPEAT rounds and then while either
     side's calls sum to less than MIN_S seconds, up to MAX_ROUNDS; and
     {"ratio": the median after / before ratio of the rounds' adjacent call pairs,
-    None unless both sides ran, "rounds": their number}."""
+    "quartiles": [q1, q3] of those ratios, both None unless both sides ran,
+    "rounds": their number}."""
     sides, seconds = list(packages), {side: [] for side in packages}
     rounds = 0
     while rounds < REPEAT or (rounds < MAX_ROUNDS
@@ -227,12 +229,14 @@ def paired(packages, measure, *args):
         for side in in_turn(sides, rounds):
             seconds[side].append(measure(packages[side], *args))
         rounds += 1
-    ratio = None
+    ratio = quartiles = None
     if {"before", "after"} <= seconds.keys():
-        ratio = round(statistics.median(
-            after / before for after, before in zip(seconds["after"], seconds["before"])), 4)
+        ratios = [after / before for after, before in zip(seconds["after"], seconds["before"])]
+        ratio = round(statistics.median(ratios), 4)
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        quartiles = [round(q1, 4), round(q3, 4)]
     medians = {side: statistics.median(calls) for side, calls in seconds.items()}
-    return medians, {"ratio": ratio, "rounds": rounds}
+    return medians, {"ratio": ratio, "quartiles": quartiles, "rounds": rounds}
 
 
 def measure_tables(packages):
